@@ -6,7 +6,8 @@ long flags; explicit flags win over the file, the file over built-in
 defaults.  The random seed additionally honors the HEIS_SEED environment
 variable between those two.  Exit codes: 0 success, 1 configuration error,
 2 numerical abort (characteristic guard or untrusted quadrature), 3
-verification failure (a residual above tolerance).
+verification failure (a residual above tolerance, including a foliation
+leaf that does not close; its outputs are still written).
 """
 
 from __future__ import annotations
@@ -248,6 +249,8 @@ def cmd_foliate(args, config) -> int:
         residual, windings = detect_period(trace, axis=0, close_tol=tolerance)
     except ValueError as exc:
         raise NumericalAbort(f"period detection inconclusive: {exc}")
+    # a NaN residual compares false, so it counts as not closed
+    closed = bool(residual <= tolerance)
 
     base = _out_base(output)
     write_csv(
@@ -263,10 +266,16 @@ def cmd_foliate(args, config) -> int:
         "arclength": trace.arclength,
         "closure_residual": residual,
         "windings": [windings[0], windings[1]],
+        "closed": closed,
         "truncated": trace.truncated,
     })
     verts, faces = surface_mesh(torus, grid[0], grid[1])
     write_obj(base + ".obj", verts, faces)
+    if not closed:
+        raise VerificationFailure(
+            f"leaf did not close: closure residual {residual:.3e} > {tolerance:.3e}; "
+            f"windings {windings} are those of the best return"
+        )
     return 0
 
 

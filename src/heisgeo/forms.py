@@ -6,6 +6,12 @@ such fields) and otherwise fall back to centered differences along the
 group flows.  Forms are stored by coefficients in the coframe
 (dx, dy, theta) dual to the frame (X, Y, T); there is no dt coefficient
 anywhere, which is what makes the complex small.
+
+A field built from a jet carries one entry point, `jet(p)`, for its
+coordinate gradient and Hessian.  D(omega) of a form with jet coefficients
+reads one jet per distinct coefficient and point batch; the lazily built
+derivative fields give the same numbers bit for bit and serve the
+finite-difference fallback and third derivatives.
 """
 
 from __future__ import annotations
@@ -73,6 +79,10 @@ class ScalarField:
     numerically along the group flow of the corresponding frame vector, so
     even purely numerical fields compose correctly with every operator here.
     """
+
+    # jet(p) -> (gradient, Hessian entries) for fields built from a jet; see
+    # _jet_field.  Fields from the algebra below carry none.
+    jet = None
 
     def __init__(self, func, dX=None, dY=None, dT=None, fd_depth: int = 0):
         self._func = func
@@ -197,6 +207,37 @@ def t_field() -> ScalarField:
     )
 
 
+def _frame_first(p, dx, dy, dt):
+    """(Xu, Yu, Tu) of a function with coordinate gradient (dx, dy, dt) at p.
+
+    X = dx - (y/2) dt and Y = dy + (x/2) dt; T = dt.
+    """
+    return dx - 0.5 * p[..., 1] * dt, dy + 0.5 * p[..., 0] * dt, dt
+
+
+def _frame_second(p, gradient, hessian):
+    """X(Xf), Y(Xf), X(Yf), Y(Yf) and Tf from the coordinate jet of f at p.
+
+    `gradient = (f_x, f_y, f_t)` and `hessian = (f_xx, f_xy, f_xt, f_yy,
+    f_yt, f_tt)`, each an array over the points.  This is the one place the
+    second order chain rule through X and Y is written out.
+    """
+    x, y = p[..., 0], p[..., 1]
+    ft = gradient[2]
+    hxx, hxy, hxt, hyy, hyt, htt = hessian
+    # the mixed derivatives share every term but the sign of the bracket
+    # term, X(Yf) - Y(Xf) = Tf
+    half_t = 0.5 * ft
+    x_xt = 0.5 * x * hxt
+    y_yt = 0.5 * y * hyt
+    xy_tt = 0.25 * x * y * htt
+    xx = hxx - y * hxt + 0.25 * y * y * htt
+    yx = hxy - half_t - y_yt + x_xt - xy_tt
+    xy = hxy + half_t + x_xt - y_yt - xy_tt
+    yy = hyy + x * hyt + 0.25 * x * x * htt
+    return xx, yx, xy, yy, ft
+
+
 def scalar_from_jet(value, gradient, hessian) -> ScalarField:
     """Field with exact frame derivatives through second order.
 
@@ -206,71 +247,58 @@ def scalar_from_jet(value, gradient, hessian) -> ScalarField:
     higher frame derivatives fall back to finite differences.
     """
 
-    # each closure pulls the whole coordinate jet once and combines entries,
-    # so evaluating a second frame derivative costs one hessian call
-    def X_X(p):
-        h = hessian(p)
-        y = p[..., 1]
-        return h[..., 0, 0] - y * h[..., 0, 2] + 0.25 * y * y * h[..., 2, 2]
+    def jet(p):
+        g, h = gradient(p), hessian(p)
+        return ((g[..., 0], g[..., 1], g[..., 2]),
+                (h[..., 0, 0], h[..., 0, 1], h[..., 0, 2],
+                 h[..., 1, 1], h[..., 1, 2], h[..., 2, 2]))
 
-    def Y_X(p):
-        h = hessian(p)
-        x, y = p[..., 0], p[..., 1]
-        return (h[..., 0, 1] - 0.5 * gradient(p)[..., 2] - 0.5 * y * h[..., 1, 2]
-                + 0.5 * x * h[..., 0, 2] - 0.25 * x * y * h[..., 2, 2])
+    return _jet_field(value, jet)
 
-    def T_X(p):
-        h = hessian(p)
-        return h[..., 0, 2] - 0.5 * p[..., 1] * h[..., 2, 2]
 
-    def X_Y(p):
-        h = hessian(p)
-        x, y = p[..., 0], p[..., 1]
-        return (h[..., 0, 1] + 0.5 * gradient(p)[..., 2] + 0.5 * x * h[..., 0, 2]
-                - 0.5 * y * h[..., 1, 2] - 0.25 * x * y * h[..., 2, 2])
+def _jet_field(value, jet) -> ScalarField:
+    """Field whose derivatives through second order come from one entry point.
 
-    def Y_Y(p):
-        h = hessian(p)
-        x = p[..., 0]
-        return h[..., 1, 1] + x * h[..., 1, 2] + 0.25 * x * x * h[..., 2, 2]
+    `jet(p)` returns the coordinate gradient and the six distinct Hessian
+    entries, in the layout `_frame_second` reads; the field keeps it as
+    `.jet`, so `middle_differential` evaluates it once per point batch for
+    all of D(omega).  The derivative fields below serve single derivatives
+    and the finite-difference third derivatives.
+    """
 
-    def T_Y(p):
-        h = hessian(p)
-        return h[..., 1, 2] + 0.5 * p[..., 0] * h[..., 2, 2]
+    def second(k):
+        # X(Xf), Y(Xf), X(Yf), Y(Yf) as read off the full jet
+        return lambda p: _frame_second(p, *jet(p))[k]
 
-    def T_T(p):
-        return hessian(p)[..., 2, 2]
+    def vertical(k):
+        # X(Tf), Y(Tf), T(Tf); T commutes with X and Y, so these are also
+        # T(Xf) and T(Yf)
+        def fn(p):
+            _, (_, _, hxt, _, hyt, htt) = jet(p)
+            return _frame_first(p, hxt, hyt, htt)[k]
 
-    def second(i):
-        # frame derivatives of the first-level fields, written in the
-        # coordinate jet; T is central so the mixed T rows are symmetric
-        if i == 0:  # Xf = f_x - (y/2) f_t
-            return X_X, Y_X, T_X
-        if i == 1:  # Yf = f_y + (x/2) f_t
-            return X_Y, Y_Y, T_Y
-        return T_X, T_Y, T_T  # Tf = f_t
+        return fn
+
+    def exact_second(fn):
+        return ScalarField(
+            fn,
+            dX=lambda: _fd4_field(fn, 0),
+            dY=lambda: _fd4_field(fn, 1),
+            dT=lambda: _fd4_field(fn, 2),
+        )
+
+    # frame derivatives (X, Y, T) of Xf, Yf and Tf
+    rows = (
+        (second(0), second(1), vertical(0)),
+        (second(2), second(3), vertical(1)),
+        (vertical(0), vertical(1), vertical(2)),
+    )
 
     def first(i):
-        if i == 0:
-            def func(p):
-                g = gradient(p)
-                return g[..., 0] - 0.5 * p[..., 1] * g[..., 2]
-        elif i == 1:
-            def func(p):
-                g = gradient(p)
-                return g[..., 1] + 0.5 * p[..., 0] * g[..., 2]
-        else:
-            def func(p):
-                return gradient(p)[..., 2]
-        def exact_second(fn):
-            return ScalarField(
-                fn,
-                dX=lambda: _fd4_field(fn, 0),
-                dY=lambda: _fd4_field(fn, 1),
-                dT=lambda: _fd4_field(fn, 2),
-            )
+        def func(p):
+            return _frame_first(p, *jet(p)[0])[i]
 
-        dx_, dy_, dt_ = second(i)
+        dx_, dy_, dt_ = rows[i]
         return ScalarField(
             func,
             dX=lambda: exact_second(dx_),
@@ -278,12 +306,14 @@ def scalar_from_jet(value, gradient, hessian) -> ScalarField:
             dT=lambda: exact_second(dt_),
         )
 
-    return ScalarField(
+    field = ScalarField(
         value,
         dX=lambda: first(0),
         dY=lambda: first(1),
         dT=lambda: first(2),
     )
+    field.jet = jet
+    return field
 
 
 def bump_field(center, radius: float) -> ScalarField:
@@ -291,8 +321,9 @@ def bump_field(center, radius: float) -> ScalarField:
 
     The fourth power keeps three continuous derivatives across the support
     sphere, enough for every operator in the complex to stay continuous.
-    The flat jet is closed form, so frame derivatives through second order
-    are exact via scalar_from_jet.
+    The flat jet is closed form: one pass computes d = p - c and q once,
+    then the gradient and the six distinct Hessian entries, so frame
+    derivatives through second order are exact and cheap.
     """
     c = np.asarray(center, dtype=float)
     if c.shape != (3,):
@@ -300,26 +331,30 @@ def bump_field(center, radius: float) -> ScalarField:
     r2 = float(radius) ** 2
     if not r2 > 0:
         raise ValueError("radius must be positive")
+    k1 = -8.0 / r2
+    k2 = 48.0 / r2**2
 
-    def q(p):
-        d = p - c
+    def q(d):
         return np.maximum(1.0 - (d * d).sum(axis=-1) / r2, 0.0)
 
     def value(p):
-        return q(p) ** 4
+        return q(p - c) ** 4
 
-    def gradient(p):
+    def jet(p):
+        # grad = k1 q^3 d and hess = k1 q^3 I + k2 q^2 d d^T, each entry
+        # rounded as the dense forms (k1 q^3) + ((k2 d_i) d_j) q^2 would be
         d = p - c
-        return (-8.0 / r2) * d * (q(p) ** 3)[..., None]
+        qd = q(d)
+        q2, q3 = qd**2, qd**3
+        dx, dy, dt = d[..., 0], d[..., 1], d[..., 2]
+        diag = k1 * q3
+        kx, ky, kt = k2 * dx, k2 * dy, k2 * dt
+        grad = (k1 * dx * q3, k1 * dy * q3, k1 * dt * q3)
+        hess = (diag + kx * dx * q2, kx * dy * q2, kx * dt * q2,
+                diag + ky * dy * q2, ky * dt * q2, diag + kt * dt * q2)
+        return grad, hess
 
-    def hessian(p):
-        d = p - c
-        qp = q(p)
-        eye = np.eye(3)
-        return ((-8.0 / r2) * eye * (qp**3)[..., None, None]
-                + (48.0 / r2**2) * d[..., :, None] * d[..., None, :] * (qp**2)[..., None, None])
-
-    return scalar_from_jet(value, gradient, hessian)
+    return _jet_field(value, jet)
 
 
 def bump_form(center, radius: float, degree: int = 1) -> "HorizontalForm":
@@ -379,23 +414,35 @@ class VerticalForm:
 
 
 class ThetaWedgeForm:
-    """Two form a theta^dx + b theta^dy."""
+    """Two form a theta^dx + b theta^dy.
+
+    `coefficients(p) -> (a(p), b(p))`, when given, evaluates both
+    coefficients in one call and is what evaluating the form uses; it must
+    agree with the fields `a` and `b`, which the differential below still
+    reads.
+    """
 
     degree = 2
 
-    def __init__(self, a: ScalarField, b: ScalarField, support=None, support_ball=None):
+    def __init__(self, a: ScalarField, b: ScalarField, support=None, support_ball=None,
+                 coefficients=None):
         self.a = a
         self.b = b
         self.support = support
         self.support_ball = support_ball
+        self._coefficients = coefficients
 
     def __call__(self, base, v1, v2):
         v1 = np.asarray(v1, dtype=float)
         v2 = np.asarray(v2, dtype=float)
         th1 = contact(base, v1)
         th2 = contact(base, v2)
-        return (self.a(base) * (th1 * v2[..., 0] - th2 * v1[..., 0])
-                + self.b(base) * (th1 * v2[..., 1] - th2 * v1[..., 1]))
+        if self._coefficients is None:
+            a, b = self.a(base), self.b(base)
+        else:
+            a, b = self._coefficients(np.asarray(base, dtype=float))
+        return (a * (th1 * v2[..., 0] - th2 * v1[..., 0])
+                + b * (th1 * v2[..., 1] - th2 * v1[..., 1]))
 
 
 class TopForm:
@@ -457,13 +504,25 @@ def middle_differential(w: HorizontalForm) -> ThetaWedgeForm:
     """Degree one to two, the second order step of the complex.
 
     With c = Xg - Yf this is d(f dx + g dy + c theta) in the coframe, which
-    works out to (Tf - Xc) theta^dx + (Tg - Yc) theta^dy.
+    works out to (Tf - Xc) theta^dx + (Tg - Yc) theta^dy.  When f and g are
+    jet fields, evaluating the result reads one jet per distinct field and
+    forms a = Tf - (X(Xg) - X(Yf)) and b = Tg - (Y(Xg) - Y(Yf)) from it,
+    bit for bit what the derivative fields `.a` and `.b` give.
     """
+    f, g = w.f, w.g
     c = vertical_correction(w).c
+    coefficients = None
+    if f.jet is not None and g.jet is not None:
+        def coefficients(p):
+            _, _, f_xy, f_yy, f_t = fj = _frame_second(p, *f.jet(p))
+            g_xx, g_yx, _, _, g_t = fj if g is f else _frame_second(p, *g.jet(p))
+            return f_t - (g_xx - f_xy), g_t - (g_yx - f_yy)
+
     return ThetaWedgeForm(
-        w.f.T() - c.X(), w.g.T() - c.Y(),
+        f.T() - c.X(), g.T() - c.Y(),
         support=w.support,
         support_ball=getattr(w, "support_ball", None),
+        coefficients=coefficients,
     )
 
 

@@ -150,7 +150,10 @@ def adaptive_integrate_2d(f, u_dom, v_dom, tol=1e-7, nodes=8, coarse=16,
     Each panel carries a Gauss-Legendre value and the sum over its four
     children; their difference is the local error.  Panels above an
     equidistributed share of tol are split, child values are reused as the
-    next generation, and the reported value is always the child-sum level.
+    next generation, and the reported value is the child-sum level.  If
+    `max_sweeps` ends the loop before the children of the last split are
+    evaluated, those children count at their parent's level instead; no
+    panel is dropped, and a NaN sample makes both value and error NaN.
 
     Sampling alone can miss an integrand whose support ends inside a panel
     without touching any node, so callers integrating a compactly supported
@@ -174,8 +177,13 @@ def adaptive_integrate_2d(f, u_dom, v_dom, tol=1e-7, nodes=8, coarse=16,
     cabs = np.full(len(u0), np.nan)
     err = np.full(len(u0), np.nan)
     cvals = np.full((len(u0), 4), np.nan)
+    # panels whose children are not evaluated yet, and the error and |f| sum
+    # of their parents, which stand in for them if the sweeps run out; the
+    # coarse panels have no parent, so nothing is known about them
+    fresh = np.ones(len(u0), dtype=bool)
+    fresh_err = fresh_abs = np.nan
     for _ in range(max_sweeps):
-        new = np.flatnonzero(np.isnan(err))
+        new = np.flatnonzero(fresh)
         if len(new):
             nu0, nu1, nv0, nv1 = u0[new], u1[new], v0[new], v1[new]
             um = 0.5 * (nu0 + nu1)
@@ -190,6 +198,8 @@ def adaptive_integrate_2d(f, u_dom, v_dom, tol=1e-7, nodes=8, coarse=16,
             csum[new] = cvals[new].sum(axis=1)
             cabs[new] = ca.reshape(4, len(new)).sum(axis=0)
             err[new] = np.abs(val[new] - csum[new])
+            fresh[new] = False
+            fresh_err = fresh_abs = 0.0
         if err.sum() <= tol or evals > max_evals:
             break
         wide = np.minimum(u1 - u0, v1 - v0) > 1e-9
@@ -201,6 +211,7 @@ def adaptive_integrate_2d(f, u_dom, v_dom, tol=1e-7, nodes=8, coarse=16,
         if not ref.any():
             break
         keep = ~ref
+        fresh_err, fresh_abs = float(err[ref].sum()), float(cabs[ref].sum())
         ru0, ru1, rv0, rv1 = u0[ref], u1[ref], v0[ref], v1[ref]
         um = 0.5 * (ru0 + ru1)
         vm = 0.5 * (rv0 + rv1)
@@ -215,7 +226,12 @@ def adaptive_integrate_2d(f, u_dom, v_dom, tol=1e-7, nodes=8, coarse=16,
         cabs = np.concatenate([cabs[keep], pad])
         err = np.concatenate([err[keep], pad])
         cvals = np.concatenate([cvals[keep], np.full((4 * m, 4), np.nan)])
-    return float(np.nansum(csum)), _floored(float(np.nansum(err)), float(np.nansum(cabs)))
+        fresh = np.concatenate([fresh[keep], np.ones(4 * m, dtype=bool)])
+    # unevaluated children count by their own values and their parent's error
+    value = float(np.where(fresh, val, csum).sum())
+    error = float(np.where(fresh, 0.0, err).sum()) + fresh_err
+    abs_sum = float(np.where(fresh, 0.0, cabs).sum()) + fresh_abs
+    return value, _floored(error, abs_sum)
 
 
 class PrefixIntegral:

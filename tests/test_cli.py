@@ -92,9 +92,26 @@ def test_foliate_full_run(tmp_path):
     meta = json.loads(base.with_suffix(".json").read_text())
     assert meta["windings"] == [1, 1]
     assert meta["closure_residual"] <= 1e-6
+    assert meta["closed"] is True
     assert not meta["truncated"]
     rows = np.loadtxt(base.with_suffix(".csv"), delimiter=",", skiprows=1)
     assert rows.shape == (128, 5)
+    assert base.with_suffix(".obj").exists()
+
+
+def test_foliate_unclosed_leaf_exit_3(tmp_path):
+    # R = 2.5 is not one of the closing radii and 30 units of arclength end
+    # far from the start: the best return is reported but flagged
+    base = tmp_path / "leaf"
+    code = run(
+        "foliate", "--R", "2.5", "--arclen", "30", "--grid", "8x4", "--samples", "128",
+        "-o", str(base),
+    )
+    assert code == 3
+    # the outputs are still written before the verdict
+    meta = json.loads(base.with_suffix(".json").read_text())
+    assert meta["closed"] is False
+    assert meta["closure_residual"] > 1e-6
     assert base.with_suffix(".obj").exists()
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from heisgeo import frame_at, point
+from heisgeo import contact, frame_at, point
 from heisgeo.forms import (
     HorizontalForm,
     ScalarField,
@@ -270,6 +270,49 @@ def test_bump_field_support_and_smoothness():
     vals = chi(pts)
     assert vals.shape == (64,)
     assert np.all(vals >= 0.0)
+
+
+def _wedge_from_thunks(D, p, v1, v2):
+    # the same wedge as ThetaWedgeForm.__call__, with the coefficients read
+    # through the derivative fields `.a` and `.b`
+    th1, th2 = contact(p, v1), contact(p, v2)
+    return (D.a(p) * (th1 * v2[..., 0] - th2 * v1[..., 0])
+            + D.b(p) * (th1 * v2[..., 1] - th2 * v1[..., 1]))
+
+
+def test_fused_middle_differential_is_bit_identical():
+    # evaluating D(omega) reads each field's jet once; the result must be the
+    # exact floats the derivative-field algebra gives
+    rng = np.random.default_rng(34)
+    forms = [bump_form(rng.uniform(-0.5, 0.5, 3), 0.7) for _ in range(3)]
+    forms += [HorizontalForm(random_jet_field(rng), random_jet_field(rng)) for _ in range(3)]
+    for w in forms:
+        D = middle_differential(w)
+        center = w.support_ball[0] if w.support_ball else np.zeros(3)
+        p = center + random_points(rng, 500, scale=0.8)
+        v1, v2 = rng.normal(size=(2, 500, 3))
+        fused = D(p, v1, v2)
+        assert np.array_equal(fused, _wedge_from_thunks(D, p, v1, v2))
+        assert np.count_nonzero(fused) > 100
+
+
+def test_bump_jet_matches_dense_formulas():
+    # the one-pass jet rounds each entry exactly as the dense expressions
+    # k1 q^3 d and k1 q^3 I + k2 q^2 d d^T do
+    rng = np.random.default_rng(35)
+    center, radius = np.array([0.2, -0.1, 0.3]), 0.6
+    p = center + random_points(rng, 2000, scale=0.6)
+    r2 = radius**2
+    d = p - center
+    q = np.maximum(1.0 - (d * d).sum(axis=-1) / r2, 0.0)
+    grad = (-8.0 / r2) * d * (q**3)[..., None]
+    hess = ((-8.0 / r2) * np.eye(3) * (q**3)[..., None, None]
+            + (48.0 / r2**2) * d[..., :, None] * d[..., None, :] * (q**2)[..., None, None])
+    (gx, gy, gt), entries = bump_field(center, radius).jet(p)
+    assert np.array_equal(np.stack([gx, gy, gt], axis=-1), grad)
+    for (i, j), h in zip(((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)), entries):
+        assert np.array_equal(h, hess[..., i, j]), (i, j)
+    assert np.count_nonzero(q) > 500
 
 
 def test_bump_form_metadata():

@@ -29,7 +29,8 @@ from heisgeo.forms import (
     scalar_from_jet,
     x_field,
 )
-from heisgeo.quadrature import QuadratureSpec
+from heisgeo.integrate import FLAG_TOL, _result
+from heisgeo.quadrature import QuadratureSpec, adaptive_integrate_2d
 
 
 def test_curve_integral_polynomial_oracle():
@@ -188,6 +189,23 @@ def test_untrusted_estimates_are_flagged():
     nan_form = HorizontalForm(ScalarField(lambda p: np.full(p.shape[:-1], np.nan)), const_field(0.0))
     res = integrate_curve(nan_form, seg, flag_tol=1.0)
     assert res.flagged
+
+
+def test_budget_stop_and_nan_panels_are_flagged():
+    # a sweep budget that stops with panels pending must not pass as trusted
+    g = lambda u, v: np.exp(-1000.0 * ((u - 0.3) ** 2 + (v - 0.7) ** 2))
+    value, est = adaptive_integrate_2d(g, (0.0, 1.0), (0.0, 1.0), coarse=4, max_sweeps=1)
+    assert _result(value, est, FLAG_TOL).flagged
+    # nor may NaN samples on half the domain
+    def pos(u, v):
+        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+        return np.stack([u, v, np.zeros_like(u)], axis=-1)
+
+    sheet = ParamSurface(u_dom=(0.0, 1.0), v_dom=(0.0, 1.0), position=pos)
+    half_nan = ScalarField(lambda p: np.where(p[..., 0] < 0.5, np.nan, 1.0))
+    form = ThetaWedgeForm(half_nan, const_field(0.0))
+    res = integrate_surface(form, sheet, method="adaptive")
+    assert res.flagged and np.isnan(res.value)
 
 
 def test_vertical_term_vanishes_on_horizontal_boundary():

@@ -104,6 +104,26 @@ def test_adaptive_support_cut_by_domain_edge():
     assert abs(value - truth) <= max(est, 1e-9)
 
 
+def test_adaptive_sweep_budget_keeps_pending_panels():
+    # max_sweeps=1 stops right after the first split, before the children of
+    # the split panels are evaluated; they count at their parent's level, so
+    # the value keeps the whole peak and the estimate covers the real error
+    g = lambda u, v: np.exp(-1000.0 * ((u - 0.3) ** 2 + (v - 0.7) ** 2))
+    truth = np.pi / 1000.0
+    value, est = adaptive_integrate_2d(g, (0.0, 1.0), (0.0, 1.0), coarse=4, max_sweeps=1)
+    assert abs(value - truth) <= est
+    assert est > 1e-6
+    # no sweep at all: no child level, so no estimate
+    value, est = adaptive_integrate_2d(g, (0.0, 1.0), (0.0, 1.0), coarse=4, max_sweeps=0)
+    assert np.isnan(est) and abs(value - truth) < 1e-3
+
+
+def test_adaptive_nan_sample_propagates():
+    f = lambda u, v: np.where(u < 0.5, np.nan, 1.0)
+    value, est = adaptive_integrate_2d(f, (0.0, 1.0), (0.0, 1.0))
+    assert np.isnan(value) and np.isnan(est)
+
+
 def test_estimates_floored_at_rounding_bound():
     # both rules integrate these polynomials exactly, so the Richardson gap
     # is rounding noise; the estimate must still be positive
