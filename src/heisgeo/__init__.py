@@ -9,16 +9,12 @@ verifier in `integrate`; deterministic exporters and the command line in
 """
 
 from .core import (
-    GroupDescriptor,
     TangentVector,
     contact,
-    contact_eval,
     dilate,
-    dim_n,
     frame_at,
     frame_coords,
     frame_norm,
-    group_descriptor,
     identity,
     inverse,
     koranyi_dist,
@@ -26,7 +22,6 @@ from .core import (
     multiply,
     point,
     rotate_t_axis,
-    split_coords,
     translation_differential,
     vector_from_frame,
 )

@@ -233,6 +233,10 @@ def cmd_foliate(args, config) -> int:
         raise CliError("foliate needs --output")
     if not tolerance > 0:
         raise CliError("tolerance must be positive")
+    if arclen is not None and not 0.0 < arclen < math.inf:
+        raise CliError("arclen must be positive and finite")
+    if samples < 2:
+        raise CliError("samples must be at least 2")
     big_r, r = _torus_radii(r, big_r, n)
     if arclen is None:
         loops = n if n is not None else 8
@@ -268,6 +272,8 @@ def cmd_foliate(args, config) -> int:
         "windings": [windings[0], windings[1]],
         "closed": closed,
         "truncated": trace.truncated,
+        "nfev": trace.step_stats["nfev"],
+        "steps": trace.step_stats["steps"],
     })
     verts, faces = surface_mesh(torus, grid[0], grid[1])
     write_obj(base + ".obj", verts, faces)
@@ -451,7 +457,7 @@ def cmd_selftest(args, config) -> int:
     check(
         "foliation-period",
         residual <= 1e-6 and not trace.truncated,
-        f"closure {residual:.3e}, windings {windings}",
+        f"closure {residual:.3e}, windings {windings}, nfev {trace.step_stats['nfev']}",
     )
 
     rng = np.random.default_rng(DEFAULT_SEED)

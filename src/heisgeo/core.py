@@ -1,20 +1,21 @@
 """Heisenberg group primitives.
 
-The n-th Heisenberg group is modelled on R^(2n+1) in exponential coordinates,
-stored as numpy arrays with layout ``[x_1..x_n, y_1..y_n, t]``.  All functions
-broadcast over leading axes, so a batch of points is simply an array of shape
-``(..., 2n+1)``.
+The first Heisenberg group H^1 is modelled on R^3 in exponential
+coordinates, stored as numpy arrays with layout ``[x, y, t]``.  All
+functions broadcast over leading axes, so a batch of points is simply an
+array of shape ``(..., 3)``, and read x, y and t as ``p[..., 0]``,
+``p[..., 1]`` and ``p[..., 2]``.
 
 Conventions (fixed once, everything else routes through them):
 
-* group law    ``(x,y,t)*(x',y',t') = (x+x', y+y', t+t' + (<x,y'> - <y,x'>)/2)``
-* frame        ``X_j = d/dx_j - (y_j/2) d/dt``, ``Y_j = d/dy_j + (x_j/2) d/dt``,
-               ``T = d/dt``; the only nonzero bracket is ``[X_j, Y_j] = T``
-* contact form ``theta = dt + (y/2)dx - (x/2)dy`` (annihilates every X_j, Y_j,
-               pairs to 1 with T); ``d theta = -dx^dy`` in H^1
+* group law    ``(x,y,t)*(x',y',t') = (x+x', y+y', t+t' + (x y' - y x')/2)``
+* frame        ``X = d/dx - (y/2) d/dt``, ``Y = d/dy + (x/2) d/dt``,
+               ``T = d/dt``; the only nonzero bracket is ``[X, Y] = T``
+* contact form ``theta = dt + (y/2)dx - (x/2)dy`` (annihilates X and Y,
+               pairs to 1 with T); ``d theta = -dx^dy``
 * dilations    ``delta_lam(x,y,t) = (lam x, lam y, lam^2 t)``, homogeneous
-               dimension ``Q = 2n + 2``
-* gauge        ``|(x,y,t)| = ((|x|^2+|y|^2)^2 + 16 t^2)^(1/4)``, with the
+               dimension ``Q = 4``
+* gauge        ``|(x,y,t)| = ((x^2+y^2)^2 + 16 t^2)^(1/4)``, with the
                left-invariant distance ``d(p,q) = |p^-1 * q|``
 """
 
@@ -25,13 +26,9 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "GroupDescriptor",
     "TangentVector",
-    "group_descriptor",
     "point",
     "identity",
-    "dim_n",
-    "split_coords",
     "multiply",
     "inverse",
     "dilate",
@@ -39,20 +36,12 @@ __all__ = [
     "translation_differential",
     "frame_at",
     "contact",
-    "contact_eval",
     "frame_coords",
     "vector_from_frame",
     "frame_norm",
     "koranyi_norm",
     "koranyi_dist",
 ]
-
-
-class GroupDescriptor(NamedTuple):
-    """Step-2 group data: topological dimension 2n+1, homogeneous dimension Q."""
-
-    n: int
-    Q: int
 
 
 class TangentVector(NamedTuple):
@@ -62,58 +51,24 @@ class TangentVector(NamedTuple):
     vec: np.ndarray
 
 
-def group_descriptor(n: int) -> GroupDescriptor:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    return GroupDescriptor(int(n), 2 * int(n) + 2)
-
-
 def point(x, y, t) -> np.ndarray:
-    """Assemble a point from x, y (scalars or n-vectors) and t."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be scalars or 1-d arrays of equal length")
-    return np.concatenate([x, y, [float(t)]])
-
-def identity(n: int = 1) -> np.ndarray:
-    return np.zeros(2 * n + 1)
+    """Assemble the point (x, y, t)."""
+    return np.array([float(x), float(y), float(t)])
 
 
-def dim_n(p: np.ndarray) -> int:
-    """Recover n from the trailing axis length 2n+1."""
-    m = np.shape(p)[-1]
-    if m < 3 or m % 2 == 0:
-        raise ValueError(f"trailing axis must have odd length >= 3, got {m}")
-    return (m - 1) // 2
-
-
-def split_coords(p: np.ndarray):
-    """Views (x, y, t) of a point array; t keeps the leading shape."""
-    p = np.asarray(p, dtype=float)
-    n = dim_n(p)
-    return p[..., :n], p[..., n : 2 * n], p[..., 2 * n]
-
-
-def _check_same_n(p: np.ndarray, q: np.ndarray) -> int:
-    n, m = dim_n(p), dim_n(q)
-    if n != m:
-        raise ValueError(f"dimension mismatch: H^{n} vs H^{m}")
-    return n
+def identity() -> np.ndarray:
+    return np.zeros(3)
 
 
 def multiply(p, q) -> np.ndarray:
     """Group product p * q (broadcasts over leading axes)."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    n = _check_same_n(p, q)
-    px, py, pt = split_coords(p)
-    qx, qy, qt = split_coords(q)
-    out_xy = p[..., : 2 * n] + q[..., : 2 * n]
-    t = pt + qt + 0.5 * (np.sum(px * qy, axis=-1) - np.sum(py * qx, axis=-1))
-    return np.concatenate(
-        [out_xy, t[..., None]], axis=-1
-    )
+    if p.shape[-1:] != (3,) or q.shape[-1:] != (3,):
+        raise ValueError(f"need trailing axes of length 3, got {p.shape} and {q.shape}")
+    out = p + q
+    out[..., 2] += 0.5 * (p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0])
+    return out
 
 
 def inverse(p) -> np.ndarray:
@@ -125,82 +80,53 @@ def dilate(lam: float, p) -> np.ndarray:
     """Anisotropic dilation (lam x, lam y, lam^2 t); lam must be positive."""
     if not lam > 0:
         raise ValueError(f"dilation factor must be positive, got {lam}")
-    p = np.asarray(p, dtype=float)
-    n = dim_n(p)
-    out = p.copy()
-    out[..., : 2 * n] *= lam
-    out[..., 2 * n] *= lam * lam
+    out = np.array(p, dtype=float)
+    out[..., :2] *= lam
+    out[..., 2] *= lam * lam
     return out
 
 
 def rotate_t_axis(phi: float, p) -> np.ndarray:
-    """Rotation about the t-axis, a group automorphism of H^1 preserving theta."""
+    """Rotation about the t-axis, a group automorphism preserving theta."""
     p = np.asarray(p, dtype=float)
-    if dim_n(p) != 1:
-        raise NotImplementedError("t-axis rotation is only provided for H^1")
     c, s = np.cos(phi), np.sin(phi)
     x, y, t = p[..., 0], p[..., 1], p[..., 2]
     return np.stack([c * x - s * y, s * x + c * y, t], axis=-1)
-
-
-def _join_xy_t(xy, t, lead, n):
-    xy = np.broadcast_to(xy, lead + (2 * n,))
-    t = np.broadcast_to(t, lead)
-    return np.concatenate([xy, t[..., None]], axis=-1)
 
 
 def translation_differential(p, v) -> np.ndarray:
     """Pushforward of a coordinate vector v under left translation by p.
 
     The group law is polynomial, so this is exact: the x,y parts pass through
-    and the t part picks up (<p_x, v_y> - <p_y, v_x>)/2.
+    and the t part picks up (p_x v_y - p_y v_x)/2.
     """
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
-    n = _check_same_n(p, v)
-    px, py, _ = split_coords(p)
-    vx, vy, vt = split_coords(v)
-    t = vt + 0.5 * (np.sum(px * vy, axis=-1) - np.sum(py * vx, axis=-1))
-    lead = np.broadcast_shapes(p.shape[:-1], v.shape[:-1])
-    return _join_xy_t(v[..., : 2 * n], t, lead, n)
+    out = np.empty(np.broadcast_shapes(p.shape, v.shape))
+    out[...] = v
+    out[..., 2] += 0.5 * (p[..., 0] * v[..., 1] - p[..., 1] * v[..., 0])
+    return out
 
 
 def frame_at(p) -> list[TangentVector]:
-    """The left-invariant frame (X_1..X_n, Y_1..Y_n, T) at a single point."""
+    """The left-invariant frame (X, Y, T) at a single point."""
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1:
+    if p.shape != (3,):
         raise ValueError("frame_at expects a single point")
-    n = dim_n(p)
-    x, y, _ = split_coords(p)
-    vecs = []
-    for j in range(n):
-        v = np.zeros(2 * n + 1)
-        v[j] = 1.0
-        v[2 * n] = -0.5 * y[j]
-        vecs.append(TangentVector(p, v))
-    for j in range(n):
-        v = np.zeros(2 * n + 1)
-        v[n + j] = 1.0
-        v[2 * n] = 0.5 * x[j]
-        vecs.append(TangentVector(p, v))
-    v = np.zeros(2 * n + 1)
-    v[2 * n] = 1.0
-    vecs.append(TangentVector(p, v))
-    return vecs
+    return [
+        TangentVector(p, np.array([1.0, 0.0, -0.5 * p[1]])),
+        TangentVector(p, np.array([0.0, 1.0, 0.5 * p[0]])),
+        TangentVector(p, np.array([0.0, 0.0, 1.0])),
+    ]
 
 
 def contact(p, v) -> np.ndarray:
-    """theta_p(v) = v_t + (<y, v_x> - <x, v_y>)/2, broadcasting over leading axes."""
+    """theta_p(v) = v_t + (y v_x - x v_y)/2, broadcasting over leading axes."""
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
-    _check_same_n(p, v)
-    x, y, _ = split_coords(p)
-    vx, vy, vt = split_coords(v)
-    return vt + 0.5 * (np.sum(y * vx, axis=-1) - np.sum(x * vy, axis=-1))
-
-
-def contact_eval(tv: TangentVector) -> np.ndarray:
-    return contact(tv.base, tv.vec)
+    if p.shape[-1:] != (3,) or v.shape[-1:] != (3,):
+        raise ValueError(f"need trailing axes of length 3, got {p.shape} and {v.shape}")
+    return v[..., 2] + 0.5 * (p[..., 1] * v[..., 0] - p[..., 0] * v[..., 1])
 
 
 def frame_coords(p, v) -> np.ndarray:
@@ -210,37 +136,34 @@ def frame_coords(p, v) -> np.ndarray:
     coefficients are the raw x,y components and only the last slot differs
     from the coordinate representation.
     """
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    n = _check_same_n(p, v)
     th = contact(p, v)
-    lead = np.broadcast_shapes(p.shape[:-1], v.shape[:-1])
-    return _join_xy_t(v[..., : 2 * n], th, lead, n)
+    out = np.empty(th.shape + (3,))
+    out[...] = v
+    out[..., 2] = th
+    return out
 
 
 def vector_from_frame(p, coeffs) -> np.ndarray:
     """Inverse of frame_coords: rebuild coordinate components from frame ones."""
     p = np.asarray(p, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
-    n = _check_same_n(p, coeffs)
-    x, y, _ = split_coords(p)
-    a, b, c = split_coords(coeffs)  # same layout: (X-part, Y-part, T-part)
-    t = c - 0.5 * (np.sum(y * a, axis=-1) - np.sum(x * b, axis=-1))
-    lead = np.broadcast_shapes(p.shape[:-1], coeffs.shape[:-1])
-    return _join_xy_t(coeffs[..., : 2 * n], t, lead, n)
+    out = np.empty(np.broadcast_shapes(p.shape, coeffs.shape))
+    out[...] = coeffs
+    out[..., 2] -= 0.5 * (p[..., 1] * coeffs[..., 0] - p[..., 0] * coeffs[..., 1])
+    return out
 
 
 def frame_norm(p, v) -> np.ndarray:
     """Length of v in the metric making (X, Y, T) orthonormal."""
-    return np.linalg.norm(frame_coords(p, v), axis=-1)
+    th = contact(p, v)
+    v = np.asarray(v, dtype=float)
+    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + th * th)
 
 
 def koranyi_norm(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    n = dim_n(p)
-    horiz2 = np.sum(p[..., : 2 * n] ** 2, axis=-1)
-    t = p[..., 2 * n]
-    return (horiz2**2 + 16.0 * t**2) ** 0.25
+    horiz2 = p[..., 0] ** 2 + p[..., 1] ** 2
+    return (horiz2**2 + 16.0 * p[..., 2] ** 2) ** 0.25
 
 
 def koranyi_dist(p, q) -> np.ndarray:

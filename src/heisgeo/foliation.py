@@ -28,9 +28,8 @@ __all__ = [
     "hausdorff_distance",
 ]
 
-RTOL = 1e-9
-ATOL = 1e-12
-MAX_STEP = 1e-2
+RTOL = 1e-11
+ATOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -78,11 +77,12 @@ def trace_foliation(
     """Integrate one leaf of the characteristic foliation from `start`.
 
     The direction sign is fixed once per trace so the initial v-component is
-    nonnegative (ties broken toward nonnegative u).  Integration runs an
-    embedded Runge-Kutta 4(5) pair over frame arclength and stops early,
-    flagging truncation, if the theta pairing norm falls below
-    max(tol, 1e-8) times the local tangent scale, the numerical vicinity of
-    a characteristic point.
+    nonnegative (ties broken toward nonnegative u).  Integration runs the
+    explicit Runge-Kutta 8(5,3) pair of Dormand and Prince (DOP853, Hairer,
+    Norsett & Wanner, Solving ODEs I) over frame arclength, with step sizes
+    left to its error control, and stops early, flagging truncation, if the
+    theta pairing norm falls below max(tol, 1e-8) times the local tangent
+    scale, the numerical vicinity of a characteristic point.
     """
     if not arclen > 0:
         raise ValueError("arclen must be positive")
@@ -119,10 +119,9 @@ def trace_foliation(
         rhs,
         (0.0, float(arclen)),
         (u0, v0),
-        method="RK45",
+        method="DOP853",
         rtol=RTOL,
         atol=ATOL,
-        max_step=MAX_STEP,
         dense_output=True,
         events=near_characteristic,
     )

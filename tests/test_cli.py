@@ -83,6 +83,17 @@ def test_foliate_short_trace_aborts_exit_2(tmp_path):
     assert not (tmp_path / "f.json").exists()
 
 
+def test_foliate_bad_arclen_or_samples_exit_1(tmp_path, capsys):
+    out = str(tmp_path / "f")
+    for arclen in ("-1", "0", "nan", "inf"):
+        assert run("foliate", "--n", "2", "--arclen", arclen, "-o", out) == 1, arclen
+        assert "arclen" in capsys.readouterr().err
+    for samples in ("0", "1"):
+        assert run("foliate", "--n", "2", "--samples", samples, "-o", out) == 1, samples
+        assert "samples" in capsys.readouterr().err
+    assert not (tmp_path / "f.json").exists()
+
+
 def test_foliate_full_run(tmp_path):
     base = tmp_path / "leaf"
     code = run(
@@ -94,9 +105,18 @@ def test_foliate_full_run(tmp_path):
     assert meta["closure_residual"] <= 1e-6
     assert meta["closed"] is True
     assert not meta["truncated"]
+    for key in ("nfev", "steps"):
+        assert type(meta[key]) is int and meta[key] > 0, key
     rows = np.loadtxt(base.with_suffix(".csv"), delimiter=",", skiprows=1)
     assert rows.shape == (128, 5)
     assert base.with_suffix(".obj").exists()
+    # the solver counters are deterministic, so a repeat is byte-identical
+    again = tmp_path / "again"
+    assert run(
+        "foliate", "--n", "2", "--grid", "8x4", "--samples", "128", "-o", str(again)
+    ) == 0
+    for ext in (".csv", ".json", ".obj"):
+        assert base.with_suffix(ext).read_bytes() == again.with_suffix(ext).read_bytes(), ext
 
 
 def test_foliate_unclosed_leaf_exit_3(tmp_path):
@@ -171,5 +191,7 @@ def test_export_mesh_sigma_cylinder(tmp_path):
         assert rows.shape == (16, 4)
 
 
-def test_selftest_passes():
+def test_selftest_passes(capsys):
     assert run("selftest") == 0
+    leaf = [line for line in capsys.readouterr().out.splitlines() if "foliation-period" in line]
+    assert len(leaf) == 1 and int(leaf[0].rsplit("nfev ", 1)[1]) > 0

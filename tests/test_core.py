@@ -147,3 +147,23 @@ def test_rotation_is_automorphism_and_isometry():
     r = rotate_t_axis(0.7, p)
     assert np.max(np.abs(r[:, 2] - p[:, 2])) == 0.0
     assert np.max(np.abs(np.hypot(r[:, 0], r[:, 1]) - np.hypot(p[:, 0], p[:, 1]))) < 1e-13
+
+
+def test_wrong_trailing_axis_raises():
+    # the core is H^1-only: a point or vector without exactly 3 coordinates,
+    # such as an H^2 point, is rejected instead of being misread
+    good = np.zeros(3)
+    for bad in (np.zeros(5), np.zeros((4, 2)), np.zeros(()), np.zeros((3, 4))):
+        for fn in (contact, frame_norm, multiply, frame_coords):
+            for args in ((bad, good), (good, bad)):
+                with np.testing.assert_raises(ValueError):
+                    fn(*args)
+
+
+def test_single_point_calls_match_batched_rows():
+    rng = np.random.default_rng(20)
+    p, q = random_points(rng, 64), random_points(rng, 64)
+    for fn in (contact, frame_norm, multiply, frame_coords):
+        batched = fn(p, q)
+        single = np.array([fn(p[i], q[i]) for i in range(len(p))])
+        assert single.tobytes() == batched.tobytes(), fn.__name__

@@ -1,6 +1,7 @@
 """Characteristic foliation tracing and section-return analysis."""
 
 import numpy as np
+from scipy.optimize import brentq
 
 from heisgeo import (
     contact,
@@ -57,6 +58,22 @@ def test_torus_leaves_close_with_observed_windings():
         residual, windings = detect_period(trace, axis=0)
         assert residual <= 1e-6, (n, residual)
         assert windings == expected, (n, windings)
+
+
+def test_one_u_loop_advances_v_by_closed_form():
+    # along a leaf dv/du = 2r cos u / (R + r cos u)^2, so one loop in u
+    # advances v by -4 pi r^2 / (R^2 - r^2)^(3/2), which is -4 pi / n at
+    # r = 1, R^2 = 1 + n^(2/3)
+    for n in (1, 2, 3, 11):
+        trace = trace_foliation(torus_for(n), (0.0, 0.0), 12.0)
+        s = np.linspace(0.0, trace.arclength, 2048)
+        past = np.abs(trace.at(s)[0]) >= 2.0 * np.pi
+        assert past.any(), n
+        i = int(np.argmax(past))
+        s_loop = brentq(lambda x: abs(trace.at(x)[0]) - 2.0 * np.pi, s[i - 1], s[i], xtol=1e-14)
+        u, v = trace.at(s_loop)
+        # a leaf run backwards in u advances v the other way
+        assert abs(v - np.sign(u) * (-4.0 * np.pi / n)) <= 1e-9, (n, v)
 
 
 def test_trace_chords_nearly_horizontal():
