@@ -58,7 +58,7 @@ from .forms import (
     y_field,
 )
 from .export import format_float, surface_mesh, write_csv, write_json, write_obj
-from .foliation import FoliationTrace, detect_period, hausdorff_distance, trace_foliation
+from .foliation import FoliationTrace, detect_period, foliation_direction, trace_foliation
 from .integrate import (
     IntegralResult,
     StokesReport,
@@ -71,16 +71,10 @@ from .integrate import (
 )
 from .quadrature import CURVE_QUAD, SURFACE_QUAD, QuadratureSpec
 from .surfaces import (
-    ImplicitSurface,
     ParamSurface,
     characteristic_residual,
     cylinder_embeds,
-    foliation_direction,
-    horizontal_gradient,
-    immersion_defect,
     lift_cylinder,
-    project_T,
-    regularity_margin,
     revolve_curve,
     torus_characteristic_loop,
     torus_surface,

@@ -331,7 +331,8 @@ def cmd_stokes(args, config) -> int:
         raise CliError("stokes needs --scene")
     if forms < 0:
         raise CliError("forms must be nonnegative")
-    if tolerance < 0:
+    # not->= instead of < so a NaN tolerance, which no residual exceeds, is rejected
+    if not tolerance >= 0:
         raise CliError("tolerance must be nonnegative")
 
     S, draw = _stokes_scene(scene)
@@ -386,6 +387,8 @@ def cmd_export_mesh(args, config) -> int:
         raise CliError("export-mesh needs --scene")
     if output is None:
         raise CliError("export-mesh needs --output")
+    if samples < 2:
+        raise CliError("samples must be at least 2")
     base = _out_base(output)
 
     if scene == "sigma-cylinder":

@@ -3,9 +3,11 @@
 A leaf is an integral curve of the parameter-space field
 (theta(S_v), -theta(S_u)) normalized by the ambient frame length of the
 corresponding tangent vector, so the independent variable of the ODE is
-frame arclength in the group.  The trace keeps the periodic coordinates
-unwrapped; winding numbers are read off by counting period multiples at
-section returns, never by re-wrapping.
+frame arclength in the group.  One pairing helper, one characteristic
+margin and one direction helper serve both the public
+`foliation_direction` and the leaf solver.  The trace keeps the periodic
+coordinates unwrapped; winding numbers are read off by counting period
+multiples at section returns, never by re-wrapping.
 """
 
 from __future__ import annotations
@@ -16,38 +18,39 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
-from scipy.spatial import cKDTree
 
 from .core import contact, frame_norm
 from .surfaces import ParamSurface
 
 __all__ = [
     "FoliationTrace",
+    "foliation_direction",
     "trace_foliation",
     "detect_period",
-    "hausdorff_distance",
 ]
 
 RTOL = 1e-11
 ATOL = 1e-13
+
+# a point counts as characteristic when the theta pairings of both tangents
+# are at most this times the local tangent scale
+CHARACTERISTIC_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
 class FoliationTrace:
     """One traced leaf: unwrapped parameter samples plus ambient points.
 
-    `winding` counts completed period wraps per axis over the whole trace
-    (zero on non-periodic axes), `truncated` reports an abort near a
-    characteristic point, and `step_stats` carries solver metadata.  The
-    dense solution is kept so section crossings can be refined afterwards.
+    `truncated` reports an abort near a characteristic point and
+    `step_stats` carries solver metadata.  Whether and how the leaf closes
+    is `detect_period`'s verdict.  The dense solution is kept so section
+    crossings can be refined afterwards.
     """
 
     surface: ParamSurface
     uv: np.ndarray
     points: np.ndarray
     arclength: float
-    winding: tuple[int, int]
-    closure_residual: float
     truncated: bool
     step_stats: dict
     _dense: object
@@ -67,11 +70,49 @@ def _wrap_gap(delta: float, period: float) -> float:
     return delta - period * round(delta / period)
 
 
+def _pairings(S: ParamSurface, u, v):
+    """Position, tangents and their theta pairings (theta(S_u), theta(S_v))."""
+    p = S.position(u, v)
+    su = S.tangent_u(u, v)
+    sv = S.tangent_v(u, v)
+    return p, su, sv, contact(p, su), contact(p, sv)
+
+
+def _margin(p, su, sv, tu, tv):
+    """Pairing norm minus the characteristic threshold; <= 0 marks a characteristic point."""
+    scale = np.maximum(frame_norm(p, su), frame_norm(p, sv))
+    return np.hypot(tu, tv) - CHARACTERISTIC_RTOL * scale
+
+
+def _direction(p, su, sv, tu, tv):
+    """(theta(S_v), -theta(S_u)) over the frame length of W = theta(S_v) S_u - theta(S_u) S_v."""
+    w = np.asarray(tv)[..., None] * su - np.asarray(tu)[..., None] * sv
+    wlen = frame_norm(p, w)
+    return tv / wlen, -tu / wlen
+
+
+def foliation_direction(S: ParamSurface, u, v):
+    """Characteristic direction in parameter space, frame-normalized.
+
+    The kernel of theta inside the tangent plane is spanned by
+    W = theta(S_v) S_u - theta(S_u) S_v; returned is (theta(S_v), -theta(S_u))
+    divided by the frame length of W, so moving at unit speed in the returned
+    coordinates moves at unit frame speed in the group.  Raises within the
+    characteristic guard that also truncates `trace_foliation`.
+    """
+    pairs = _pairings(S, u, v)
+    if np.any(_margin(*pairs) <= 0.0):
+        raise ValueError("characteristic point: foliation direction undefined")
+    du, dv = _direction(*pairs)
+    if np.ndim(du) == 0:
+        return float(du), float(dv)
+    return du, dv
+
+
 def trace_foliation(
     S: ParamSurface,
     start,
     arclen: float,
-    tol: float = 1e-6,
     samples: int = 2048,
 ) -> FoliationTrace:
     """Integrate one leaf of the characteristic foliation from `start`.
@@ -81,37 +122,27 @@ def trace_foliation(
     explicit Runge-Kutta 8(5,3) pair of Dormand and Prince (DOP853, Hairer,
     Norsett & Wanner, Solving ODEs I) over frame arclength, with step sizes
     left to its error control, and stops early, flagging truncation, if the
-    theta pairing norm falls below max(tol, 1e-8) times the local tangent
+    theta pairing norm falls to CHARACTERISTIC_RTOL times the local tangent
     scale, the numerical vicinity of a characteristic point.
     """
     if not arclen > 0:
         raise ValueError("arclen must be positive")
     u0, v0 = float(start[0]), float(start[1])
 
-    def pairings(u, v):
-        p = S.position(u, v)
-        su = S.tangent_u(u, v)
-        sv = S.tangent_v(u, v)
-        return p, su, sv, contact(p, su), contact(p, sv)
-
-    p, su, sv, tu, tv = pairings(u0, v0)
-    guard_rtol = max(float(tol), 1e-8)
-    if math.hypot(tu, tv) <= guard_rtol * max(frame_norm(p, su), frame_norm(p, sv)):
+    pairs = _pairings(S, u0, v0)
+    if _margin(*pairs) <= 0.0:
         raise ValueError("start point is characteristic")
+    tu, tv = pairs[3:]
     sign = 1.0
     if -tu < 0.0 or (-tu == 0.0 and tv < 0.0):
         sign = -1.0
 
     def rhs(s, y):
-        p, su, sv, tu, tv = pairings(y[0], y[1])
-        w = tv * su - tu * sv
-        wlen = frame_norm(p, w)
-        return (sign * tv / wlen, -sign * tu / wlen)
+        du, dv = _direction(*_pairings(S, y[0], y[1]))
+        return (sign * du, sign * dv)
 
     def near_characteristic(s, y):
-        p, su, sv, tu, tv = pairings(y[0], y[1])
-        scale = max(frame_norm(p, su), frame_norm(p, sv))
-        return math.hypot(tu, tv) - guard_rtol * scale
+        return _margin(*_pairings(S, y[0], y[1]))
 
     near_characteristic.terminal = True
 
@@ -134,19 +165,6 @@ def trace_foliation(
     uv = sol.sol(grid).T
     pts = S.position(uv[:, 0], uv[:, 1])
 
-    winding = []
-    for axis in range(2):
-        if S.periodic[axis]:
-            winding.append(int(np.trunc((uv[-1, axis] - uv[0, axis]) / _axis_period(S, axis))))
-        else:
-            winding.append(0)
-
-    gaps = uv[-1] - uv[0]
-    for axis in range(2):
-        if S.periodic[axis]:
-            gaps[axis] = _wrap_gap(gaps[axis], _axis_period(S, axis))
-    closure = float(np.hypot(gaps[0], gaps[1]))
-
     steps = np.diff(sol.t)
     stats = {
         "steps": int(sol.t.size - 1),
@@ -159,8 +177,6 @@ def trace_foliation(
         uv=uv,
         points=pts,
         arclength=s_end,
-        winding=(winding[0], winding[1]),
-        closure_residual=closure,
         truncated=truncated,
         step_stats=stats,
         _dense=sol.sol,
@@ -251,11 +267,3 @@ def detect_period(
             best = cand
     return best
 
-
-def hausdorff_distance(points_a, points_b) -> float:
-    """Symmetric Hausdorff distance between two sampled point clouds."""
-    a = np.asarray(points_a, dtype=float)
-    b = np.asarray(points_b, dtype=float)
-    da = cKDTree(b).query(a)[0].max()
-    db = cKDTree(a).query(b)[0].max()
-    return float(max(da, db))

@@ -21,14 +21,7 @@ from .forms import (
     middle_differential,
     vertical_correction,
 )
-from .quadrature import (
-    CURVE_QUAD,
-    SURFACE_QUAD,
-    QuadratureSpec,
-    adaptive_integrate_2d,
-    integrate_1d,
-    integrate_2d,
-)
+from .quadrature import CURVE_QUAD, QuadratureSpec, adaptive_integrate_2d, integrate_1d
 from .surfaces import ParamSurface
 
 __all__ = [
@@ -124,32 +117,22 @@ def _support_feature(form, S: ParamSurface):
 def integrate_surface(
     form,
     S: ParamSurface,
-    quad: QuadratureSpec = SURFACE_QUAD,
-    method: str = "uniform",
     tol: float = 1e-7,
     flag_tol: float = FLAG_TOL,
 ) -> IntegralResult:
     """Integral of a degree-2 form over a surface, tangent-pair pullback.
 
-    `method="uniform"` runs the tensor Gauss-Legendre rule from `quad` with
-    a half-resolution error estimate; `method="adaptive"` runs quadtree
-    refinement to the requested tolerance and, when the form advertises a
-    support ball, forces refinement across the support sphere, whose thin
-    high-curvature layer point samples otherwise miss.
+    Runs quadtree refinement to the requested tolerance and, when the form
+    advertises a support ball, forces refinement across the support sphere,
+    whose thin high-curvature layer point samples otherwise miss.
     """
     if not S.compact and getattr(form, "support", None) is None:
         raise ValueError("non-compact surface needs a compactly supported form")
-    f = _surface_integrand(form, S)
-    if method == "uniform":
-        value, estimate = integrate_2d(f, S.u_dom, S.v_dom, quad)
-    elif method == "adaptive":
-        feature, fscale = _support_feature(form, S)
-        value, estimate = adaptive_integrate_2d(
-            f, S.u_dom, S.v_dom, tol=tol, nodes=quad.nodes,
-            feature=feature, feature_scale=fscale,
-        )
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    feature, fscale = _support_feature(form, S)
+    value, estimate = adaptive_integrate_2d(
+        _surface_integrand(form, S), S.u_dom, S.v_dom, tol=tol,
+        feature=feature, feature_scale=fscale,
+    )
     return _result(value, estimate, flag_tol)
 
 
@@ -191,9 +174,7 @@ def stokes_residual(
     near the refinement tolerance are expected here, not suspect.
     """
     two_form = middle_differential(form)
-    lhs = integrate_surface(
-        two_form, S, method="adaptive", tol=surface_tol, flag_tol=flag_tol
-    )
+    lhs = integrate_surface(two_form, S, tol=surface_tol, flag_tol=flag_tol)
     rhs = boundary_integral(form, S, quad, flag_tol=flag_tol)
     return StokesReport(lhs, rhs, abs(lhs.value - rhs.value))
 

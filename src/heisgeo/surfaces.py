@@ -1,13 +1,12 @@
-"""Parametrized and implicit surfaces with boundary in the group.
+"""Parametrized surfaces with boundary in the group.
 
 A surface is a rectangle of parameters with a position map into the group,
 tangent callables (exact where the constructor knows them, else central
 differences), per axis periodicity flags, and a constructor supplied list of
 oriented boundary curves.  The theta pairings of the two tangents drive
-everything geometric here: a point is characteristic when both vanish, the
-projection of the vertical frame vector onto the tangent plane vanishes
-exactly there, and the kernel direction of theta restricted to the tangent
-plane is the characteristic foliation.
+everything geometric here: a point is characteristic when both vanish, and
+the kernel direction of theta restricted to the tangent plane is the
+characteristic foliation (see `heisgeo.foliation`).
 """
 
 from __future__ import annotations
@@ -18,33 +17,22 @@ from typing import Callable
 
 import numpy as np
 
-from .core import TangentVector, contact, frame_coords, frame_norm, rotate_t_axis
+from .core import rotate_t_axis
 from .curves import HCurve, horizontality_residual, vertical_translate
-from .forms import ScalarField
 from .quadrature import CURVE_QUAD, PrefixIntegral, QuadratureSpec
 
 __all__ = [
     "ParamSurface",
-    "ImplicitSurface",
     "vertical_halfplane",
     "lift_cylinder",
     "torus_surface",
     "revolve_curve",
     "torus_characteristic_loop",
     "characteristic_residual",
-    "horizontal_gradient",
-    "project_T",
-    "foliation_direction",
     "cylinder_embeds",
-    "immersion_defect",
-    "regularity_margin",
 ]
 
 FD_PARTIAL_SCALE = 1e-6
-
-# a point counts as characteristic when the theta pairings of both tangents
-# are below this times the local tangent scale
-CHARACTERISTIC_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -88,19 +76,6 @@ class ParamSurface:
                 return (pos(u, v + h) - pos(u, v - h)) / (2.0 * h)[..., None]
 
             object.__setattr__(self, "tangent_v", fd_v)
-
-
-@dataclass(frozen=True)
-class ImplicitSurface:
-    """Zero set of a scalar field inside an axis aligned box region.
-
-    `region` is a pair of opposite corners.  The surface is regular in the
-    horizontal sense where the horizontal gradient of f is nonzero on the
-    zero set; regularity_margin samples that.
-    """
-
-    f: ScalarField
-    region: tuple[np.ndarray, np.ndarray]
 
 
 def vertical_halfplane(
@@ -328,82 +303,14 @@ def torus_characteristic_loop(
     return HCurve(a, b, pos, vel)
 
 
-def _theta_pair(S: ParamSurface, u, v):
-    p = S.position(u, v)
-    return contact(p, S.tangent_u(u, v)), contact(p, S.tangent_v(u, v))
-
-
 def characteristic_residual(S: ParamSurface, u, v):
     """Theta pairings (theta(S_u), theta(S_v)); (0,0) marks a characteristic point."""
-    tu, tv = _theta_pair(S, u, v)
+    from .foliation import _pairings
+
+    tu, tv = _pairings(S, u, v)[3:]
     if np.ndim(tu) == 0:
         return float(tu), float(tv)
     return tu, tv
-
-
-def horizontal_gradient(f: ScalarField, p):
-    """Pair (Xf, Yf) at p; an implicit surface is regular where it is nonzero."""
-    p = np.asarray(p, dtype=float)
-    gx = f.X()(p)
-    gy = f.Y()(p)
-    if np.ndim(gx) == 0:
-        return float(gx), float(gy)
-    return gx, gy
-
-
-def project_T(S: ParamSurface, u, v) -> TangentVector:
-    """Orthogonal projection of the vertical frame vector onto the tangent plane.
-
-    Orthogonality is in the left invariant metric making the frame
-    orthonormal; there the component of any vector along T is its theta
-    pairing, so the normal equations have right side (theta(S_u), theta(S_v))
-    and the projection vanishes exactly at characteristic points.
-    """
-    p = S.position(u, v)
-    su = S.tangent_u(u, v)
-    sv = S.tangent_v(u, v)
-    cu = frame_coords(p, su)
-    cv = frame_coords(p, sv)
-    gram = np.stack(
-        [
-            np.stack([(cu * cu).sum(-1), (cu * cv).sum(-1)], axis=-1),
-            np.stack([(cu * cv).sum(-1), (cv * cv).sum(-1)], axis=-1),
-        ],
-        axis=-2,
-    )
-    rhs = np.stack([cu[..., 2], cv[..., 2]], axis=-1)
-    det = gram[..., 0, 0] * gram[..., 1, 1] - gram[..., 0, 1] ** 2
-    scale = gram[..., 0, 0] * gram[..., 1, 1]
-    if np.any(det <= 1e-14 * np.maximum(scale, 1e-300)):
-        raise ValueError("tangent plane is degenerate")
-    coef = np.linalg.solve(gram, rhs[..., None])[..., 0]
-    vec = coef[..., :1] * su + coef[..., 1:] * sv
-    return TangentVector(p, vec)
-
-
-def foliation_direction(S: ParamSurface, u, v):
-    """Characteristic direction in parameter space, frame-normalized.
-
-    The kernel of theta inside the tangent plane is spanned by
-    W = theta(S_v) S_u - theta(S_u) S_v; returned is (theta(S_v), -theta(S_u))
-    divided by the frame length of W, so moving at unit speed in the returned
-    coordinates moves at unit frame speed in the group.
-    """
-    tu, tv = _theta_pair(S, u, v)
-    norm = np.hypot(tu, tv)
-    p = S.position(u, v)
-    su = S.tangent_u(u, v)
-    sv = S.tangent_v(u, v)
-    lscale = np.maximum(frame_norm(p, su), frame_norm(p, sv))
-    if np.any(norm < CHARACTERISTIC_RTOL * lscale):
-        raise ValueError("characteristic point: foliation direction undefined")
-    w = np.asarray(tv)[..., None] * su - np.asarray(tu)[..., None] * sv
-    wlen = frame_norm(p, w)
-    du = tv / wlen
-    dv = -tu / wlen
-    if np.ndim(du) == 0:
-        return float(du), float(dv)
-    return du, dv
 
 
 def cylinder_embeds(curve: HCurve, height: float, samples: int = 4096) -> bool:
@@ -416,45 +323,3 @@ def cylinder_embeds(curve: HCurve, height: float, samples: int = 4096) -> bool:
 
     return float(height) < self_intersection_gap(curve, samples=samples)
 
-
-def immersion_defect(S: ParamSurface, grid: int = 64) -> float:
-    """Smallest sine of the tangent angle over a sample grid; 0 means degenerate."""
-    u = np.linspace(S.u_dom[0], S.u_dom[1], grid)
-    v = np.linspace(S.v_dom[0], S.v_dom[1], grid)
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    su = S.tangent_u(uu, vv)
-    sv = S.tangent_v(uu, vv)
-    nu = np.linalg.norm(su, axis=-1)
-    nv = np.linalg.norm(sv, axis=-1)
-    dot = (su * sv).sum(-1)
-    gram_det = np.maximum(nu**2 * nv**2 - dot**2, 0.0)
-    return float(np.min(np.sqrt(gram_det) / np.maximum(nu * nv, 1e-300)))
-
-
-def regularity_margin(surface: ImplicitSurface, grid: int = 48) -> float:
-    """Minimal horizontal gradient norm near the zero set inside the region.
-
-    The zero set is located by sign changes of f across grid edges; the
-    margin is the smallest horizontal gradient length over the endpoints of
-    crossing edges.  Returns +inf when the zero set misses the region.
-    """
-    lo = np.asarray(surface.region[0], dtype=float)
-    hi = np.asarray(surface.region[1], dtype=float)
-    axes = [np.linspace(lo[i], hi[i], grid) for i in range(3)]
-    xx, yy, tt = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([xx, yy, tt], axis=-1)
-    vals = surface.f(pts)
-    near = np.zeros(vals.shape, dtype=bool)
-    for axis in range(3):
-        lo_sl = [slice(None)] * 3
-        hi_sl = [slice(None)] * 3
-        lo_sl[axis] = slice(None, -1)
-        hi_sl[axis] = slice(1, None)
-        crossing = vals[tuple(lo_sl)] * vals[tuple(hi_sl)] <= 0.0
-        near[tuple(lo_sl)] |= crossing
-        near[tuple(hi_sl)] |= crossing
-    if not near.any():
-        return math.inf
-    sel = pts[near]
-    gx, gy = horizontal_gradient(surface.f, sel)
-    return float(np.min(np.hypot(gx, gy)))

@@ -146,6 +146,14 @@ def test_stokes_zero_tolerance_exit_3(tmp_path):
     assert payload["forms"][0]["residual"] > 0.0
 
 
+def test_stokes_nan_tolerance_exit_1(tmp_path, capsys):
+    # no residual is above a NaN tolerance, so it could never fail a form
+    out = tmp_path / "s"
+    assert run("stokes", "--scene", "halfplane", "--forms", "1", "--tolerance", "nan", "-o", str(out)) == 1
+    assert "tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_seed_precedence(tmp_path, monkeypatch):
     def seed_of(*argv):
         out = tmp_path / "seed.json"
@@ -189,6 +197,17 @@ def test_export_mesh_sigma_cylinder(tmp_path):
             tmp_path / f"sigma_boundary_{tag}.csv", delimiter=",", skiprows=1
         )
         assert rows.shape == (16, 4)
+
+
+def test_export_mesh_too_few_samples_exit_1(tmp_path, capsys):
+    base = tmp_path / "band"
+    for samples in ("0", "1"):
+        code = run(
+            "export-mesh", "--scene", "band", "--grid", "8x4", "--samples", samples, "-o", str(base)
+        )
+        assert code == 1, samples
+        assert "samples" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_selftest_passes(capsys):

@@ -2,16 +2,26 @@
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.spatial import cKDTree
 
 from heisgeo import (
     contact,
     detect_period,
-    hausdorff_distance,
+    foliation_direction,
     rotate_t_axis,
     torus_surface,
     trace_foliation,
 )
 from heisgeo.surfaces import ParamSurface
+
+
+def hausdorff_distance(points_a, points_b) -> float:
+    """Symmetric Hausdorff distance between two sampled point clouds."""
+    a = np.asarray(points_a, dtype=float)
+    b = np.asarray(points_b, dtype=float)
+    da = cKDTree(b).query(a)[0].max()
+    db = cKDTree(a).query(b)[0].max()
+    return float(max(da, db))
 
 
 def torus_for(n: int):
@@ -74,6 +84,38 @@ def test_one_u_loop_advances_v_by_closed_form():
         u, v = trace.at(s_loop)
         # a leaf run backwards in u advances v the other way
         assert abs(v - np.sign(u) * (-4.0 * np.pi / n)) <= 1e-9, (n, v)
+
+
+def test_trace_follows_foliation_direction():
+    # the solver integrates the one public field, up to the per-trace sign
+    torus = torus_for(2)
+    trace = trace_foliation(torus, (0.1, 0.2), 6.0)
+    h = 1e-4
+    signs = set()
+    for s in (0.5, 1.7, 3.0, 4.4, 5.5):
+        slope = (trace.at(s + h) - trace.at(s - h)) / (2.0 * h)
+        field = np.array(foliation_direction(torus, *trace.at(s)))
+        sign = 1.0 if slope @ field > 0.0 else -1.0
+        signs.add(sign)
+        assert np.max(np.abs(slope - sign * field)) <= 1e-6, s
+    assert len(signs) == 1
+
+
+def test_foliation_direction_shares_the_trace_guard():
+    plane = flat_plane()
+    trace = trace_foliation(plane, (-0.1, 0.0), 1.0)
+    assert trace.truncated
+    # the trace stops on the guard; halfway on to the characteristic origin
+    # the direction is refused, twice as far out it is still defined
+    u, v = trace.uv[-1]
+    try:
+        foliation_direction(plane, 0.5 * u, 0.5 * v)
+    except ValueError as exc:
+        assert "characteristic" in str(exc)
+    else:
+        raise AssertionError("direction defined inside the characteristic guard")
+    du, dv = foliation_direction(plane, 2.0 * u, 2.0 * v)
+    assert np.isfinite(du) and np.isfinite(dv)
 
 
 def test_trace_chords_nearly_horizontal():
@@ -156,12 +198,7 @@ def test_trace_is_deterministic():
     b = trace_foliation(torus_for(2), (0.1, 0.2), 5.0)
     assert a.uv.tobytes() == b.uv.tobytes()
     assert a.points.tobytes() == b.points.tobytes()
-    assert a.winding == b.winding and a.arclength == b.arclength
-
-
-def test_winding_zero_on_nonperiodic_axes():
-    trace = trace_foliation(flat_plane(), (-1.5, 0.0), 0.5)
-    assert trace.winding == (0, 0)
+    assert a.arclength == b.arclength
 
 
 def test_hausdorff_distance_basics():

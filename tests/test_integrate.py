@@ -30,7 +30,7 @@ from heisgeo.forms import (
     x_field,
 )
 from heisgeo.integrate import FLAG_TOL, _result
-from heisgeo.quadrature import QuadratureSpec, adaptive_integrate_2d
+from heisgeo.quadrature import QuadratureSpec, adaptive_integrate_2d, integrate_2d
 
 
 def test_curve_integral_polynomial_oracle():
@@ -128,19 +128,12 @@ def test_surface_integral_closed_form_oracle():
 def test_surface_methods_agree_on_smooth_integrand():
     torus = torus_surface(np.sqrt(2.0), 1.0)
     form = middle_differential(HorizontalForm(x_field(), const_field(1.0)))
-    uni = integrate_surface(form, torus, method="uniform")
-    ada = integrate_surface(form, torus, method="adaptive", tol=1e-8)
-    assert abs(uni.value - ada.value) <= 1e-7
-
-
-def test_surface_integral_rejects_unknown_method():
-    torus = torus_surface(np.sqrt(2.0), 1.0)
-    form = ThetaWedgeForm(const_field(1.0), const_field(0.0))
-    try:
-        integrate_surface(form, torus, method="simpson")
-    except ValueError:
-        return
-    raise AssertionError("unknown method accepted")
+    uni, _ = integrate_2d(
+        lambda u, v: form(torus.position(u, v), torus.tangent_u(u, v), torus.tangent_v(u, v)),
+        torus.u_dom, torus.v_dom,
+    )
+    ada = integrate_surface(form, torus, tol=1e-8)
+    assert abs(uni - ada.value) <= 1e-7
 
 
 def test_noncompact_surface_needs_supported_form():
@@ -204,7 +197,7 @@ def test_budget_stop_and_nan_panels_are_flagged():
     sheet = ParamSurface(u_dom=(0.0, 1.0), v_dom=(0.0, 1.0), position=pos)
     half_nan = ScalarField(lambda p: np.where(p[..., 0] < 0.5, np.nan, 1.0))
     form = ThetaWedgeForm(half_nan, const_field(0.0))
-    res = integrate_surface(form, sheet, method="adaptive")
+    res = integrate_surface(form, sheet)
     assert res.flagged and np.isnan(res.value)
 
 

@@ -11,22 +11,13 @@ from heisgeo import (
     lemniscate,
     lift_cylinder,
     lift_horizontal,
-    point,
-    project_T,
     revolve_curve,
     rotate_t_axis,
     torus_characteristic_loop,
     torus_surface,
     vertical_halfplane,
 )
-from heisgeo.forms import ScalarField
-from heisgeo.surfaces import (
-    ImplicitSurface,
-    characteristic_residual,
-    horizontal_gradient,
-    immersion_defect,
-    regularity_margin,
-)
+from heisgeo.surfaces import characteristic_residual
 
 R2, R = 1.0, np.sqrt(1.0 + 2.0 ** (2.0 / 3.0))
 
@@ -150,67 +141,10 @@ def test_project_T_and_foliation_direction():
     rng = np.random.default_rng(43)
     for _ in range(25):
         u, v = rng.uniform(0, 2 * np.pi, 2)
-        tu, tv = characteristic_residual(torus, u, v)
-        proj = project_T(torus, u, v)
-        # the projection pairs with theta like T does minus the normal part;
-        # at non-characteristic points it is nonzero and tangent
         su, sv = torus.tangent_u(u, v), torus.tangent_v(u, v)
-        G = np.array([
-            [np.inner(a[:2], b[:2]) + contact(torus.position(u, v), a) * contact(torus.position(u, v), b)
-             for b in (su, sv)]
-            for a in (su, sv)
-        ])
-        coef = np.linalg.solve(G, np.array([tu, tv]))
-        assert np.max(np.abs(proj.vec - (coef[0] * su + coef[1] * sv))) < 1e-10
         # the characteristic direction is horizontal and unit in the frame
         du, dv = foliation_direction(torus, u, v)
         w = du * su + dv * sv
         p = torus.position(u, v)
         assert abs(contact(p, w)) <= 1e-12
         assert abs(frame_norm(p, w) - 1.0) <= 1e-12
-        # and orthogonal to the projected vertical, the defining property
-        dot = np.inner(w[:2], proj.vec[:2]) + contact(p, w) * contact(p, proj.vec)
-        assert abs(dot) <= 1e-10
-
-
-def test_project_T_rejects_degenerate_plane():
-    torus = torus_surface(R, 1.0)
-    pinched = type(torus)(
-        u_dom=torus.u_dom,
-        v_dom=torus.v_dom,
-        position=torus.position,
-        tangent_u=torus.tangent_u,
-        tangent_v=torus.tangent_u,  # parallel tangents, rank 1
-        periodic=torus.periodic,
-    )
-    try:
-        project_T(pinched, 0.3, 0.4)
-    except ValueError:
-        return
-    raise AssertionError("degenerate tangent plane accepted")
-
-
-def test_horizontal_gradient_of_height():
-    # for f = t the horizontal gradient is (-y/2, x/2) in frame coordinates
-    f = ScalarField(lambda p: p[..., 2])
-    p = point(0.8, -0.6, 0.3)
-    g = horizontal_gradient(f, p)
-    assert np.max(np.abs(g - np.array([0.3, 0.4]))) < 1e-8
-
-
-def test_immersion_defect_positive_on_torus():
-    torus = torus_surface(R, 1.0)
-    assert immersion_defect(torus, grid=32) > 0.5
-
-
-def test_regularity_margin_plane():
-    # x = 0 has horizontal gradient of unit frame length everywhere
-    f = ScalarField(lambda p: p[..., 0])
-    s = ImplicitSurface(f, (np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0])))
-    assert abs(regularity_margin(s, grid=16) - 1.0) < 1e-8
-
-
-def test_regularity_margin_empty_region():
-    f = ScalarField(lambda p: p[..., 0] - 10.0)
-    s = ImplicitSurface(f, (np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0])))
-    assert regularity_margin(s, grid=8) == np.inf
