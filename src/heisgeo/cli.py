@@ -178,15 +178,16 @@ def _out_base(output: str) -> str:
 
 
 def _torus_radii(r: float, big_r, n):
-    if big_r is not None:
-        if not big_r > r > 0:
-            raise CliError(f"need R > r > 0, got R={big_r}, r={r}")
-        return float(big_r), float(r)
-    if n is None:
-        raise CliError("give either R or n (R = sqrt(1 + n^(2/3)))")
-    if n < 1:
-        raise CliError("n must be a positive integer")
-    return math.sqrt(1.0 + float(n) ** (2.0 / 3.0)), float(r)
+    if big_r is None:
+        if n is None:
+            raise CliError("give either R or n (R = sqrt(1 + n^(2/3)))")
+        if n < 1:
+            raise CliError("n must be a positive integer")
+        big_r = math.sqrt(1.0 + float(n) ** (2.0 / 3.0))
+    # a finite R bounds r, so this also rejects an infinite or NaN r
+    if not math.inf > big_r > r > 0:
+        raise CliError(f"need finite R > r > 0, got R={big_r}, r={r}")
+    return float(big_r), float(r)
 
 
 def cmd_lift(args, config) -> int:
@@ -231,8 +232,10 @@ def cmd_foliate(args, config) -> int:
     output = _resolve(args, "output", config, None)
     if output is None:
         raise CliError("foliate needs --output")
-    if not tolerance > 0:
-        raise CliError("tolerance must be positive")
+    if not 0.0 < tolerance < math.inf:
+        raise CliError("tolerance must be positive and finite")
+    if not (math.isfinite(start_u) and math.isfinite(start_v)):
+        raise CliError("start-u and start-v must be finite")
     if arclen is not None and not 0.0 < arclen < math.inf:
         raise CliError("arclen must be positive and finite")
     if samples < 2:
@@ -331,9 +334,9 @@ def cmd_stokes(args, config) -> int:
         raise CliError("stokes needs --scene")
     if forms < 0:
         raise CliError("forms must be nonnegative")
-    # not->= instead of < so a NaN tolerance, which no residual exceeds, is rejected
-    if not tolerance >= 0:
-        raise CliError("tolerance must be nonnegative")
+    # no residual exceeds a NaN or infinite tolerance, so both are rejected
+    if not 0.0 <= tolerance < math.inf:
+        raise CliError("tolerance must be nonnegative and finite")
 
     S, draw = _stokes_scene(scene)
     rng = np.random.default_rng(seed)
@@ -395,8 +398,8 @@ def cmd_export_mesh(args, config) -> int:
         grid = _resolve(args, "grid", config, (256, 16))
         height = _resolve(args, "h", config, SIGMA_HEIGHT)
         sign = _resolve(args, "sign", config, +1)
-        if not height > 0:
-            raise CliError("h must be positive")
+        if not 0.0 < height < math.inf:
+            raise CliError("h must be positive and finite")
         curve = lift_horizontal(lemniscate(), sign=sign)
         S = lift_cylinder(curve, height)
     elif scene == "band":
@@ -481,7 +484,6 @@ def cmd_selftest(args, config) -> int:
     return 0
 
 
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="heisgeo", description="Heisenberg geometry toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -556,3 +558,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"heisgeo: {exc}", file=sys.stderr)
         return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .core import contact
-from .quadrature import CURVE_QUAD, PrefixIntegral, QuadratureSpec, integrate_1d
+from .quadrature import PrefixIntegral, integrate_1d
 
 __all__ = [
     "PlanarCurve",
@@ -34,34 +34,23 @@ __all__ = [
     "self_intersection_gap",
 ]
 
-FD_VELOCITY_SCALE = 1e-6
+# smallest cell of the sample hash in self_intersection_gap; samples closer
+# than a thousandth of it in the plane are taken as a retraced arc
+CROSSING_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class PlanarCurve:
-    """Parametrized plane curve on [a, b]; callables vectorized, (..., 2) valued.
-
-    If no velocity is given, central differences with step 1e-6*(1+|tau|)
-    stand in; constructors for the standard curves provide exact velocities.
-    """
+    """Parametrized plane curve on [a, b]; callables vectorized, (..., 2) valued."""
 
     a: float
     b: float
     position: Callable[[np.ndarray], np.ndarray]
-    velocity: Callable[[np.ndarray], np.ndarray] | None = None
+    velocity: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if not self.b > self.a:
             raise ValueError("need b > a")
-        if self.velocity is None:
-            pos = self.position
-
-            def fd_velocity(tau):
-                tau = np.asarray(tau, dtype=float)
-                h = FD_VELOCITY_SCALE * (1.0 + np.abs(tau))
-                return (pos(tau + h) - pos(tau - h)) / (2.0 * h)[..., None]
-
-            object.__setattr__(self, "velocity", fd_velocity)
 
 
 @dataclass(frozen=True)
@@ -142,38 +131,23 @@ def _area_integrand(curve: PlanarCurve):
     return f
 
 
-def lift_horizontal(
-    curve: PlanarCurve,
-    start=None,
-    sign: int = -1,
-    quad: QuadratureSpec = CURVE_QUAD,
-) -> HCurve:
+def lift_horizontal(curve: PlanarCurve, sign: int = -1) -> HCurve:
     """Lift a planar curve to the group with t' = sign*(x y' - y x')/2.
 
-    `start` is the initial point of the lift; its planar part must project
-    onto curve.position(a).  Defaults to (gamma(a), 0).  The t-component is
-    accumulated by composite Gauss-Legendre prefix quadrature, the velocity
-    uses the closed form, so the two are consistent to quadrature accuracy.
+    The lift starts at (gamma(a), 0).  The t-component is accumulated by
+    composite Gauss-Legendre prefix quadrature, the velocity uses the closed
+    form, so the two are consistent to quadrature accuracy.
     """
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    xy0 = np.asarray(curve.position(curve.a), dtype=float)
-    if start is None:
-        start = np.array([xy0[0], xy0[1], 0.0])
-    start = np.asarray(start, dtype=float)
-    if start.shape != (3,):
-        raise ValueError("start must be a single H^1 point")
-    if np.linalg.norm(start[:2] - xy0) > 1e-9 * (1.0 + np.linalg.norm(xy0)):
-        raise ValueError(f"start {start[:2]} does not project onto gamma(a) = {xy0}")
-
     area = _area_integrand(curve)
-    accum = PrefixIntegral(area, curve.a, curve.b, quad)
-    t0 = float(start[2])
+    accum = PrefixIntegral(area, curve.a, curve.b)
 
     def pos(tau):
         tau = np.asarray(tau, dtype=float)
         xy = curve.position(tau)
-        t = t0 + sign * accum(tau)
+        # 0.0 + turns the -0.0 of sign = -1 at tau = a into 0.0
+        t = 0.0 + sign * accum(tau)
         return np.concatenate([xy, np.asarray(t)[..., None]], axis=-1)
 
     def vel(tau):
@@ -185,19 +159,19 @@ def lift_horizontal(
     return HCurve(curve.a, curve.b, pos, vel)
 
 
-def lift_closed_defect(curve: PlanarCurve, quad: QuadratureSpec = CURVE_QUAD) -> float:
+def lift_closed_defect(curve: PlanarCurve) -> float:
     """Net signed area = t-gap of the lift over one traversal of a closed loop."""
     xy_a = curve.position(curve.a)
     xy_b = curve.position(curve.b)
     if np.linalg.norm(xy_b - xy_a) > 1e-9 * (1.0 + np.linalg.norm(xy_a)):
         raise ValueError("curve is not closed in the plane")
-    value, _ = integrate_1d(_area_integrand(curve), curve.a, curve.b, quad)
+    value, _ = integrate_1d(_area_integrand(curve), curve.a, curve.b)
     return value
 
 
-def horizontality_residual(curve: HCurve, samples: int = 1000) -> float:
-    """max |theta(velocity)| over uniformly sampled parameters."""
-    tau = np.linspace(curve.a, curve.b, samples)
+def horizontality_residual(curve: HCurve) -> float:
+    """max |theta(velocity)| over 1000 uniformly sampled parameters."""
+    tau = np.linspace(curve.a, curve.b, 1000)
     return float(np.max(np.abs(contact(curve.position(tau), curve.velocity(tau)))))
 
 
@@ -238,11 +212,7 @@ def _newton_refine_pair(curve: HCurve, t1: float, t2: float, iters: int = 8):
     return t1, t2
 
 
-def self_intersection_gap(
-    curve: HCurve,
-    tol: float = 1e-6,
-    samples: int = 4096,
-) -> float:
+def self_intersection_gap(curve: HCurve, samples: int = 4096) -> float:
     """Minimal |t1 - t2| over planar double points of the lifted curve.
 
     Parameter pairs are found by hashing samples into planar cells and refined
@@ -258,7 +228,7 @@ def self_intersection_gap(
     xy = pts[..., :2]
     step = period / samples
     speed = np.linalg.norm(curve.velocity(tau)[..., :2], axis=-1)
-    cell = max(tol, 3.0 * step * float(np.max(speed)))
+    cell = max(CROSSING_TOL, 3.0 * step * float(np.max(speed)))
     excl = 8.0 * step
 
     buckets: dict[tuple[int, int], list[int]] = {}
@@ -285,7 +255,7 @@ def self_intersection_gap(
                     continue
                 seen.add((i, j))
                 planar = np.linalg.norm(xy[j] - xy[i])
-                if planar <= max(tol * 1e-3, 1e-13):
+                if planar <= CROSSING_TOL * 1e-3:
                     gap = abs(pts[j, 2] - pts[i, 2])
                 else:
                     ref = _newton_refine_pair(curve, float(tau[i]), float(tau[j]))

@@ -183,28 +183,22 @@ def trace_foliation(
     )
 
 
-def detect_period(
-    trace: FoliationTrace,
-    axis: int = 0,
-    value: float | None = None,
-    close_tol: float = 1e-6,
-):
-    """Poincare return analysis on the section {coordinate[axis] = value}.
+def detect_period(trace: FoliationTrace, axis: int = 0, close_tol: float = 1e-6):
+    """Poincare return analysis on the section through the start point.
 
-    Crossings of the section (modulo the axis period) are bracketed on the
-    solver grid and refined by root finding to 1e-10 in arclength.  Returns
-    are compared with the reference crossing modulo the surface periods; the
-    first return within `close_tol` decides periodicity and its per axis
-    period counts are the winding pair.  If no return closes, the best
-    (smallest residual) return is reported instead.  A trace that never
-    returns to the section raises.
+    The section is {coordinate[axis] = the start's coordinate}.  Its
+    crossings (modulo the axis period) are bracketed on the solver grid and
+    refined by root finding to 1e-10 in arclength.  Returns are compared
+    with the start modulo the surface periods; the first return within
+    `close_tol` decides periodicity and its per axis period counts are the
+    winding pair.  If no return closes, the best (smallest residual) return
+    is reported instead.  A trace that never returns to the section raises.
     """
     S = trace.surface
     if not S.periodic[axis]:
         raise ValueError("section axis must be periodic to talk about returns")
     period = _axis_period(S, axis)
-    if value is None:
-        value = float(trace.uv[0, axis])
+    value = float(trace.uv[0, axis])
 
     dense = trace._dense
     s_grid = np.linspace(0.0, trace.arclength, max(4 * len(trace.uv), 4096))
@@ -236,19 +230,11 @@ def detect_period(
             dedup.append(s)
     crossings = dedup
 
-    start_on_section = abs(_wrap_gap(float(trace.uv[0, axis]) - value, period)) <= 1e-9
-    if start_on_section:
-        returns = [s for s in crossings if s > 1e-8]
-        s_ref = 0.0
-    else:
-        if not crossings:
-            raise ValueError("trace never reaches the section")
-        s_ref = crossings[0]
-        returns = [s for s in crossings if s > s_ref + 1e-8]
+    returns = [s for s in crossings if s > 1e-8]
     if not returns:
         raise ValueError("trace does not return to the section")
 
-    ref = dense(s_ref)
+    ref = dense(0.0)
     best = None
     for s in returns:
         here = dense(s)

@@ -357,7 +357,7 @@ def bump_field(center, radius: float) -> ScalarField:
     return _jet_field(value, jet)
 
 
-def bump_form(center, radius: float, degree: int = 1) -> "HorizontalForm":
+def bump_form(center, radius: float) -> "HorizontalForm":
     """Compactly supported test form chi dx + chi dy with the bump above.
 
     Carries its support box (corners center +- radius) and the sharper
@@ -365,8 +365,6 @@ def bump_form(center, radius: float, degree: int = 1) -> "HorizontalForm":
     refinement toward the support sphere, where the coefficients have a
     thin high curvature layer.
     """
-    if degree != 1:
-        raise ValueError("only degree 1 test forms are provided")
     c = np.asarray(center, dtype=float)
     chi = bump_field(c, radius)
     return HorizontalForm(

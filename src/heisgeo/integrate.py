@@ -21,7 +21,7 @@ from .forms import (
     middle_differential,
     vertical_correction,
 )
-from .quadrature import CURVE_QUAD, QuadratureSpec, adaptive_integrate_2d, integrate_1d
+from .quadrature import adaptive_integrate_2d, integrate_1d
 from .surfaces import ParamSurface
 
 __all__ = [
@@ -37,6 +37,9 @@ __all__ = [
 
 # an integral is flagged when its internal error estimate exceeds this
 FLAG_TOL = 1e-8
+
+# points per truncation edge at which the distance to a support ball is checked
+EDGE_SAMPLES = 257
 
 
 class IntegralResult(NamedTuple):
@@ -64,15 +67,10 @@ def _result(value: float, estimate: float, tol: float) -> IntegralResult:
     return IntegralResult(float(value), float(estimate), not (estimate <= tol))
 
 
-def integrate_curve(
-    form,
-    curve: HCurve,
-    quad: QuadratureSpec = CURVE_QUAD,
-    flag_tol: float = FLAG_TOL,
-) -> IntegralResult:
+def integrate_curve(form, curve: HCurve, flag_tol: float = FLAG_TOL) -> IntegralResult:
     """Integral of a degree-1 form over a curve, velocity pullback."""
     value, estimate = integrate_1d(
-        lambda tau: form(curve.position(tau), curve.velocity(tau)), curve.a, curve.b, quad
+        lambda tau: form(curve.position(tau), curve.velocity(tau)), curve.a, curve.b
     )
     return _result(value, estimate, flag_tol)
 
@@ -114,6 +112,30 @@ def _support_feature(form, S: ParamSurface):
     return feature, radius / (16.0 * speed)
 
 
+def _check_truncation_edges(form, S: ParamSurface) -> None:
+    """Raise unless the form's support ball stays off every truncation edge.
+
+    Each edge is sampled at EDGE_SAMPLES points.  Every point of the edge is
+    within half a spacing of a sample in parameter, so within the largest
+    sampled edge speed times that in space; the ball must clear every sample
+    by this margin, which is exact on an affine edge.
+    """
+    ball = getattr(form, "support_ball", None)
+    if ball is None:
+        raise ValueError("truncated surface needs a form with a support ball")
+    center, radius = ball
+    for axis, value in S.truncation_edges:
+        s = np.linspace(*(S.v_dom if axis == 0 else S.u_dom), EDGE_SAMPLES)
+        fixed = np.full_like(s, value)
+        u, v = (fixed, s) if axis == 0 else (s, fixed)
+        dist = np.linalg.norm(S.position(u, v) - center, axis=-1)
+        tangent = (S.tangent_v if axis == 0 else S.tangent_u)(u, v)
+        margin = np.linalg.norm(tangent, axis=-1).max() * 0.5 * (s[1] - s[0])
+        if not dist.min() - margin > radius:
+            raise ValueError(
+                f"support ball reaches the truncation edge {'uv'[axis]} = {value:g}")
+
+
 def integrate_surface(
     form,
     S: ParamSurface,
@@ -124,10 +146,11 @@ def integrate_surface(
 
     Runs quadtree refinement to the requested tolerance and, when the form
     advertises a support ball, forces refinement across the support sphere,
-    whose thin high-curvature layer point samples otherwise miss.
+    whose thin high-curvature layer point samples otherwise miss.  On a
+    truncated surface the support ball must stay off the truncation edges.
     """
-    if not S.compact and getattr(form, "support", None) is None:
-        raise ValueError("non-compact surface needs a compactly supported form")
+    if not S.compact:
+        _check_truncation_edges(form, S)
     feature, fscale = _support_feature(form, S)
     value, estimate = adaptive_integrate_2d(
         _surface_integrand(form, S), S.u_dom, S.v_dom, tol=tol,
@@ -136,12 +159,7 @@ def integrate_surface(
     return _result(value, estimate, flag_tol)
 
 
-def boundary_integral(
-    form,
-    S: ParamSurface,
-    quad: QuadratureSpec = CURVE_QUAD,
-    flag_tol: float = FLAG_TOL,
-) -> IntegralResult:
+def boundary_integral(form, S: ParamSurface, flag_tol: float = FLAG_TOL) -> IntegralResult:
     """Sum of oriented boundary component integrals of a degree-1 form."""
     if S.boundary is None:
         raise ValueError("surface carries no boundary data")
@@ -149,20 +167,14 @@ def boundary_integral(
     estimate = 0.0
     flagged = False
     for curve, orientation in S.boundary:
-        part = integrate_curve(form, curve, quad, flag_tol)
+        part = integrate_curve(form, curve, flag_tol)
         total += orientation * part.value
         estimate += part.estimate
         flagged |= part.flagged
     return IntegralResult(float(total), float(estimate), flagged)
 
 
-def stokes_residual(
-    S: ParamSurface,
-    form: HorizontalForm,
-    quad: QuadratureSpec = CURVE_QUAD,
-    surface_tol: float = 1e-7,
-    flag_tol: float = 2e-7,
-) -> StokesReport:
+def stokes_residual(S: ParamSurface, form: HorizontalForm, flag_tol: float = 2e-7) -> StokesReport:
     """Compare the two sides of the Stokes identity for the middle operator.
 
     The surface side integrates the second order differential of `form`
@@ -174,32 +186,24 @@ def stokes_residual(
     near the refinement tolerance are expected here, not suspect.
     """
     two_form = middle_differential(form)
-    lhs = integrate_surface(two_form, S, tol=surface_tol, flag_tol=flag_tol)
-    rhs = boundary_integral(form, S, quad, flag_tol=flag_tol)
+    lhs = integrate_surface(two_form, S, flag_tol=flag_tol)
+    rhs = boundary_integral(form, S, flag_tol=flag_tol)
     return StokesReport(lhs, rhs, abs(lhs.value - rhs.value))
 
 
-def stokes_residual_curve(
-    curve: HCurve,
-    f,
-    quad: QuadratureSpec = CURVE_QUAD,
-) -> float:
+def stokes_residual_curve(curve: HCurve, f) -> float:
     """Residual of the degree-0 Stokes identity along one horizontal curve.
 
     The curve integral of the horizontal differential of f must equal the
     endpoint difference because the theta component of df pairs to zero
     with a horizontal velocity.
     """
-    lhs = integrate_curve(horizontal_differential(f), curve, quad)
+    lhs = integrate_curve(horizontal_differential(f), curve)
     ends = f(curve.position(curve.b)) - f(curve.position(curve.a))
     return float(abs(lhs.value - float(ends)))
 
 
-def vertical_term_vanishing(
-    S: ParamSurface,
-    form: HorizontalForm,
-    quad: QuadratureSpec = CURVE_QUAD,
-) -> float:
+def vertical_term_vanishing(S: ParamSurface, form: HorizontalForm) -> float:
     """|boundary integral of the vertical correction of `form`|.
 
     Vanishes when every boundary component is horizontal, since the
@@ -207,4 +211,4 @@ def vertical_term_vanishing(
     velocities; a non-horizontal boundary makes it generically nonzero.
     """
     upsilon = vertical_correction(form)
-    return abs(boundary_integral(upsilon, S, quad).value)
+    return abs(boundary_integral(upsilon, S).value)

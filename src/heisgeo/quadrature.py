@@ -37,7 +37,6 @@ class QuadratureSpec:
 
     panels: int = 64
     nodes: int = 8
-    richardson: bool = True
 
     def __post_init__(self):
         if self.panels < 1:
@@ -46,7 +45,7 @@ class QuadratureSpec:
             raise ValueError(f"nodes must be >= 1, got {self.nodes}")
 
     def halved(self) -> "QuadratureSpec":
-        return QuadratureSpec(max(self.panels // 2, 1), self.nodes, False)
+        return QuadratureSpec(max(self.panels // 2, 1), self.nodes)
 
 
 CURVE_QUAD = QuadratureSpec(panels=256, nodes=8)
@@ -75,12 +74,12 @@ def panel_rule(a: float, b: float, spec: QuadratureSpec):
 def integrate_1d(f, a: float, b: float, spec: QuadratureSpec = CURVE_QUAD):
     """Integral of the vectorized scalar f over [a, b]; returns (value, error).
 
-    The error is NaN when the spec has no half rule to compare against.
+    The error is NaN when a single panel leaves no half rule to compare against.
     """
     pts, wts = panel_rule(a, b, spec)
     vals = np.asarray(f(pts), dtype=float)
     value = float(wts @ vals)
-    if spec.richardson and spec.panels >= 2:
+    if spec.panels >= 2:
         p2, w2 = panel_rule(a, b, spec.halved())
         gap = abs(value - float(w2 @ np.asarray(f(p2), dtype=float)))
         error = _floored(gap, float(wts @ np.abs(vals)))
@@ -101,7 +100,7 @@ def _tensor_value(f, u_dom, v_dom, spec: QuadratureSpec):
 def integrate_2d(f, u_dom, v_dom, spec: QuadratureSpec = SURFACE_QUAD):
     """Tensor-product integral of f(u, v) over a rectangle; returns (value, error)."""
     value, abs_sum = _tensor_value(f, u_dom, v_dom, spec)
-    if spec.richardson and spec.panels >= 2:
+    if spec.panels >= 2:
         coarse, _ = _tensor_value(f, u_dom, v_dom, spec.halved())
         error = _floored(abs(value - coarse), abs_sum)
     else:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import rotate_t_axis
 from .curves import HCurve, horizontality_residual, vertical_translate
-from .quadrature import CURVE_QUAD, PrefixIntegral, QuadratureSpec
+from .quadrature import PrefixIntegral
 
 __all__ = [
     "ParamSurface",
@@ -34,6 +34,9 @@ __all__ = [
 
 FD_PARTIAL_SCALE = 1e-6
 
+# endpoint gap, relative to 1 + |start|, up to which a curve counts as closed
+CLOSURE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class ParamSurface:
@@ -41,10 +44,12 @@ class ParamSurface:
 
     `boundary` holds (curve, orientation) pairs; orientation +1 means the
     curve's own parameter direction agrees with the counterclockwise induced
-    orientation of the parameter rectangle, -1 that it opposes it.  `compact`
-    is False when the domain is a truncation of an unbounded surface, in
-    which case only the listed boundary components are genuine and integrals
-    over the surface require integrands supported inside the truncation.
+    orientation of the parameter rectangle, -1 that it opposes it.
+    `truncation_edges` lists the (axis, value) parameter lines, u = value for
+    axis 0 and v = value for axis 1, where the domain cuts an unbounded
+    surface short; only the listed boundary components are genuine, and
+    integrals over the surface require integrands supported away from those
+    edges.  A surface without truncation edges is `compact`.
     """
 
     u_dom: tuple[float, float]
@@ -54,7 +59,11 @@ class ParamSurface:
     tangent_v: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     boundary: tuple[tuple[HCurve, int], ...] = ()
     periodic: tuple[bool, bool] = (False, False)
-    compact: bool = True
+    truncation_edges: tuple[tuple[int, float], ...] = ()
+
+    @property
+    def compact(self) -> bool:
+        return not self.truncation_edges
 
     def __post_init__(self):
         if not (self.u_dom[1] > self.u_dom[0] and self.v_dom[1] > self.v_dom[0]):
@@ -78,21 +87,14 @@ class ParamSurface:
             object.__setattr__(self, "tangent_v", fd_v)
 
 
-def vertical_halfplane(
-    y_span: tuple[float, float] = (-3.0, 3.0),
-    t_span: tuple[float, float] = (0.0, 3.0),
-) -> ParamSurface:
-    """Vertical half-plane {x = 0, t > 0}, truncated to a parameter box.
+def vertical_halfplane() -> ParamSurface:
+    """Vertical half-plane {x = 0, t > 0}, truncated to |y| <= 3, t <= 3.
 
     The genuine boundary is the line {(0, y, 0)}, an integral curve of the
-    frame field Y; the three truncation edges are not boundary components,
-    so the surface is marked non-compact and integrands must vanish near
-    those edges.
+    frame field Y; the three truncation edges y = -3, y = 3 and t = 3 are
+    not boundary components, so integrands must vanish near them.
     """
-    y0, y1 = float(y_span[0]), float(y_span[1])
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if t0 != 0.0:
-        raise ValueError("truncation must start at the boundary line t = 0")
+    y0, y1, t1 = -3.0, 3.0, 3.0
 
     def pos(u, v):
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
@@ -121,16 +123,30 @@ def vertical_halfplane(
     )
     return ParamSurface(
         u_dom=(y0, y1),
-        v_dom=(t0, t1),
+        v_dom=(0.0, t1),
         position=pos,
         tangent_u=tan_u,
         tangent_v=tan_v,
         boundary=((edge, +1),),
-        compact=False,
+        truncation_edges=((0, y0), (0, y1), (1, t1)),
     )
 
 
-def lift_cylinder(curve: HCurve, height: float, closure_tol: float = 1e-8) -> ParamSurface:
+def _check_closed_horizontal(curve: HCurve) -> None:
+    """Raise unless the curve closes to CLOSURE_TOL and is horizontal.
+
+    The comparisons are negated so that a NaN gap or residual is refused.
+    """
+    scale = 1.0 + float(np.linalg.norm(curve.position(curve.a)))
+    if not curve.closure_defect() <= CLOSURE_TOL * scale:
+        raise ValueError(
+            f"curve is not closed: endpoint gap {curve.closure_defect():.3e}")
+    res = horizontality_residual(curve)
+    if not res <= 1e-6:
+        raise ValueError(f"curve is not horizontal: theta residual {res:.3e}")
+
+
+def lift_cylinder(curve: HCurve, height: float) -> ParamSurface:
     """Vertical cylinder over a closed horizontal curve, ruling height `height`.
 
     The bottom rim is the curve itself, the top its vertical translate; the
@@ -138,13 +154,7 @@ def lift_cylinder(curve: HCurve, height: float, closure_tol: float = 1e-8) -> Pa
     """
     if not height > 0:
         raise ValueError(f"height must be positive, got {height}")
-    scale = 1.0 + float(np.linalg.norm(curve.position(curve.a)))
-    if curve.closure_defect() > closure_tol * scale:
-        raise ValueError(
-            f"curve is not closed: endpoint gap {curve.closure_defect():.3e}")
-    res = horizontality_residual(curve)
-    if res > 1e-6:
-        raise ValueError(f"curve is not horizontal: theta residual {res:.3e}")
+    _check_closed_horizontal(curve)
 
     def pos(u, v):
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
@@ -209,7 +219,7 @@ def torus_surface(R: float, r: float) -> ParamSurface:
     )
 
 
-def revolve_curve(curve: HCurve, phi_max: float, closure_tol: float = 1e-8) -> ParamSurface:
+def revolve_curve(curve: HCurve, phi_max: float) -> ParamSurface:
     """Band swept by rotating a closed horizontal curve about the t-axis.
 
     Rotation about the vertical axis is a group automorphism whose
@@ -220,13 +230,7 @@ def revolve_curve(curve: HCurve, phi_max: float, closure_tol: float = 1e-8) -> P
     phi_max = float(phi_max)
     if not 0.0 < phi_max <= 2.0 * math.pi + 1e-12:
         raise ValueError(f"need 0 < phi_max <= 2*pi, got {phi_max}")
-    scale = 1.0 + float(np.linalg.norm(curve.position(curve.a)))
-    if curve.closure_defect() > closure_tol * scale:
-        raise ValueError(
-            f"curve is not closed: endpoint gap {curve.closure_defect():.3e}")
-    res = horizontality_residual(curve)
-    if res > 1e-6:
-        raise ValueError(f"curve is not horizontal: theta residual {res:.3e}")
+    _check_closed_horizontal(curve)
 
     def pos(u, v):
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
@@ -258,38 +262,27 @@ def revolve_curve(curve: HCurve, phi_max: float, closure_tol: float = 1e-8) -> P
     )
 
 
-def torus_characteristic_loop(
-    R: float,
-    r: float,
-    v0: float = 0.0,
-    loops: int = 1,
-    quad: QuadratureSpec = CURVE_QUAD,
-) -> HCurve:
-    """Leaf of the characteristic foliation on the torus, solved in closed form.
+def torus_characteristic_loop(R: float, r: float) -> HCurve:
+    """Leaf through (0, 0) of the characteristic foliation on the torus, in closed form.
 
     Along a leaf parametrized by u the angle obeys dv/du =
     2 r cos u / (R + r cos u)^2, an explicit quadrature; the resulting curve
     is horizontal exactly, not just to integration tolerance, because the
     theta pairings of the two torus tangents cancel by construction.  The
-    curve closes in the ambient group only when the accumulated v over
-    `loops` turns in u is a multiple of 2*pi, which happens at special radii.
+    curve closes in the ambient group only when the v accumulated over one
+    turn in u is a multiple of 2*pi, which happens at special radii.
     """
     R, r = float(R), float(r)
     if not R > r > 0:
         raise ValueError(f"need R > r > 0, got R={R}, r={r}")
-    if not loops >= 1:
-        raise ValueError("loops must be a positive integer")
     torus = torus_surface(R, r)
-    a, b = 0.0, 2.0 * math.pi * loops
+    a, b = 0.0, 2.0 * math.pi
 
     def slope(u):
         u = np.asarray(u, dtype=float)
         return 2.0 * r * np.cos(u) / (R + r * np.cos(u)) ** 2
 
-    vee = PrefixIntegral(slope, a, b, quad)
-
-    def v_of(u):
-        return v0 + vee(u)
+    v_of = PrefixIntegral(slope, a, b)
 
     def pos(tau):
         tau = np.asarray(tau, dtype=float)

@@ -1,6 +1,10 @@
 """Command line driver: exit codes, config layering, output files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -147,11 +151,60 @@ def test_stokes_zero_tolerance_exit_3(tmp_path):
 
 
 def test_stokes_nan_tolerance_exit_1(tmp_path, capsys):
-    # no residual is above a NaN tolerance, so it could never fail a form
+    # no residual is above a NaN or infinite tolerance, so it could never fail a form
     out = tmp_path / "s"
-    assert run("stokes", "--scene", "halfplane", "--forms", "1", "--tolerance", "nan", "-o", str(out)) == 1
+    for tolerance in ("nan", "inf"):
+        assert run(
+            "stokes", "--scene", "halfplane", "--forms", "1", "--tolerance", tolerance, "-o", str(out)
+        ) == 1, tolerance
+        assert "tolerance" in capsys.readouterr().err
+    cfg = write_config(tmp_path, "[run]\nscene = halfplane\nforms = 1\ntolerance = inf\n")
+    assert run("stokes", "--config", cfg, "-o", str(out)) == 1
     assert "tolerance" in capsys.readouterr().err
     assert not (tmp_path / "s.json").exists()
+
+
+def test_foliate_infinite_tolerance_exit_1(tmp_path, capsys):
+    # this leaf does not close (test_foliate_unclosed_leaf_exit_3), so an
+    # infinite tolerance would pass it as closed
+    base = str(tmp_path / "leaf")
+    leaf = ("foliate", "--R", "2.5", "--arclen", "30", "--grid", "8x4", "--samples", "128")
+    assert run(*leaf, "--tolerance", "inf", "-o", base) == 1
+    assert "tolerance" in capsys.readouterr().err
+    cfg = write_config(tmp_path, "[run]\ntolerance = inf\n")
+    assert run(*leaf, "--config", cfg, "-o", base) == 1
+    assert "tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "leaf.json").exists()
+
+
+def test_non_finite_geometry_exit_1(tmp_path, capsys):
+    out = tmp_path / "out" / "x"
+    for argv in (
+        ("export-mesh", "--scene", "sigma-cylinder", "--h", "inf"),
+        ("export-mesh", "--scene", "torus", "--R", "inf"),
+        ("export-mesh", "--scene", "band", "--R", "inf"),
+        ("foliate", "--R", "inf"),
+        ("foliate", "--n", "2", "--start-u", "nan"),
+        ("foliate", "--n", "2", "--start-v", "inf"),
+    ):
+        assert run(*argv, "-o", str(out)) == 1, argv
+        assert "finite" in capsys.readouterr().err, argv
+    assert not out.parent.exists()
+
+
+def test_module_entry_point(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "heisgeo.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+
+    assert module("lift", "-o", "X").returncode == 0
+    assert (tmp_path / "X.csv").is_file() and (tmp_path / "X.json").is_file()
+    res = module("stokes")
+    assert res.returncode == 1 and "--scene" in res.stderr
 
 
 def test_seed_precedence(tmp_path, monkeypatch):

@@ -147,16 +147,6 @@ def test_rotation_about_axis_maps_leaves_to_leaves():
     assert hausdorff_distance(rotate_t_axis(phi, a.points), b.points) < 1e-6
 
 
-def test_detect_period_raises_when_section_unreached():
-    trace = trace_foliation(torus_for(2), (0.0, 0.0), 0.5)
-    try:
-        detect_period(trace, axis=0, value=3.0)
-    except ValueError as exc:
-        assert "section" in str(exc)
-    else:
-        raise AssertionError("unreachable section not reported")
-
-
 def test_detect_period_raises_without_return():
     trace = trace_foliation(torus_for(2), (0.0, 0.0), 0.5)
     try:

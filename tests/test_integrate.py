@@ -29,8 +29,9 @@ from heisgeo.forms import (
     scalar_from_jet,
     x_field,
 )
-from heisgeo.integrate import FLAG_TOL, _result
-from heisgeo.quadrature import QuadratureSpec, adaptive_integrate_2d, integrate_2d
+from heisgeo.cli import DEFAULT_SEED, _stokes_scene
+from heisgeo.integrate import EDGE_SAMPLES, FLAG_TOL, _result
+from heisgeo.quadrature import adaptive_integrate_2d, integrate_2d
 
 
 def test_curve_integral_polynomial_oracle():
@@ -147,6 +148,31 @@ def test_noncompact_surface_needs_supported_form():
         raise AssertionError("unsupported form accepted on truncated surface")
 
 
+def test_support_reaching_a_truncation_edge_is_refused():
+    hp = vertical_halfplane()
+    # the first two reach y = 3 and t = 3; the third reaches y = 3 only
+    # between two edge samples, which the speed margin has to catch
+    t_mid = 100.5 * 3.0 / (EDGE_SAMPLES - 1)
+    for center, radius, edge in (
+        ([0.0, 2.9, 0.5], 0.5, "u = 3"),
+        ([0.0, 0.0, 2.8], 0.5, "v = 3"),
+        ([0.0, 2.6, t_mid], 0.40002, "u = 3"),
+    ):
+        try:
+            stokes_residual(hp, bump_form(center, radius))
+        except ValueError as exc:
+            assert edge in str(exc)
+        else:
+            raise AssertionError(f"support at {center} reaching {edge} accepted")
+    # a ball 0.2 inside the y = 3 edge, and the CLI's first seeded form, integrate
+    rng = np.random.default_rng(DEFAULT_SEED)
+    _, draw = _stokes_scene("halfplane")
+    for form in (bump_form([0.0, 2.3, 0.5], 0.5), bump_form(draw(rng, 0), rng.uniform(0.2, 0.6))):
+        report = stokes_residual(hp, form)
+        assert report.residual <= 1e-6
+        assert not report.lhs.flagged and not report.rhs.flagged
+
+
 def test_stokes_two_sided_on_halfplane_bump():
     hp = vertical_halfplane()
     form = bump_form([0.0, 0.4, 0.05], 0.5)
@@ -175,10 +201,6 @@ def test_flagging_thresholds():
 
 def test_untrusted_estimates_are_flagged():
     seg = segment([-1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
-    form = bump_form([0.0, 0.0, 0.0], 0.5)
-    # no half rule, no estimate: NaN, which no tolerance accepts
-    res = integrate_curve(form, seg, QuadratureSpec(panels=256, richardson=False), flag_tol=1.0)
-    assert np.isnan(res.estimate) and res.flagged
     nan_form = HorizontalForm(ScalarField(lambda p: np.full(p.shape[:-1], np.nan)), const_field(0.0))
     res = integrate_curve(nan_form, seg, flag_tol=1.0)
     assert res.flagged

@@ -144,7 +144,7 @@ def test_estimates_floored_at_rounding_bound():
 
 
 def test_estimate_is_nan_without_half_rule():
-    value, err = integrate_1d(np.sin, 0.0, np.pi, QuadratureSpec(panels=64, richardson=False))
+    value, err = integrate_1d(np.sin, 0.0, np.pi, QuadratureSpec(panels=1))
     assert abs(value - 2.0) < 1e-14
     assert np.isnan(err)
 

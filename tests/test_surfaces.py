@@ -92,8 +92,20 @@ def test_lift_cylinder_rejects_open_curves():
     try:
         lift_cylinder(half, 0.2)
     except ValueError:
-        return
-    raise AssertionError("open generator accepted")
+        pass
+    else:
+        raise AssertionError("open generator accepted")
+    # an infinite R makes the leaf NaN: its closure gap and theta residual
+    # are NaN, which no tolerance accepts
+    with np.errstate(invalid="ignore"):
+        nan_leaf = torus_characteristic_loop(np.inf, 1.0)
+        for build in (lambda: revolve_curve(nan_leaf, 0.2), lambda: lift_cylinder(nan_leaf, 0.2)):
+            try:
+                build()
+            except ValueError as exc:
+                assert "not closed" in str(exc)
+            else:
+                raise AssertionError("NaN generator accepted")
 
 
 def test_cylinder_embedding_thresholds():
