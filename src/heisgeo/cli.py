@@ -355,7 +355,9 @@ def cmd_stokes(args, config) -> int:
             "residual": report.residual,
             "estimate": estimate,
             # not-<= instead of > so a NaN estimate counts as untrusted
-            "flagged": not (estimate <= ESTIMATE_BOUND),
+            "flagged": not (estimate <= ESTIMATE_BOUND) or report.lhs.flagged or report.rhs.flagged,
+            "lhs_stats": dict(report.lhs.stats),
+            "rhs_stats": dict(report.rhs.stats),
         })
 
     payload = {
@@ -476,7 +478,8 @@ def cmd_selftest(args, config) -> int:
         check(
             f"stokes-{scene}",
             report.residual <= 1e-6 and estimate <= ESTIMATE_BOUND,
-            f"residual {report.residual:.3e}, estimate {estimate:.2e}",
+            f"residual {report.residual:.3e}, estimate {estimate:.2e}, "
+            f"points {report.lhs.stats['points']} + {report.rhs.stats['points']}",
         )
 
     if failures:

@@ -41,12 +41,16 @@ CROSSING_TOL = 1e-6
 
 @dataclass(frozen=True)
 class PlanarCurve:
-    """Parametrized plane curve on [a, b]; callables vectorized, (..., 2) valued."""
+    """Parametrized plane curve on [a, b]; callables vectorized, (..., 2) valued.
+
+    `speed` bounds |velocity| over [a, b]; inf when no bound is known.
+    """
 
     a: float
     b: float
     position: Callable[[np.ndarray], np.ndarray]
     velocity: Callable[[np.ndarray], np.ndarray]
+    speed: float = math.inf
 
     def __post_init__(self):
         if not self.b > self.a:
@@ -55,12 +59,16 @@ class PlanarCurve:
 
 @dataclass(frozen=True)
 class HCurve:
-    """Curve in the group on [a, b]; position/velocity vectorized, (..., 3) valued."""
+    """Curve in the group on [a, b]; position/velocity vectorized, (..., 3) valued.
+
+    `speed` bounds |velocity| over [a, b]; inf when no bound is known.
+    """
 
     a: float
     b: float
     position: Callable[[np.ndarray], np.ndarray]
     velocity: Callable[[np.ndarray], np.ndarray]
+    speed: float = math.inf
 
     def closure_defect(self) -> float:
         """Euclidean distance between the two endpoints."""
@@ -78,7 +86,8 @@ def lemniscate() -> PlanarCurve:
         tau = np.asarray(tau, dtype=float)
         return np.stack([-np.sin(tau), np.cos(2.0 * tau)], axis=-1)
 
-    return PlanarCurve(0.0, 2.0 * np.pi, pos, vel)
+    # |vel|^2 = sin^2 + cos^2(2 tau) <= 2
+    return PlanarCurve(0.0, 2.0 * np.pi, pos, vel, math.sqrt(2.0))
 
 
 def circle(radius: float) -> PlanarCurve:
@@ -94,7 +103,7 @@ def circle(radius: float) -> PlanarCurve:
         tau = np.asarray(tau, dtype=float)
         return radius * np.stack([-np.sin(tau), np.cos(tau)], axis=-1)
 
-    return PlanarCurve(0.0, 2.0 * np.pi, pos, vel)
+    return PlanarCurve(0.0, 2.0 * np.pi, pos, vel, float(radius))
 
 
 def segment(p, q, tol: float = 1e-9) -> HCurve:
@@ -119,7 +128,15 @@ def segment(p, q, tol: float = 1e-9) -> HCurve:
         tau = np.asarray(tau, dtype=float)
         return np.broadcast_to(v, tau.shape + (3,)).copy()
 
-    return HCurve(0.0, 1.0, pos, vel)
+    return HCurve(0.0, 1.0, pos, vel, float(np.linalg.norm(v)))
+
+
+def planar_radius(curve) -> float:
+    """Bound of |(x, y)| along a curve: the maximum over 1025 samples plus
+    the speed bound times half their spacing."""
+    tau = np.linspace(curve.a, curve.b, 1025)
+    xy = curve.position(tau)[..., :2]
+    return float(np.linalg.norm(xy, axis=-1).max()) + curve.speed * 0.5 * (tau[1] - tau[0])
 
 
 def _area_integrand(curve: PlanarCurve):
@@ -156,7 +173,9 @@ def lift_horizontal(curve: PlanarCurve, sign: int = -1) -> HCurve:
         dt = sign * area(tau)
         return np.concatenate([dxy, np.asarray(dt)[..., None]], axis=-1)
 
-    return HCurve(curve.a, curve.b, pos, vel)
+    # |t'| = |x y' - y x'| / 2 <= |(x, y)| |(x', y')| / 2
+    speed = curve.speed * math.sqrt(1.0 + 0.25 * planar_radius(curve) ** 2)
+    return HCurve(curve.a, curve.b, pos, vel, speed)
 
 
 def lift_closed_defect(curve: PlanarCurve) -> float:
@@ -183,6 +202,7 @@ def vertical_translate(curve: HCurve, s: float) -> HCurve:
         curve.b,
         lambda tau: curve.position(tau) + off,
         curve.velocity,
+        curve.speed,
     )
 
 

@@ -360,16 +360,13 @@ def bump_field(center, radius: float) -> ScalarField:
 def bump_form(center, radius: float) -> "HorizontalForm":
     """Compactly supported test form chi dx + chi dy with the bump above.
 
-    Carries its support box (corners center +- radius) and the sharper
-    `support_ball = (center, radius)` so surface integrators can steer
-    refinement toward the support sphere, where the coefficients have a
-    thin high curvature layer.
+    Carries `support_ball = (center, radius)`, so integrators can confine
+    their rules to the ball, across whose sphere the coefficients kink.
     """
     c = np.asarray(center, dtype=float)
     chi = bump_field(c, radius)
     return HorizontalForm(
         chi, chi,
-        support=(c - radius, c + radius),
         support_ball=(c, float(radius)),
     )
 
@@ -377,19 +374,16 @@ def bump_form(center, radius: float) -> "HorizontalForm":
 class HorizontalForm:
     """One form f dx + g dy with no theta component.
 
-    `support`, when set, is an axis-aligned box ((lo, hi) corners) outside
-    which the coefficients vanish; integrators use it to focus refinement.
-    `support_ball = (center, radius)` is the sharper spherical version; the
-    differential operators preserve both, since derivatives of the
-    coefficients vanish wherever the coefficients do.
+    `support_ball = (center, radius)`, when set, is a ball outside which
+    the coefficients vanish; the differential operators preserve it, since
+    derivatives of the coefficients vanish wherever the coefficients do.
     """
 
     degree = 1
 
-    def __init__(self, f: ScalarField, g: ScalarField, support=None, support_ball=None):
+    def __init__(self, f: ScalarField, g: ScalarField, support_ball=None):
         self.f = f
         self.g = g
-        self.support = support
         self.support_ball = support_ball
 
     def __call__(self, base, vec):
@@ -402,9 +396,8 @@ class VerticalForm:
 
     degree = 1
 
-    def __init__(self, c: ScalarField, support=None, support_ball=None):
+    def __init__(self, c: ScalarField, support_ball=None):
         self.c = c
-        self.support = support
         self.support_ball = support_ball
 
     def __call__(self, base, vec):
@@ -422,11 +415,9 @@ class ThetaWedgeForm:
 
     degree = 2
 
-    def __init__(self, a: ScalarField, b: ScalarField, support=None, support_ball=None,
-                 coefficients=None):
+    def __init__(self, a: ScalarField, b: ScalarField, support_ball=None, coefficients=None):
         self.a = a
         self.b = b
-        self.support = support
         self.support_ball = support_ball
         self._coefficients = coefficients
 
@@ -448,9 +439,8 @@ class TopForm:
 
     degree = 3
 
-    def __init__(self, c: ScalarField, support=None, support_ball=None):
+    def __init__(self, c: ScalarField, support_ball=None):
         self.c = c
-        self.support = support
         self.support_ball = support_ball
 
     def __call__(self, base, v1, v2, v3):
@@ -493,8 +483,7 @@ def vertical_correction(w: HorizontalForm) -> VerticalForm:
     """
     return VerticalForm(
         w.g.X() - w.f.Y(),
-        support=w.support,
-        support_ball=getattr(w, "support_ball", None),
+        support_ball=w.support_ball,
     )
 
 
@@ -518,8 +507,7 @@ def middle_differential(w: HorizontalForm) -> ThetaWedgeForm:
 
     return ThetaWedgeForm(
         f.T() - c.X(), g.T() - c.Y(),
-        support=w.support,
-        support_ball=getattr(w, "support_ball", None),
+        support_ball=w.support_ball,
         coefficients=coefficients,
     )
 
@@ -528,8 +516,7 @@ def top_differential(w: ThetaWedgeForm) -> TopForm:
     """Degree two to three: (Ya - Xb) theta^dx^dy."""
     return TopForm(
         w.a.Y() - w.b.X(),
-        support=w.support,
-        support_ball=getattr(w, "support_ball", None),
+        support_ball=w.support_ball,
     )
 
 

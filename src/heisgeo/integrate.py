@@ -10,7 +10,9 @@ form itself, each side carrying its own quadrature error estimate.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import math
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -21,7 +23,8 @@ from .forms import (
     middle_differential,
     vertical_correction,
 )
-from .quadrature import adaptive_integrate_2d, integrate_1d
+from .quadrature import (adaptive_integrate_2d, conforming_integrate_1d, conforming_integrate_2d,
+                         integrate_1d, support_roots)
 from .surfaces import ParamSurface
 
 __all__ = [
@@ -38,9 +41,6 @@ __all__ = [
 # an integral is flagged when its internal error estimate exceeds this
 FLAG_TOL = 1e-8
 
-# points per truncation edge at which the distance to a support ball is checked
-EDGE_SAMPLES = 257
-
 
 class IntegralResult(NamedTuple):
     """Value with its quadrature error estimate; flagged when untrustworthy.
@@ -48,12 +48,14 @@ class IntegralResult(NamedTuple):
     The estimate is the Richardson gap floored at the rounding bound
     50·eps·Σ|w·f| (see `heisgeo.quadrature`), so it is never exactly zero
     for an integrand that is nonzero at some node.  It is NaN when no half
-    rule was run, and a NaN estimate is always flagged.
+    rule was run, and a NaN estimate is always flagged, as is a quadtree
+    stopped by anything but its tolerance (`stats`, see `RuleResult`).
     """
 
     value: float
     estimate: float
     flagged: bool
+    stats: Mapping = MappingProxyType({})
 
 
 class StokesReport(NamedTuple):
@@ -62,17 +64,47 @@ class StokesReport(NamedTuple):
     residual: float
 
 
-def _result(value: float, estimate: float, tol: float) -> IntegralResult:
+def _result(value: float, estimate: float, tol: float, stats=MappingProxyType({})) -> IntegralResult:
     # not-<= instead of > so a NaN estimate counts as untrusted
-    return IntegralResult(float(value), float(estimate), not (estimate <= tol))
+    flagged = not (estimate <= tol) or stats.get("stop", "tol") != "tol"
+    return IntegralResult(float(value), float(estimate), flagged, MappingProxyType(dict(stats)))
+
+
+def _ball_level(position, tangents, speed, ball):
+    """(jet, lip, scale, noise) of the level r^2 - |p - c|^2 along a map.
+    Within h, |grad| <= 2 (|p - c| + speed h) speed; points rounded to
+    eps (|c| + r) are seen at the ball's scale r: noise = (|c| + r) / r."""
+    center, radius = np.asarray(ball[0], dtype=float), float(ball[1])
+    r2 = radius * radius
+
+    def jet(*x):
+        d = position(*x) - center
+        return (r2 - (d * d).sum(axis=-1),
+                *(-2.0 * (d * t(*x)).sum(axis=-1) for t in tangents))
+
+    def lip(level, h):
+        return 2.0 * (np.sqrt(np.maximum(r2 - level, 0.0)) + speed * h) * speed
+
+    return jet, lip, radius / speed, (np.linalg.norm(center) + radius) / radius
 
 
 def integrate_curve(form, curve: HCurve, flag_tol: float = FLAG_TOL) -> IntegralResult:
-    """Integral of a degree-1 form over a curve, velocity pullback."""
-    value, estimate = integrate_1d(
-        lambda tau: form(curve.position(tau), curve.velocity(tau)), curve.a, curve.b
-    )
-    return _result(value, estimate, flag_tol)
+    """Integral of a degree-1 form over a curve, velocity pullback.
+
+    Only the in-ball intervals are integrated when the form has a support
+    ball and the curve a finite speed bound; else the uniform rule runs.
+    """
+    return _curve_integral(form, curve, flag_tol, getattr(form, "support_ball", None))
+
+
+def _curve_integral(form, curve: HCurve, flag_tol: float, ball) -> IntegralResult:
+    f = lambda tau: form(curve.position(tau), curve.velocity(tau))
+    if ball is None or not math.isfinite(curve.speed):
+        res = integrate_1d(f, curve.a, curve.b)
+    else:
+        jet, lip, scale, noise = _ball_level(curve.position, (curve.velocity,), curve.speed, ball)
+        res = conforming_integrate_1d(f, jet, lip, curve.a, curve.b, scale, noise)
+    return _result(*res, flag_tol, res.stats)
 
 
 def _surface_integrand(form, S: ParamSurface):
@@ -83,55 +115,22 @@ def _surface_integrand(form, S: ParamSurface):
     return f
 
 
-def _support_feature(form, S: ParamSurface):
-    """Pullback of the support sphere as a sign-change indicator, if known.
-
-    Returns (feature, feature_scale) or (None, None).  The scale converts
-    the bump radius into a parameter-space length via the largest sampled
-    tangent speed, so forced splits stop once panels are much smaller than
-    the support layer.
-    """
-    ball = getattr(form, "support_ball", None)
-    if ball is None:
-        return None, None
-    center, radius = ball
-    center = np.asarray(center, dtype=float)
-
-    def feature(u, v):
-        d = S.position(u, v) - center
-        return radius * radius - (d * d).sum(axis=-1)
-
-    u = np.linspace(S.u_dom[0], S.u_dom[1], 17)
-    v = np.linspace(S.v_dom[0], S.v_dom[1], 17)
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    speed = max(
-        float(np.linalg.norm(S.tangent_u(uu, vv), axis=-1).max()),
-        float(np.linalg.norm(S.tangent_v(uu, vv), axis=-1).max()),
-        1e-12,
-    )
-    return feature, radius / (16.0 * speed)
-
-
-def _check_truncation_edges(form, S: ParamSurface) -> None:
-    """Raise unless the form's support ball stays off every truncation edge.
-
-    Each edge is sampled at EDGE_SAMPLES points.  Every point of the edge is
-    within half a spacing of a sample in parameter, so within the largest
-    sampled edge speed times that in space; the ball must clear every sample
-    by this margin, which is exact on an affine edge.
-    """
-    ball = getattr(form, "support_ball", None)
-    if ball is None:
-        raise ValueError("truncated surface needs a form with a support ball")
-    center, radius = ball
+def _check_truncation_edges(ball, S: ParamSurface) -> None:
+    """Raise unless the support ball stays off every truncation edge: the
+    ball's level has no root on the edge, solved for as in the rule, and is
+    negative there."""
+    if ball is None or not math.isfinite(S.speed):
+        raise ValueError("truncated surface needs a form with a support ball and a speed bound")
     for axis, value in S.truncation_edges:
-        s = np.linspace(*(S.v_dom if axis == 0 else S.u_dom), EDGE_SAMPLES)
-        fixed = np.full_like(s, value)
-        u, v = (fixed, s) if axis == 0 else (s, fixed)
-        dist = np.linalg.norm(S.position(u, v) - center, axis=-1)
-        tangent = (S.tangent_v if axis == 0 else S.tangent_u)(u, v)
-        margin = np.linalg.norm(tangent, axis=-1).max() * 0.5 * (s[1] - s[0])
-        if not dist.min() - margin > radius:
+        def at(s, axis=axis, value=value):
+            return (np.full_like(s, value), s) if axis == 0 else (s, np.full_like(s, value))
+
+        tangent = S.tangent_v if axis == 0 else S.tangent_u
+        jet, lip, scale, _ = _ball_level(
+            lambda s: S.position(*at(s)), (lambda s: tangent(*at(s)),), S.speed, ball)
+        span = S.v_dom if axis == 0 else S.u_dom
+        roots, fault = support_roots(jet, lip, *span, scale)
+        if fault or len(roots) or not jet(np.array(span[0]))[0] < 0.0:
             raise ValueError(
                 f"support ball reaches the truncation edge {'uv'[axis]} = {value:g}")
 
@@ -144,50 +143,59 @@ def integrate_surface(
 ) -> IntegralResult:
     """Integral of a degree-2 form over a surface, tangent-pair pullback.
 
-    Runs quadtree refinement to the requested tolerance and, when the form
-    advertises a support ball, forces refinement across the support sphere,
-    whose thin high-curvature layer point samples otherwise miss.  On a
-    truncated surface the support ball must stay off the truncation edges.
+    The conforming rule integrates over the preimage of the form's support
+    ball only, given a finite speed bound of the surface; otherwise the
+    quadtree refines to `tol`.  On a truncated surface the support ball
+    must stay off the truncation edges.
     """
+    ball = getattr(form, "support_ball", None)
     if not S.compact:
-        _check_truncation_edges(form, S)
-    feature, fscale = _support_feature(form, S)
-    value, estimate = adaptive_integrate_2d(
-        _surface_integrand(form, S), S.u_dom, S.v_dom, tol=tol,
-        feature=feature, feature_scale=fscale,
-    )
-    return _result(value, estimate, flag_tol)
+        _check_truncation_edges(ball, S)
+    f = _surface_integrand(form, S)
+    if ball is None or not math.isfinite(S.speed):
+        res = adaptive_integrate_2d(f, S.u_dom, S.v_dom, tol=tol)
+    else:
+        level = _ball_level(S.position, (S.tangent_u, S.tangent_v), S.speed, ball)
+        res = conforming_integrate_2d(f, *level[:2], S.u_dom, S.v_dom, *level[2:], S.periodic[1])
+    return _result(*res, flag_tol, res.stats)
 
 
-def boundary_integral(form, S: ParamSurface, flag_tol: float = FLAG_TOL) -> IntegralResult:
-    """Sum of oriented boundary component integrals of a degree-1 form."""
+def boundary_integral(form, S: ParamSurface, flag_tol: float = FLAG_TOL,
+                      support_ball=None) -> IntegralResult:
+    """Sum of oriented boundary component integrals of a degree-1 form.
+
+    `support_ball` defaults to the form's own; passing it lets a form
+    wrapped in a plain callable keep its clipped rims.
+    """
     if S.boundary is None:
         raise ValueError("surface carries no boundary data")
     total = 0.0
     estimate = 0.0
     flagged = False
+    stats = {}
     for curve, orientation in S.boundary:
-        part = integrate_curve(form, curve, flag_tol)
+        part = _curve_integral(form, curve, flag_tol, support_ball or getattr(form, "support_ball", None))
         total += orientation * part.value
         estimate += part.estimate
         flagged |= part.flagged
-    return IntegralResult(float(total), float(estimate), flagged)
+        for key, count in part.stats.items():
+            stats[key] = stats.get(key, 0) + count if key != "rule" else (
+                count if stats.get(key, count) == count else "mixed")
+    return IntegralResult(float(total), float(estimate), flagged, MappingProxyType(stats))
 
 
 def stokes_residual(S: ParamSurface, form: HorizontalForm, flag_tol: float = 2e-7) -> StokesReport:
     """Compare the two sides of the Stokes identity for the middle operator.
 
-    The surface side integrates the second order differential of `form`
-    adaptively (its integrand concentrates on thin shells of the form's
-    support); the boundary side integrates `form` itself over the oriented
-    boundary.  Residual is the absolute difference.  Both sides flag
-    against `flag_tol`, the error budget of the verification, rather than
-    the strict default used for standalone integrals; estimates hovering
-    near the refinement tolerance are expected here, not suspect.
+    The surface side integrates the second order differential of `form`,
+    the boundary side `form` itself over the oriented boundary; the
+    residual is their difference.  Both sides flag against `flag_tol`, the
+    error budget of the verification, rather than the strict default used
+    for standalone integrals.
     """
     two_form = middle_differential(form)
     lhs = integrate_surface(two_form, S, flag_tol=flag_tol)
-    rhs = boundary_integral(form, S, flag_tol=flag_tol)
+    rhs = boundary_integral(form, S, flag_tol=flag_tol, support_ball=form.support_ball)
     return StokesReport(lhs, rhs, abs(lhs.value - rhs.value))
 
 

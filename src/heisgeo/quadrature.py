@@ -10,6 +10,18 @@ weighted samples (as in QUADPACK, Piessens et al. 1983): when both rules
 integrate f exactly, their difference can round to exactly zero, and a zero
 estimate would claim a value free of rounding error.  The floor enters
 through `max`, so an estimate above it is the plain Richardson gap.
+
+The conforming rules integrate a function that vanishes outside P = {phi
+> 0} over P only, with every breakpoint on phi = 0: iterated Gauss-Legendre
+over the roots of phi (R. I. Saye, SIAM J. Sci. Comput. 37(2), 2015), the
+pair (n, 2n) giving the value and the floored gap.  Roots are solved for,
+never sampled.  lip(phi, h) bounds |grad phi| within h of a point where phi
+takes that value; a cell is dropped only when |phi| at its centre exceeds
+lip times its half-width, the rest are halved and Newton polishes the roots
+left in them.  An estimate is NaN when a NaN or an unsettled solve turns
+up, when the root count changes inside a piece, or when neighbouring
+intervals share a sign.  Its rounding floor is multiplied by `noise`, the
+factor by which f's inputs are rounded worse than f's own scale.
 """
 
 from __future__ import annotations
@@ -20,6 +32,7 @@ import numpy as np
 
 __all__ = [
     "QuadratureSpec",
+    "RuleResult",
     "CURVE_QUAD",
     "ROUNDING_FLOOR",
     "SURFACE_QUAD",
@@ -27,6 +40,9 @@ __all__ = [
     "integrate_1d",
     "integrate_2d",
     "adaptive_integrate_2d",
+    "conforming_integrate_1d",
+    "conforming_integrate_2d",
+    "support_roots",
     "PrefixIntegral",
 ]
 
@@ -54,6 +70,23 @@ SURFACE_QUAD = QuadratureSpec(panels=64, nodes=8)
 # multiple of eps * sum |w f| below which a Richardson gap is rounding noise
 ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
 
+# Gauss-Legendre pairs (n, 2n) of the conforming surface and curve rules
+CONFORMING_PAIR = (24, 48)
+CURVE_PAIR = (16, 32)
+# most solves settle in a few steps; bisection fallbacks can need more
+NEWTON_STEPS = 40
+
+
+class RuleResult(tuple):
+    """(value, error) pair whose `stats` say what the rule did: `rule`,
+    integrand `points`, `panels` or `pieces`, and for the quadtree `sweeps`
+    and `stop` (`tol`, `max_evals`, `max_sweeps` or `width_floor`)."""
+
+    def __new__(cls, value, error, **stats):
+        self = super().__new__(cls, (float(value), float(error)))
+        self.stats = stats
+        return self
+
 
 def _floored(gap: float, abs_sum: float) -> float:
     """Richardson gap raised to the rounding bound of the fine rule."""
@@ -79,13 +112,12 @@ def integrate_1d(f, a: float, b: float, spec: QuadratureSpec = CURVE_QUAD):
     pts, wts = panel_rule(a, b, spec)
     vals = np.asarray(f(pts), dtype=float)
     value = float(wts @ vals)
+    error, points = np.nan, len(pts)
     if spec.panels >= 2:
         p2, w2 = panel_rule(a, b, spec.halved())
         gap = abs(value - float(w2 @ np.asarray(f(p2), dtype=float)))
-        error = _floored(gap, float(wts @ np.abs(vals)))
-    else:
-        error = np.nan
-    return value, error
+        error, points = _floored(gap, float(wts @ np.abs(vals))), points + len(p2)
+    return RuleResult(value, error, rule="uniform", points=points, panels=spec.panels)
 
 
 def _tensor_value(f, u_dom, v_dom, spec: QuadratureSpec):
@@ -132,19 +164,9 @@ def _panel_batch(f, u0, u1, v0, v1, gx, gw, chunk=3000):
     return out, out_abs
 
 
-def _feature_sign_change(feature, u0, u1, v0, v1):
-    fr = np.linspace(0.0, 1.0, 3)
-    U = u0[:, None, None] + (u1 - u0)[:, None, None] * fr[None, :, None]
-    V = v0[:, None, None] + (v1 - v0)[:, None, None] * fr[None, None, :]
-    U, V = np.broadcast_arrays(U, V)
-    s = np.asarray(feature(U.reshape(-1), V.reshape(-1)), dtype=float).reshape(len(u0), 9)
-    return (s.max(axis=1) > 0.0) & (s.min(axis=1) < 0.0)
-
-
 def adaptive_integrate_2d(f, u_dom, v_dom, tol=1e-7, nodes=8, coarse=16,
-                          max_sweeps=60, max_evals=30_000_000,
-                          feature=None, feature_scale=None):
-    """Quadtree-adaptive integral of f(u, v) over a rectangle; returns (value, error).
+                          max_sweeps=60, max_evals=30_000_000):
+    """Quadtree-adaptive integral of f(u, v) over a rectangle; a `RuleResult`.
 
     Each panel carries a Gauss-Legendre value and the sum over its four
     children; their difference is the local error.  Panels above an
@@ -153,17 +175,11 @@ def adaptive_integrate_2d(f, u_dom, v_dom, tol=1e-7, nodes=8, coarse=16,
     `max_sweeps` ends the loop before the children of the last split are
     evaluated, those children count at their parent's level instead; no
     panel is dropped, and a NaN sample makes both value and error NaN.
-
     Sampling alone can miss an integrand whose support ends inside a panel
-    without touching any node, so callers integrating a compactly supported
-    function should pass `feature`, a vectorized scalar whose sign change
-    marks the support boundary.  Panels where the probed feature changes
-    sign are split unconditionally until no side exceeds `feature_scale`,
-    which should be sized like the width of the integrand's edge layer.
+    without touching any node; compactly supported integrands belong to
+    `conforming_integrate_2d`.
     """
     gx, gw = np.polynomial.legendre.leggauss(nodes)
-    if feature is not None and feature_scale is None:
-        feature_scale = min(u_dom[1] - u_dom[0], v_dom[1] - v_dom[0]) / 64.0
     e_u = np.linspace(u_dom[0], u_dom[1], coarse + 1)
     e_v = np.linspace(v_dom[0], v_dom[1], coarse + 1)
     U0, V0 = np.meshgrid(e_u[:-1], e_v[:-1], indexing="ij")
@@ -181,7 +197,8 @@ def adaptive_integrate_2d(f, u_dom, v_dom, tol=1e-7, nodes=8, coarse=16,
     # coarse panels have no parent, so nothing is known about them
     fresh = np.ones(len(u0), dtype=bool)
     fresh_err = fresh_abs = np.nan
-    for _ in range(max_sweeps):
+    stop, sweeps = "max_sweeps", 0
+    for sweeps in range(1, max_sweeps + 1):
         new = np.flatnonzero(fresh)
         if len(new):
             nu0, nu1, nv0, nv1 = u0[new], u1[new], v0[new], v1[new]
@@ -200,14 +217,12 @@ def adaptive_integrate_2d(f, u_dom, v_dom, tol=1e-7, nodes=8, coarse=16,
             fresh[new] = False
             fresh_err = fresh_abs = 0.0
         if err.sum() <= tol or evals > max_evals:
+            stop = "tol" if err.sum() <= tol else "max_evals"
             break
         wide = np.minimum(u1 - u0, v1 - v0) > 1e-9
         ref = (err > 0.25 * tol / len(u0)) & wide
-        if feature is not None:
-            forced = _feature_sign_change(feature, u0, u1, v0, v1)
-            forced &= np.maximum(u1 - u0, v1 - v0) > feature_scale
-            ref |= forced & wide
         if not ref.any():
+            stop = "width_floor"
             break
         keep = ~ref
         fresh_err, fresh_abs = float(err[ref].sum()), float(cabs[ref].sum())
@@ -230,7 +245,203 @@ def adaptive_integrate_2d(f, u_dom, v_dom, tol=1e-7, nodes=8, coarse=16,
     value = float(np.where(fresh, val, csum).sum())
     error = float(np.where(fresh, 0.0, err).sum()) + fresh_err
     abs_sum = float(np.where(fresh, 0.0, cabs).sum()) + fresh_abs
-    return value, _floored(error, abs_sum)
+    return RuleResult(value, _floored(error, abs_sum), rule="quadtree", points=evals,
+                      panels=len(u0), sweeps=sweeps, stop=stop)
+
+
+def _solve(jet, owner, lo, hi):
+    """Root of g in each sign bracket [lo, hi] by Newton, bisecting where a
+    step would leave the bracket; NaN where it has not settled to 1e-9 of it."""
+    settle, g_lo, x = 1e-9 * (hi - lo), jet(owner, lo)[0], 0.5 * (lo + hi)
+    for _ in range(NEWTON_STEPS):
+        g, d = jet(owner, x)
+        right = (g > 0.0) == (g_lo > 0.0)
+        lo, hi = np.where(right, x, lo), np.where(right, hi, x)
+        x_new = x - g / d
+        done = (np.abs(x_new - x) <= settle) | (hi - lo <= settle)
+        x = np.where((x_new >= lo) & (x_new <= hi), x_new, 0.5 * (lo + hi))
+        if done.all():
+            break
+    return np.where(done, x, np.nan)
+
+
+def _line_roots(jet, lip, owner, a, b, floor):
+    """Roots of g in the cells [a, b] of each line; (owner, root, fault).
+
+    jet(owner, x) = (g, g').  Surviving cells of width `floor` merge into
+    clusters; ends of differing sign bracket a root, ends of equal sign
+    with differing slopes an extremum, and two roots if g crosses zero there.
+    """
+    done = [(owner, a, b)] if not len(a) else []
+    while len(a):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        g = jet(owner, mid)[0]
+        live = ~(np.abs(g) > lip(g, half) * half)
+        owner, a, b, mid = owner[live], a[live], b[live], mid[live]
+        fine = b - a <= floor
+        done.append((owner[fine], a[fine], b[fine]))
+        owner, a, b, mid = np.tile(owner[~fine], 2), a[~fine], b[~fine], mid[~fine]
+        a, b = np.r_[a, mid], np.r_[mid, b]
+    owner, a, b = (np.concatenate(x) for x in zip(*done))
+    if not len(owner):
+        return owner, a, False
+    order = np.lexsort((a, owner))
+    owner, a, b = owner[order], a[order], b[order]
+    first = np.flatnonzero(np.r_[True, (owner[1:] != owner[:-1]) | (a[1:] != b[:-1])])
+    owner, a, b = owner[first], a[first], b[np.r_[first[1:], len(b)] - 1]
+    (ga, da), (gb, db) = jet(owner, a), jet(owner, b)
+    cross = (ga > 0.0) != (gb > 0.0)
+    found = [(owner[cross], _solve(jet, owner[cross], a[cross], b[cross]))]
+    turn = ~cross & ((da > 0.0) != (db > 0.0))
+    if turn.any():
+        o, lo, hi = owner[turn], a[turn], b[turn]
+        h = 1e-4 * (hi - lo)
+        x = _solve(lambda o, x: (jet(o, x)[1], (jet(o, x + h)[1] - jet(o, x - h)[1]) / (2.0 * h)),
+                   o, lo, hi)
+        two = (jet(o, x)[0] > 0.0) != (ga[turn] > 0.0)
+        o, lo, x, hi = o[two], lo[two], x[two], hi[two]
+        found += [(o, _solve(jet, o, lo, x)), (o, _solve(jet, o, x, hi))]
+    owner, root = (np.concatenate(x) for x in zip(*found))
+    order = np.lexsort((root, owner))
+    return owner[order], root[order], bool(np.isnan(np.r_[ga, gb, root]).any())
+
+
+def support_roots(jet, lip, a: float, b: float, scale: float):
+    """Roots of g on [a, b] with jet(x) = (g, g'); (roots, fault).  Cells
+    start at most `scale` (the size of {g > 0}) wide and end scale/64 wide."""
+    edges = np.linspace(a, b, int(np.ceil((b - a) / scale)) + 1)
+    _, roots, fault = _line_roots(lambda o, x: jet(x), lip, np.zeros(len(edges) - 1, dtype=int),
+                                  edges[:-1], edges[1:], scale / 64.0)
+    return roots, fault
+
+
+def _positive_intervals(value, lo, hi, owner, roots):
+    """(line, a, b) of the intervals between roots where value(line, x) > 0,
+    and a fault when neighbours share a sign, which simple roots forbid."""
+    lines = np.arange(len(lo))
+    cuts, own = np.r_[lo, roots, hi], np.r_[lines, owner, lines]
+    order = np.lexsort((cuts, own))
+    cuts, own = cuts[order], own[order]
+    keep = (own[1:] == own[:-1]) & (cuts[1:] > cuts[:-1])
+    o, a, b = own[:-1][keep], cuts[:-1][keep], cuts[1:][keep]
+    pos = value(o, 0.5 * (a + b)) > 0.0
+    return o[pos], a[pos], b[pos], bool(np.any((o[1:] == o[:-1]) & (pos[1:] == pos[:-1])))
+
+
+def _gauss(n, lo, hi):
+    x, w = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * (hi - lo)[:, None]
+    return ((0.5 * (lo + hi))[:, None] + half * x).ravel(), (half * w).ravel()
+
+
+def _pair(f, coarse, fine, fault, noise, **stats):
+    """Result of a rule pair, each (args, weights): the fine value and the
+    gap floored at `noise` times the rounding floor, NaN on a fault; f is
+    evaluated once on both rules' nodes."""
+    vals = np.asarray(f(*(np.r_[c, d] for c, d in zip(coarse[0], fine[0]))), dtype=float)
+    c, d = coarse[1] * vals[:len(coarse[1])], fine[1] * vals[len(coarse[1]):]
+    error = np.nan if fault else _floored(abs(d.sum() - c.sum()), noise * float(np.abs(d).sum()))
+    return RuleResult(d.sum(), error, rule="conforming", points=len(vals), **stats)
+
+
+def conforming_integrate_1d(f, jet, lip, a: float, b: float, scale: float, noise: float) -> RuleResult:
+    """Integral over [a, b] of f, which vanishes where g <= 0; jet(x) = (g, g').
+
+    Each interval between roots where g > 0 gets the pair CURVE_PAIR.
+    """
+    roots, fault = support_roots(jet, lip, a, b, scale)
+    _, lo, hi, bad = _positive_intervals(lambda o, x: jet(x)[0], np.array([a]), np.array([b]),
+                                         np.zeros(len(roots), dtype=int), roots)
+    rules = [((x,), w) for x, w in (_gauss(n, lo, hi) for n in CURVE_PAIR)]
+    return _pair(f, *rules, fault or bad, noise, pieces=len(lo))
+
+
+def conforming_integrate_2d(f, jet, lip, u_dom, v_dom, scale: float, noise: float,
+                            periodic_v: bool) -> RuleResult:
+    """Integral over a rectangle of f, which vanishes outside P = {phi > 0}.
+
+    jet(u, v) = (phi, phi_u, phi_v).  The u-breakpoints are the roots of
+    phi on the v-edges (none when v is periodic) and the folds phi = phi_v
+    = 0, which lie in kept cells of the quadtree over phi.  The outer rule
+    runs through u = a + (b - a)(1 - cos(pi s))/2 (A. Sidi, 1993), which
+    smooths the square-root behaviour at folds; the inner roots at each
+    outer node lie in the kept cells of its column.
+    """
+    phi = lambda u, v: jet(u, v)[0]
+    su, sv = u_dom[1] - u_dom[0], v_dom[1] - v_dom[0]
+    nu, nv = int(np.ceil(su / min(su, sv))), int(np.ceil(sv / min(su, sv)))
+    du, dv = su / nu, sv / nv
+    iu, iv = (x.ravel() for x in np.meshgrid(np.arange(nu), np.arange(nv), indexing="ij"))
+    levels, inside = max(0, int(np.ceil(np.log2(16.0 * np.hypot(du, dv) / scale)))), False
+    for level in range(levels + 1):
+        hd = 0.5 * np.hypot(du, dv)
+        g = phi(u_dom[0] + (iu + 0.5) * du, v_dom[0] + (iv + 0.5) * dv)
+        bound = lip(g, hd) * hd
+        inside |= bool((g > bound).any())
+        iu, iv = iu[~(np.abs(g) > bound)], iv[~(np.abs(g) > bound)]
+        if level < levels:
+            iu, iv = np.r_[2 * iu, 2 * iu + 1, 2 * iu, 2 * iu + 1], np.r_[2 * iv, 2 * iv, 2 * iv + 1, 2 * iv + 1]
+            du, dv = 0.5 * du, 0.5 * dv
+    if not len(iu) and not inside:
+        return RuleResult(0.0, 0.0, rule="conforming", points=0, pieces=0)
+
+    u, v = u_dom[0] + (iu + 0.5) * du, v_dom[0] + (iv + 0.5) * dv
+    _, pu, pv = jet(u, v)
+    u, v = u[np.abs(pv) <= 0.25 * np.abs(pu)], v[np.abs(pv) <= 0.25 * np.abs(pu)]
+    hu, hv, n = 1e-3 * du, 1e-3 * dv, len(u)
+    step_u = step_v = np.full(n, np.inf)
+    for _ in range(8 if n else 0):
+        p, pu, pv = jet(np.r_[u, u + hu, u - hu, u, u], np.r_[v, v, v, v + hv, v - hv])
+        pv, pv_u1, pv_u0, pv_v1, pv_v0 = np.split(pv, 5)
+        puv, pvv = (pv_u1 - pv_u0) / (2.0 * hu), (pv_v1 - pv_v0) / (2.0 * hv)
+        det = pu[:n] * pvv - pv * puv
+        step_u, step_v = (p[:n] * pvv - pv * pv) / det, (pu[:n] * pv - puv * p[:n]) / det
+        u, v = u - step_u, v - step_v
+    # 8 Newton steps on phi = phi_v = 0 from the kept cells whose gradient
+    # is within 14 degrees of the u-axis, phi_v differenced centrally
+    fold = ((np.hypot(step_u, step_v) <= 1e-8 * scale)
+            & (u > u_dom[0]) & (u < u_dom[1]) & (v >= v_dom[0]) & (v <= v_dom[1]))
+    breaks, fault = [np.array(u_dom), u[fold]], False
+    for v_edge in () if periodic_v else v_dom:
+        roots, bad = support_roots(lambda u, v_edge=v_edge: jet(u, np.full_like(u, v_edge))[:2],
+                                   lip, *u_dom, scale)
+        breaks, fault = breaks + [roots], fault or bad
+    breaks = np.unique(np.clip(np.concatenate(breaks), *u_dom))
+    breaks = breaks[np.r_[True, np.diff(breaks) > 1e-12 * su]]
+    a, b = breaks[:-1], np.r_[breaks[1:-1], u_dom[1]]
+
+    # outer nodes u with weights wu, piece and rule (0 or 1) of both rules
+    nodes = []
+    for rule, n in enumerate(CONFORMING_PAIR):
+        s, w = _gauss(n, np.zeros(1), np.ones(1))
+        x, dx = 0.5 * (1.0 - np.cos(np.pi * s)), 0.5 * np.pi * np.sin(np.pi * s) * w
+        nodes.append((np.ravel(a[:, None] + (b - a)[:, None] * x), np.ravel((b - a)[:, None] * dx),
+                      np.repeat(np.arange(len(a)), n), np.full(len(a) * n, rule)))
+    u, wu, piece, rule = (np.concatenate(x) for x in zip(*nodes))
+
+    # the roots of phi(u, .) lie in the kept cells whose closed column holds u
+    col = (u - u_dom[0]) / du
+    order = np.argsort(iu, kind="stable")
+    iu, iv = iu[order], iv[order]
+    first, last = np.searchsorted(iu, np.ceil(col) - 1), np.searchsorted(iu, np.floor(col), side="right")
+    owner = np.repeat(np.arange(len(u)), last - first)
+    cells = iv[np.concatenate([np.arange(i, j) for i, j in zip(first, last)] + [[]]).astype(int)]
+    rows = int(round(sv / dv))
+    owner, cells = np.divmod(np.unique(owner * rows + cells), rows)
+    r_owner, roots, bad = _line_roots(
+        lambda o, v: jet(u[o], v)[::2], lip, owner, np.clip(v_dom[0] + cells * dv, *v_dom),
+        np.clip(v_dom[0] + (cells + 1) * dv, *v_dom), 0.25 * dv)
+    count = np.bincount(r_owner, minlength=len(u))
+    # every node of a piece must see as many roots as the piece's first node
+    fault |= bad or bool(np.any(count != count[piece * CONFORMING_PAIR[0]]))
+    o, va, vb, bad = _positive_intervals(lambda o, v: phi(u[o], v), np.full(len(u), v_dom[0]),
+                                         np.full(len(u), v_dom[1]), r_owner, roots)
+    rules = []
+    for k, n in enumerate(CONFORMING_PAIR):
+        mine = rule[o] == k
+        v, w = _gauss(n, va[mine], vb[mine])
+        rules.append(((np.repeat(u[o[mine]], n), v), w * np.repeat(wu[o[mine]], n)))
+    return _pair(f, *rules, fault or bad, noise, pieces=len(a))
 
 
 class PrefixIntegral:

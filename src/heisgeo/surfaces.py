@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .core import rotate_t_axis
-from .curves import HCurve, horizontality_residual, vertical_translate
+from .curves import HCurve, horizontality_residual, planar_radius, vertical_translate
 from .quadrature import PrefixIntegral
 
 __all__ = [
@@ -49,7 +49,8 @@ class ParamSurface:
     axis 0 and v = value for axis 1, where the domain cuts an unbounded
     surface short; only the listed boundary components are genuine, and
     integrals over the surface require integrands supported away from those
-    edges.  A surface without truncation edges is `compact`.
+    edges.  A surface without truncation edges is `compact`.  `speed`
+    bounds sqrt(|S_u|^2 + |S_v|^2) over the rectangle; inf when unknown.
     """
 
     u_dom: tuple[float, float]
@@ -60,6 +61,7 @@ class ParamSurface:
     boundary: tuple[tuple[HCurve, int], ...] = ()
     periodic: tuple[bool, bool] = (False, False)
     truncation_edges: tuple[tuple[int, float], ...] = ()
+    speed: float = math.inf
 
     @property
     def compact(self) -> bool:
@@ -120,6 +122,7 @@ def vertical_halfplane() -> ParamSurface:
              np.zeros_like(np.asarray(tau, float))], axis=-1),
         lambda tau: np.broadcast_to(
             np.array([0.0, 1.0, 0.0]), np.shape(np.asarray(tau, float)) + (3,)).copy(),
+        1.0,
     )
     return ParamSurface(
         u_dom=(y0, y1),
@@ -129,6 +132,7 @@ def vertical_halfplane() -> ParamSurface:
         tangent_v=tan_v,
         boundary=((edge, +1),),
         truncation_edges=((0, y0), (0, y1), (1, t1)),
+        speed=math.sqrt(2.0),
     )
 
 
@@ -182,6 +186,7 @@ def lift_cylinder(curve: HCurve, height: float) -> ParamSurface:
         tangent_v=tan_v,
         boundary=((curve, +1), (top, -1)),
         periodic=(True, False),
+        speed=math.hypot(curve.speed, 1.0),
     )
 
 
@@ -216,6 +221,7 @@ def torus_surface(R: float, r: float) -> ParamSurface:
         tangent_v=tan_v,
         boundary=(),
         periodic=(True, True),
+        speed=math.hypot(r, R + r),
     )
 
 
@@ -249,6 +255,7 @@ def revolve_curve(curve: HCurve, phi_max: float) -> ParamSurface:
         curve.b,
         lambda tau: rotate_t_axis(phi_max, curve.position(tau)),
         lambda tau: rotate_t_axis(phi_max, curve.velocity(tau)),
+        curve.speed,
     )
     full_turn = abs(phi_max - 2.0 * math.pi) < 1e-12
     return ParamSurface(
@@ -259,6 +266,8 @@ def revolve_curve(curve: HCurve, phi_max: float) -> ParamSurface:
         tangent_v=tan_v,
         boundary=() if full_turn else ((curve, +1), (far, -1)),
         periodic=(True, full_turn),
+        # |S_u| = |curve'| and |S_v| = |(x, y)|, since the rotation is isometric
+        speed=math.hypot(curve.speed, planar_radius(curve)),
     )
 
 
@@ -293,7 +302,8 @@ def torus_characteristic_loop(R: float, r: float) -> HCurve:
         vv = v_of(tau)
         return torus.tangent_u(tau, vv) + slope(tau)[..., None] * torus.tangent_v(tau, vv)
 
-    return HCurve(a, b, pos, vel)
+    # orthogonal tangents: |vel|^2 = r^2 + (2 r cos u / (R + r cos u))^2
+    return HCurve(a, b, pos, vel, math.hypot(r, 2.0 * r / (R - r)))
 
 
 def characteristic_residual(S: ParamSurface, u, v):

@@ -234,6 +234,10 @@ def test_stokes_report_is_byte_deterministic(tmp_path, monkeypatch):
     assert payload["seed"] == DEFAULT_SEED
     assert len(payload["forms"]) == 2
     assert payload["max_residual"] <= 1e-6
+    # each side says which rule ran and how many integrand points it took
+    for form in payload["forms"]:
+        assert form["lhs_stats"]["rule"] == form["rhs_stats"]["rule"] == "conforming"
+        assert form["lhs_stats"]["points"] > 0 and form["lhs_stats"]["pieces"] >= 1
 
 
 def test_export_mesh_sigma_cylinder(tmp_path):
@@ -265,5 +269,8 @@ def test_export_mesh_too_few_samples_exit_1(tmp_path, capsys):
 
 def test_selftest_passes(capsys):
     assert run("selftest") == 0
-    leaf = [line for line in capsys.readouterr().out.splitlines() if "foliation-period" in line]
+    out = capsys.readouterr().out.splitlines()
+    leaf = [line for line in out if "foliation-period" in line]
     assert len(leaf) == 1 and int(leaf[0].rsplit("nfev ", 1)[1]) > 0
+    stokes = [line for line in out if line.startswith("ok stokes-")]
+    assert len(stokes) == 3 and all(" points " in line for line in stokes)

@@ -30,7 +30,7 @@ from heisgeo.forms import (
     x_field,
 )
 from heisgeo.cli import DEFAULT_SEED, _stokes_scene
-from heisgeo.integrate import EDGE_SAMPLES, FLAG_TOL, _result
+from heisgeo.integrate import FLAG_TOL, _result
 from heisgeo.quadrature import adaptive_integrate_2d, integrate_2d
 
 
@@ -151,8 +151,8 @@ def test_noncompact_surface_needs_supported_form():
 def test_support_reaching_a_truncation_edge_is_refused():
     hp = vertical_halfplane()
     # the first two reach y = 3 and t = 3; the third reaches y = 3 only
-    # between two edge samples, which the speed margin has to catch
-    t_mid = 100.5 * 3.0 / (EDGE_SAMPLES - 1)
+    # between two of 257 edge samples, which sampling alone would miss
+    t_mid = 100.5 * 3.0 / 256
     for center, radius, edge in (
         ([0.0, 2.9, 0.5], 0.5, "u = 3"),
         ([0.0, 0.0, 2.8], 0.5, "v = 3"),
@@ -192,6 +192,8 @@ def test_flagging_thresholds():
     form = bump_form([0.0, 0.0, 0.0], 0.5)
     res = integrate_curve(form, seg)
     assert not res.flagged and 0.0 < res.estimate < 1e-8
+    assert res.stats == {"rule": "conforming", "points": 48, "pieces": 1}
+    assert integrate_curve(horizontal_differential(form.f), seg).stats["rule"] == "uniform"
     assert integrate_curve(form, seg, flag_tol=0.0).flagged
     hp = vertical_halfplane()
     bump = bump_form([0.0, 0.4, 0.05], 0.5)
@@ -221,6 +223,18 @@ def test_budget_stop_and_nan_panels_are_flagged():
     form = ThetaWedgeForm(half_nan, const_field(0.0))
     res = integrate_surface(form, sheet)
     assert res.flagged and np.isnan(res.value)
+
+
+def test_quadtree_stop_reason_is_reported_and_flagged():
+    # one sweep leaves an estimate far below FLAG_TOL, but the quadtree
+    # stopped on its sweep budget, not on its tolerance, so it is flagged
+    g = lambda u, v: np.exp(-50.0 * ((u - 0.3) ** 2 + (v - 0.7) ** 2))
+    cut = adaptive_integrate_2d(g, (0.0, 1.0), (0.0, 1.0), tol=1e-15, coarse=4, max_sweeps=1)
+    assert cut.stats["rule"] == "quadtree" and cut.stats["stop"] == "max_sweeps"
+    assert cut.stats["sweeps"] == 1 and cut.stats["points"] == 5 * 16 * 64
+    assert cut[1] < FLAG_TOL and _result(*cut, FLAG_TOL, cut.stats).flagged
+    full = adaptive_integrate_2d(g, (0.0, 1.0), (0.0, 1.0), tol=1e-10, coarse=4)
+    assert full.stats["stop"] == "tol" and not _result(*full, FLAG_TOL, full.stats).flagged
 
 
 def test_vertical_term_vanishes_on_horizontal_boundary():

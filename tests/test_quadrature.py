@@ -9,6 +9,7 @@ from heisgeo.quadrature import (
     PrefixIntegral,
     QuadratureSpec,
     adaptive_integrate_2d,
+    conforming_integrate_2d,
     integrate_1d,
     integrate_2d,
     panel_rule,
@@ -66,30 +67,36 @@ def test_adaptive_smooth_matches_dblquad():
     assert est < 1e-8
 
 
-def test_adaptive_compact_support_needs_feature():
-    # a narrow plateau bump dropped between the nodes of the coarse grid;
-    # with the sign-change hint the edge layer is found and resolved
-    c, r = np.array([0.1234, 0.2345]), 0.08
+def _disc(c, r):
+    """Plateau bump of a disc, with the jet of its level and a Lipschitz bound."""
     def f(u, v):
         q = 1.0 - ((u - c[0]) ** 2 + (v - c[1]) ** 2) / r**2
         return np.where(q > 0.0, q, 0.0) ** 4
-    feature = lambda u, v: r**2 - (u - c[0]) ** 2 - (v - c[1]) ** 2
+    phi = lambda u, v: r**2 - (u - c[0]) ** 2 - (v - c[1]) ** 2
+    jet = lambda u, v: (phi(u, v), -2.0 * (u - c[0]), -2.0 * (v - c[1]))
+    # |grad phi| = 2 |x - c| <= 2 (|x0 - c| + h) within h of x0
+    lip = lambda level, h: 2.0 * (np.sqrt(np.maximum(r**2 - level, 0.0)) + h)
+    return f, jet, lip
+
+
+def test_conforming_compact_support_between_nodes():
+    # a narrow plateau bump dropped between the nodes of any coarse grid;
+    # the rule integrates over the disc only, with breakpoints on its rim
+    c, r = np.array([0.1234, 0.2345]), 0.08
+    f, jet, lip = _disc(c, r)
     truth = np.pi * r**2 / 5.0  # radial integral of (1 - s)^4 d(s r^2)/2
-    value, est = adaptive_integrate_2d(
-        f, (-3.0, 3.0), (0.0, 3.0), tol=1e-9, feature=feature, feature_scale=r / 16.0
-    )
+    res = conforming_integrate_2d(f, jet, lip, (-3.0, 3.0), (0.0, 3.0), r, 1.0, False)
+    value, est = res
     assert abs(value - truth) < 5e-9
     assert est < 1e-7
+    assert res.stats["rule"] == "conforming" and res.stats["pieces"] == 3
 
 
-def test_adaptive_support_cut_by_domain_edge():
+def test_conforming_support_cut_by_domain_edge():
     # support circle sticking out below the rectangle: the kink runs along
     # the domain edge and the result must match exact-bounds nested 1d rules
     c, r = np.array([-0.15, 0.09]), 0.22
-    def f(u, v):
-        q = 1.0 - ((u - c[0]) ** 2 + (v - c[1]) ** 2) / r**2
-        return np.where(q > 0.0, q, 0.0) ** 4
-    feature = lambda u, v: r**2 - (u - c[0]) ** 2 - (v - c[1]) ** 2
+    f, jet, lip = _disc(c, r)
     def inner(v):
         w = np.sqrt(max(r**2 - (v - c[1]) ** 2, 0.0))
         if w == 0.0:
@@ -97,11 +104,25 @@ def test_adaptive_support_cut_by_domain_edge():
         return sci.quad(lambda u: float(f(np.asarray(u), np.asarray(v))),
                         c[0] - w, c[0] + w, epsabs=1e-14)[0]
     truth = sci.quad(inner, 0.0, c[1] + r, epsabs=1e-13, limit=200)[0]
-    value, est = adaptive_integrate_2d(
-        f, (-3.0, 3.0), (0.0, 3.0), tol=1e-7, feature=feature, feature_scale=r / 16.0
-    )
+    value, est = conforming_integrate_2d(f, jet, lip, (-3.0, 3.0), (0.0, 3.0), r, 1.0, False)
     assert abs(value - truth) < 1e-7
     assert abs(value - truth) <= max(est, 1e-9)
+
+
+def test_conforming_rule_fails_loud():
+    c, r = np.array([0.4, 0.5]), 0.2
+    f, jet, lip = _disc(c, r)
+    # a NaN inside the support reaches the value and the estimate
+    nan_inside = lambda u, v: np.where(u > 0.45, np.nan, f(u, v))
+    value, est = conforming_integrate_2d(nan_inside, jet, lip, (0.0, 1.0), (0.0, 1.0), r, 1.0, False)
+    assert np.isnan(value) and np.isnan(est)
+    # a slope that hides the folds leaves one piece whose outer nodes see
+    # zero or two roots; the count change flags it instead of integrating
+    blind = lambda u, v: jet(u, v)[:2] + (np.full_like(u, 1e3),)
+    res = conforming_integrate_2d(f, blind, lip, (0.0, 1.0), (0.0, 1.0), r, 1.0, False)
+    assert res.stats["pieces"] == 1 and np.isnan(res[1])
+    # a support that misses the rectangle gives exactly zero
+    assert conforming_integrate_2d(f, jet, lip, (2.0, 3.0), (0.0, 1.0), r, 1.0, False) == (0.0, 0.0)
 
 
 def test_adaptive_sweep_budget_keeps_pending_panels():

@@ -160,3 +160,22 @@ def test_project_T_and_foliation_direction():
         p = torus.position(u, v)
         assert abs(contact(p, w)) <= 1e-12
         assert abs(frame_norm(p, w) - 1.0) <= 1e-12
+
+
+def test_speed_bounds_hold():
+    # the conforming rules drop cells by a Lipschitz bound built from these,
+    # so they must bound the sampled speeds, not merely approximate them
+    from heisgeo.cli import _stokes_scene
+
+    u, v = np.meshgrid(np.linspace(0.0, 1.0, 301), np.linspace(0.0, 1.0, 31), indexing="ij")
+    for scene in ("halfplane", "sigma-cylinder", "band"):
+        S = _stokes_scene(scene)[0]
+        uu = S.u_dom[0] + (S.u_dom[1] - S.u_dom[0]) * u
+        vv = S.v_dom[0] + (S.v_dom[1] - S.v_dom[0]) * v
+        sq = (S.tangent_u(uu, vv) ** 2).sum(axis=-1) + (S.tangent_v(uu, vv) ** 2).sum(axis=-1)
+        assert np.sqrt(sq.max()) <= S.speed < 2.0 * np.sqrt(sq.max()), scene
+        for curve, _ in S.boundary:
+            tau = np.linspace(curve.a, curve.b, 4001)
+            assert np.linalg.norm(curve.velocity(tau), axis=-1).max() <= curve.speed <= S.speed
+    torus = torus_surface(2.0, 1.0)
+    assert np.isclose(torus.speed, np.hypot(1.0, 3.0))
