@@ -17,13 +17,9 @@ from .core import (
     frame_norm,
     identity,
     inverse,
-    koranyi_dist,
-    koranyi_norm,
     multiply,
     point,
     rotate_t_axis,
-    translation_differential,
-    vector_from_frame,
 )
 from .curves import (
     HCurve,
@@ -69,7 +65,6 @@ from .integrate import (
     stokes_residual_curve,
     vertical_term_vanishing,
 )
-from .quadrature import CURVE_QUAD, SURFACE_QUAD, QuadratureSpec
 from .surfaces import (
     ParamSurface,
     characteristic_residual,

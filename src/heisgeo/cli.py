@@ -82,7 +82,8 @@ def _parse_sign(text: str) -> int:
     return value
 
 
-# per-subcommand config schema: key -> (parser, validator message or None)
+# per-subcommand config schema: key -> parser of its raw value; the ranges
+# are checked by the command, so a flag and a config key are checked alike
 _SCHEMAS = {
     "lift": {
         "curve": str,
@@ -142,11 +143,6 @@ def _load_config(path: str, schema: dict) -> dict:
             raise
         except ValueError:
             raise CliError(f"bad value {raw!r} for config key {key!r}")
-    if "tolerance" in out and not out["tolerance"] > 0:
-        raise CliError("config tolerance must be positive")
-    for key in ("samples", "forms", "n"):
-        if key in out and out[key] < 0:
-            raise CliError(f"config {key} must be nonnegative")
     return out
 
 
@@ -178,11 +174,11 @@ def _out_base(output: str) -> str:
 
 
 def _torus_radii(r: float, big_r, n):
+    if n is not None and n < 1:
+        raise CliError("n must be a positive integer")
     if big_r is None:
         if n is None:
             raise CliError("give either R or n (R = sqrt(1 + n^(2/3)))")
-        if n < 1:
-            raise CliError("n must be a positive integer")
         big_r = math.sqrt(1.0 + float(n) ** (2.0 / 3.0))
     # a finite R bounds r, so this also rejects an infinite or NaN r
     if not math.inf > big_r > r > 0:

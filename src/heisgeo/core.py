@@ -15,8 +15,6 @@ Conventions (fixed once, everything else routes through them):
                pairs to 1 with T); ``d theta = -dx^dy``
 * dilations    ``delta_lam(x,y,t) = (lam x, lam y, lam^2 t)``, homogeneous
                dimension ``Q = 4``
-* gauge        ``|(x,y,t)| = ((x^2+y^2)^2 + 16 t^2)^(1/4)``, with the
-               left-invariant distance ``d(p,q) = |p^-1 * q|``
 """
 
 from __future__ import annotations
@@ -33,14 +31,10 @@ __all__ = [
     "inverse",
     "dilate",
     "rotate_t_axis",
-    "translation_differential",
     "frame_at",
     "contact",
     "frame_coords",
-    "vector_from_frame",
     "frame_norm",
-    "koranyi_norm",
-    "koranyi_dist",
 ]
 
 
@@ -94,20 +88,6 @@ def rotate_t_axis(phi: float, p) -> np.ndarray:
     return np.stack([c * x - s * y, s * x + c * y, t], axis=-1)
 
 
-def translation_differential(p, v) -> np.ndarray:
-    """Pushforward of a coordinate vector v under left translation by p.
-
-    The group law is polynomial, so this is exact: the x,y parts pass through
-    and the t part picks up (p_x v_y - p_y v_x)/2.
-    """
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    out = np.empty(np.broadcast_shapes(p.shape, v.shape))
-    out[...] = v
-    out[..., 2] += 0.5 * (p[..., 0] * v[..., 1] - p[..., 1] * v[..., 0])
-    return out
-
-
 def frame_at(p) -> list[TangentVector]:
     """The left-invariant frame (X, Y, T) at a single point."""
     p = np.asarray(p, dtype=float)
@@ -143,29 +123,8 @@ def frame_coords(p, v) -> np.ndarray:
     return out
 
 
-def vector_from_frame(p, coeffs) -> np.ndarray:
-    """Inverse of frame_coords: rebuild coordinate components from frame ones."""
-    p = np.asarray(p, dtype=float)
-    coeffs = np.asarray(coeffs, dtype=float)
-    out = np.empty(np.broadcast_shapes(p.shape, coeffs.shape))
-    out[...] = coeffs
-    out[..., 2] -= 0.5 * (p[..., 1] * coeffs[..., 0] - p[..., 0] * coeffs[..., 1])
-    return out
-
-
 def frame_norm(p, v) -> np.ndarray:
     """Length of v in the metric making (X, Y, T) orthonormal."""
     th = contact(p, v)
     v = np.asarray(v, dtype=float)
     return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + th * th)
-
-
-def koranyi_norm(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    horiz2 = p[..., 0] ** 2 + p[..., 1] ** 2
-    return (horiz2**2 + 16.0 * p[..., 2] ** 2) ** 0.25
-
-
-def koranyi_dist(p, q) -> np.ndarray:
-    """Left-invariant gauge distance |p^-1 * q|."""
-    return koranyi_norm(multiply(inverse(p), q))

@@ -47,9 +47,10 @@ class IntegralResult(NamedTuple):
 
     The estimate is the Richardson gap floored at the rounding bound
     50·eps·Σ|w·f| (see `heisgeo.quadrature`), so it is never exactly zero
-    for an integrand that is nonzero at some node.  It is NaN when no half
-    rule was run, and a NaN estimate is always flagged, as is a quadtree
-    stopped by anything but its tolerance (`stats`, see `RuleResult`).
+    for an integrand that is nonzero at some node.  It is NaN after a NaN
+    sample or a conforming-rule fault, and a NaN estimate is always
+    flagged, as is a quadtree stopped by anything but its tolerance
+    (`stats`, see `RuleResult`).
     """
 
     value: float
@@ -135,25 +136,20 @@ def _check_truncation_edges(ball, S: ParamSurface) -> None:
                 f"support ball reaches the truncation edge {'uv'[axis]} = {value:g}")
 
 
-def integrate_surface(
-    form,
-    S: ParamSurface,
-    tol: float = 1e-7,
-    flag_tol: float = FLAG_TOL,
-) -> IntegralResult:
+def integrate_surface(form, S: ParamSurface, flag_tol: float = FLAG_TOL) -> IntegralResult:
     """Integral of a degree-2 form over a surface, tangent-pair pullback.
 
     The conforming rule integrates over the preimage of the form's support
     ball only, given a finite speed bound of the surface; otherwise the
-    quadtree refines to `tol`.  On a truncated surface the support ball
-    must stay off the truncation edges.
+    quadtree runs.  On a truncated surface the support ball must stay off
+    the truncation edges.
     """
     ball = getattr(form, "support_ball", None)
     if not S.compact:
         _check_truncation_edges(ball, S)
     f = _surface_integrand(form, S)
     if ball is None or not math.isfinite(S.speed):
-        res = adaptive_integrate_2d(f, S.u_dom, S.v_dom, tol=tol)
+        res = adaptive_integrate_2d(f, S.u_dom, S.v_dom)
     else:
         level = _ball_level(S.position, (S.tangent_u, S.tangent_v), S.speed, ball)
         res = conforming_integrate_2d(f, *level[:2], S.u_dom, S.v_dom, *level[2:], S.periodic[1])

@@ -26,19 +26,12 @@ factor by which f's inputs are rounded worse than f's own scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "QuadratureSpec",
     "RuleResult",
-    "CURVE_QUAD",
     "ROUNDING_FLOOR",
-    "SURFACE_QUAD",
-    "panel_rule",
     "integrate_1d",
-    "integrate_2d",
     "adaptive_integrate_2d",
     "conforming_integrate_1d",
     "conforming_integrate_2d",
@@ -46,26 +39,19 @@ __all__ = [
     "PrefixIntegral",
 ]
 
+# the uniform curve rule and PrefixIntegral take CURVE_PANELS equal panels
+# of NODES-point Gauss-Legendre; the quadtree's panels take NODES x NODES
+CURVE_PANELS = 256
+NODES = 8
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Composite rule: `panels` equal panels of `nodes`-point Gauss-Legendre."""
-
-    panels: int = 64
-    nodes: int = 8
-
-    def __post_init__(self):
-        if self.panels < 1:
-            raise ValueError(f"panels must be >= 1, got {self.panels}")
-        if self.nodes < 1:
-            raise ValueError(f"nodes must be >= 1, got {self.nodes}")
-
-    def halved(self) -> "QuadratureSpec":
-        return QuadratureSpec(max(self.panels // 2, 1), self.nodes)
-
-
-CURVE_QUAD = QuadratureSpec(panels=256, nodes=8)
-SURFACE_QUAD = QuadratureSpec(panels=64, nodes=8)
+# the quadtree starts from COARSE x COARSE panels and refines until its error
+# sum is below QUADTREE_TOL, for at most MAX_SWEEPS sweeps and MAX_EVALS
+# integrand points; PANEL_CHUNK panels are evaluated per batch
+QUADTREE_TOL = 1e-7
+COARSE = 16
+MAX_SWEEPS = 60
+MAX_EVALS = 30_000_000
+PANEL_CHUNK = 3000
 
 # multiple of eps * sum |w f| below which a Richardson gap is rounding noise
 ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
@@ -93,54 +79,37 @@ def _floored(gap: float, abs_sum: float) -> float:
     return float(max(gap, ROUNDING_FLOOR * abs_sum))
 
 
-def panel_rule(a: float, b: float, spec: QuadratureSpec):
-    """Flattened nodes and weights of the composite rule on [a, b]."""
-    gx, gw = np.polynomial.legendre.leggauss(spec.nodes)
-    edges = np.linspace(a, b, spec.panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    pts = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    wts = (half[:, None] * gw[None, :]).ravel()
-    return pts, wts
+def _gauss(n, lo, hi):
+    """Nodes and weights, flattened, of n-point Gauss-Legendre on each [lo, hi]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * (hi - lo)[:, None]
+    return ((0.5 * (lo + hi))[:, None] + half * x).ravel(), (half * w).ravel()
 
 
-def integrate_1d(f, a: float, b: float, spec: QuadratureSpec = CURVE_QUAD):
-    """Integral of the vectorized scalar f over [a, b]; returns (value, error).
-
-    The error is NaN when a single panel leaves no half rule to compare against.
-    """
-    pts, wts = panel_rule(a, b, spec)
-    vals = np.asarray(f(pts), dtype=float)
-    value = float(wts @ vals)
-    error, points = np.nan, len(pts)
-    if spec.panels >= 2:
-        p2, w2 = panel_rule(a, b, spec.halved())
-        gap = abs(value - float(w2 @ np.asarray(f(p2), dtype=float)))
-        error, points = _floored(gap, float(wts @ np.abs(vals))), points + len(p2)
-    return RuleResult(value, error, rule="uniform", points=points, panels=spec.panels)
+def _pair(f, coarse, fine, fault, noise, **stats):
+    """Result of a rule pair, each (args, weights): the fine value and the
+    gap floored at `noise` times the rounding floor, NaN on a fault; f is
+    evaluated once on both rules' nodes.  `stats` name the rule."""
+    vals = np.asarray(f(*(np.r_[c, d] for c, d in zip(coarse[0], fine[0]))), dtype=float)
+    c, d = coarse[1] * vals[:len(coarse[1])], fine[1] * vals[len(coarse[1]):]
+    error = np.nan if fault else _floored(abs(d.sum() - c.sum()), noise * float(np.abs(d).sum()))
+    return RuleResult(d.sum(), error, points=len(vals), **stats)
 
 
-def _tensor_value(f, u_dom, v_dom, spec: QuadratureSpec):
-    """Tensor rule value of f and the sum of |w f| over its nodes."""
-    pu, wu = panel_rule(u_dom[0], u_dom[1], spec)
-    pv, wv = panel_rule(v_dom[0], v_dom[1], spec)
-    U, V = np.meshgrid(pu, pv, indexing="ij")
-    vals = np.asarray(f(U.ravel(), V.ravel()), dtype=float).reshape(U.shape)
-    return float(wu @ vals @ wv), float(wu @ np.abs(vals) @ wv)
+def _panels(a: float, b: float, panels: int):
+    """Nodes and weights of NODES-point Gauss-Legendre on equal panels of [a, b]."""
+    edges = np.linspace(a, b, panels + 1)
+    return _gauss(NODES, edges[:-1], edges[1:])
 
 
-def integrate_2d(f, u_dom, v_dom, spec: QuadratureSpec = SURFACE_QUAD):
-    """Tensor-product integral of f(u, v) over a rectangle; returns (value, error)."""
-    value, abs_sum = _tensor_value(f, u_dom, v_dom, spec)
-    if spec.panels >= 2:
-        coarse, _ = _tensor_value(f, u_dom, v_dom, spec.halved())
-        error = _floored(abs(value - coarse), abs_sum)
-    else:
-        error = np.nan
-    return value, error
+def integrate_1d(f, a: float, b: float) -> RuleResult:
+    """Integral of the vectorized scalar f over [a, b] by CURVE_PANELS panels,
+    the estimate from the same rule at half as many."""
+    rules = [((x,), w) for x, w in (_panels(a, b, p) for p in (CURVE_PANELS // 2, CURVE_PANELS))]
+    return _pair(f, *rules, False, 1.0, rule="uniform", panels=CURVE_PANELS)
 
 
-def _panel_batch(f, u0, u1, v0, v1, gx, gw, chunk=3000):
+def _panel_batch(f, u0, u1, v0, v1, gx, gw):
     """Tensor Gauss-Legendre values of f and |f| on each rectangle.
 
     Returns (value, abs_sum) per rectangle, chunked to bound memory.
@@ -148,8 +117,8 @@ def _panel_batch(f, u0, u1, v0, v1, gx, gw, chunk=3000):
     out = np.empty(len(u0))
     out_abs = np.empty(len(u0))
     w2 = np.outer(gw, gw).ravel()
-    for i in range(0, len(u0), chunk):
-        s = slice(i, i + chunk)
+    for i in range(0, len(u0), PANEL_CHUNK):
+        s = slice(i, i + PANEL_CHUNK)
         um = 0.5 * (u0[s] + u1[s])[:, None, None]
         uh = 0.5 * (u1[s] - u0[s])[:, None, None]
         vm = 0.5 * (v0[s] + v1[s])[:, None, None]
@@ -164,30 +133,29 @@ def _panel_batch(f, u0, u1, v0, v1, gx, gw, chunk=3000):
     return out, out_abs
 
 
-def adaptive_integrate_2d(f, u_dom, v_dom, tol=1e-7, nodes=8, coarse=16,
-                          max_sweeps=60, max_evals=30_000_000):
+def adaptive_integrate_2d(f, u_dom, v_dom) -> RuleResult:
     """Quadtree-adaptive integral of f(u, v) over a rectangle; a `RuleResult`.
 
     Each panel carries a Gauss-Legendre value and the sum over its four
     children; their difference is the local error.  Panels above an
-    equidistributed share of tol are split, child values are reused as the
-    next generation, and the reported value is the child-sum level.  If
-    `max_sweeps` ends the loop before the children of the last split are
+    equidistributed share of QUADTREE_TOL are split, child values are reused
+    as the next generation, and the reported value is the child-sum level.
+    If MAX_SWEEPS ends the loop before the children of the last split are
     evaluated, those children count at their parent's level instead; no
     panel is dropped, and a NaN sample makes both value and error NaN.
     Sampling alone can miss an integrand whose support ends inside a panel
     without touching any node; compactly supported integrands belong to
     `conforming_integrate_2d`.
     """
-    gx, gw = np.polynomial.legendre.leggauss(nodes)
-    e_u = np.linspace(u_dom[0], u_dom[1], coarse + 1)
-    e_v = np.linspace(v_dom[0], v_dom[1], coarse + 1)
+    gx, gw = _gauss(NODES, -np.ones(1), np.ones(1))
+    e_u = np.linspace(u_dom[0], u_dom[1], COARSE + 1)
+    e_v = np.linspace(v_dom[0], v_dom[1], COARSE + 1)
     U0, V0 = np.meshgrid(e_u[:-1], e_v[:-1], indexing="ij")
     U1, V1 = np.meshgrid(e_u[1:], e_v[1:], indexing="ij")
     u0, u1 = U0.ravel(), U1.ravel()
     v0, v1 = V0.ravel(), V1.ravel()
     val, _ = _panel_batch(f, u0, u1, v0, v1, gx, gw)
-    evals = len(u0) * nodes**2
+    evals = len(u0) * NODES**2
     csum = np.full(len(u0), np.nan)
     cabs = np.full(len(u0), np.nan)
     err = np.full(len(u0), np.nan)
@@ -198,7 +166,7 @@ def adaptive_integrate_2d(f, u_dom, v_dom, tol=1e-7, nodes=8, coarse=16,
     fresh = np.ones(len(u0), dtype=bool)
     fresh_err = fresh_abs = np.nan
     stop, sweeps = "max_sweeps", 0
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, MAX_SWEEPS + 1):
         new = np.flatnonzero(fresh)
         if len(new):
             nu0, nu1, nv0, nv1 = u0[new], u1[new], v0[new], v1[new]
@@ -209,18 +177,18 @@ def adaptive_integrate_2d(f, u_dom, v_dom, tol=1e-7, nodes=8, coarse=16,
             cv0 = np.concatenate([nv0, nv0, vm, vm])
             cv1 = np.concatenate([vm, vm, nv1, nv1])
             cv, ca = _panel_batch(f, cu0, cu1, cv0, cv1, gx, gw)
-            evals += len(cu0) * nodes**2
+            evals += len(cu0) * NODES**2
             cvals[new] = cv.reshape(4, len(new)).T
             csum[new] = cvals[new].sum(axis=1)
             cabs[new] = ca.reshape(4, len(new)).sum(axis=0)
             err[new] = np.abs(val[new] - csum[new])
             fresh[new] = False
             fresh_err = fresh_abs = 0.0
-        if err.sum() <= tol or evals > max_evals:
-            stop = "tol" if err.sum() <= tol else "max_evals"
+        if err.sum() <= QUADTREE_TOL or evals > MAX_EVALS:
+            stop = "tol" if err.sum() <= QUADTREE_TOL else "max_evals"
             break
         wide = np.minimum(u1 - u0, v1 - v0) > 1e-9
-        ref = (err > 0.25 * tol / len(u0)) & wide
+        ref = (err > 0.25 * QUADTREE_TOL / len(u0)) & wide
         if not ref.any():
             stop = "width_floor"
             break
@@ -328,22 +296,6 @@ def _positive_intervals(value, lo, hi, owner, roots):
     return o[pos], a[pos], b[pos], bool(np.any((o[1:] == o[:-1]) & (pos[1:] == pos[:-1])))
 
 
-def _gauss(n, lo, hi):
-    x, w = np.polynomial.legendre.leggauss(n)
-    half = 0.5 * (hi - lo)[:, None]
-    return ((0.5 * (lo + hi))[:, None] + half * x).ravel(), (half * w).ravel()
-
-
-def _pair(f, coarse, fine, fault, noise, **stats):
-    """Result of a rule pair, each (args, weights): the fine value and the
-    gap floored at `noise` times the rounding floor, NaN on a fault; f is
-    evaluated once on both rules' nodes."""
-    vals = np.asarray(f(*(np.r_[c, d] for c, d in zip(coarse[0], fine[0]))), dtype=float)
-    c, d = coarse[1] * vals[:len(coarse[1])], fine[1] * vals[len(coarse[1]):]
-    error = np.nan if fault else _floored(abs(d.sum() - c.sum()), noise * float(np.abs(d).sum()))
-    return RuleResult(d.sum(), error, rule="conforming", points=len(vals), **stats)
-
-
 def conforming_integrate_1d(f, jet, lip, a: float, b: float, scale: float, noise: float) -> RuleResult:
     """Integral over [a, b] of f, which vanishes where g <= 0; jet(x) = (g, g').
 
@@ -353,7 +305,7 @@ def conforming_integrate_1d(f, jet, lip, a: float, b: float, scale: float, noise
     _, lo, hi, bad = _positive_intervals(lambda o, x: jet(x)[0], np.array([a]), np.array([b]),
                                          np.zeros(len(roots), dtype=int), roots)
     rules = [((x,), w) for x, w in (_gauss(n, lo, hi) for n in CURVE_PAIR)]
-    return _pair(f, *rules, fault or bad, noise, pieces=len(lo))
+    return _pair(f, *rules, fault or bad, noise, rule="conforming", pieces=len(lo))
 
 
 def conforming_integrate_2d(f, jet, lip, u_dom, v_dom, scale: float, noise: float,
@@ -441,7 +393,7 @@ def conforming_integrate_2d(f, jet, lip, u_dom, v_dom, scale: float, noise: floa
         mine = rule[o] == k
         v, w = _gauss(n, va[mine], vb[mine])
         rules.append(((np.repeat(u[o[mine]], n), v), w * np.repeat(wu[o[mine]], n)))
-    return _pair(f, *rules, fault or bad, noise, pieces=len(a))
+    return _pair(f, *rules, fault or bad, noise, rule="conforming", pieces=len(a))
 
 
 class PrefixIntegral:
@@ -453,16 +405,15 @@ class PrefixIntegral:
     (the integrand is evaluated there, so f must be defined).
     """
 
-    def __init__(self, f, a: float, b: float, spec: QuadratureSpec = CURVE_QUAD):
+    def __init__(self, f, a: float, b: float):
         if not b > a:
             raise ValueError("need b > a")
         self.f = f
         self.a, self.b = float(a), float(b)
-        self.spec = spec
-        self.gx, self.gw = np.polynomial.legendre.leggauss(spec.nodes)
-        self.edges = np.linspace(a, b, spec.panels + 1)
-        pts, wts = panel_rule(a, b, spec)
-        panel_vals = (wts * np.asarray(f(pts), dtype=float)).reshape(spec.panels, spec.nodes).sum(axis=1)
+        self.gx, self.gw = _gauss(NODES, -np.ones(1), np.ones(1))
+        self.edges = np.linspace(a, b, CURVE_PANELS + 1)
+        pts, wts = _gauss(NODES, self.edges[:-1], self.edges[1:])
+        panel_vals = (wts * np.asarray(f(pts), dtype=float)).reshape(CURVE_PANELS, NODES).sum(axis=1)
         self.prefix = np.concatenate([[0.0], np.cumsum(panel_vals)])
 
     def __call__(self, tau):

@@ -57,10 +57,22 @@ def test_config_file_validation(tmp_path):
     assert run("stokes", "--config", bad_key) == 1
     no_section = write_config(tmp_path, "[other]\nscene = halfplane\n", "b.ini")
     assert run("stokes", "--config", no_section) == 1
-    zero_tol = write_config(tmp_path, "[run]\ntolerance = 0\n", "c.ini")
-    assert run("stokes", "--config", zero_tol) == 1
     bad_value = write_config(tmp_path, "[run]\nforms = many\n", "d.ini")
     assert run("stokes", "--config", bad_value) == 1
+
+
+def test_flag_and_config_give_the_same_exit_code(tmp_path):
+    # each value is checked once, by its command, whatever its source
+    out = str(tmp_path / "x")
+    for command, values, code in (
+        ("foliate", {"R": "2.5", "n": "-1"}, 1),
+        ("export-mesh", {"scene": "torus", "R": "2.5", "n": "-1"}, 1),
+        ("stokes", {"scene": "halfplane", "forms": "1", "tolerance": "0"}, 3),
+    ):
+        flags = [word for key, value in values.items() for word in (f"--{key}", value)]
+        cfg = write_config(tmp_path, "[run]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert run(command, *flags, "-o", out) == code, (command, "flags")
+        assert run(command, "--config", cfg, "-o", out) == code, (command, "config")
 
 
 def test_config_keys_are_case_sensitive(tmp_path):

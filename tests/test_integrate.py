@@ -1,5 +1,7 @@
 """Curve and surface integration, and the two-sided verification report."""
 
+from unittest.mock import patch
+
 import numpy as np
 
 from heisgeo import (
@@ -27,11 +29,14 @@ from heisgeo.forms import (
     ThetaWedgeForm,
     const_field,
     scalar_from_jet,
+    t_field,
     x_field,
+    y_field,
 )
 from heisgeo.cli import DEFAULT_SEED, _stokes_scene
-from heisgeo.integrate import FLAG_TOL, _result
-from heisgeo.quadrature import adaptive_integrate_2d, integrate_2d
+from heisgeo import quadrature
+from heisgeo.integrate import FLAG_TOL, _result, _surface_integrand
+from heisgeo.quadrature import adaptive_integrate_2d
 
 
 def test_curve_integral_polynomial_oracle():
@@ -126,15 +131,16 @@ def test_surface_integral_closed_form_oracle():
     assert abs(res.value - 0.25) < 1e-12
 
 
-def test_surface_methods_agree_on_smooth_integrand():
+def test_closed_torus_stokes_oracle():
+    # the torus has no boundary, so the surface side of Stokes is exactly 0
+    # for any horizontal form, here one whose D(omega) is far from 0
     torus = torus_surface(np.sqrt(2.0), 1.0)
-    form = middle_differential(HorizontalForm(x_field(), const_field(1.0)))
-    uni, _ = integrate_2d(
-        lambda u, v: form(torus.position(u, v), torus.tangent_u(u, v), torus.tangent_v(u, v)),
-        torus.u_dom, torus.v_dom,
-    )
-    ada = integrate_surface(form, torus, tol=1e-8)
-    assert abs(uni - ada.value) <= 1e-7
+    form = middle_differential(HorizontalForm(y_field(), t_field()))
+    U, V = np.meshgrid(np.linspace(*torus.u_dom, 65), np.linspace(*torus.v_dom, 65))
+    assert np.abs(_surface_integrand(form, torus)(U.ravel(), V.ravel())).max() > 1.0
+    res = integrate_surface(form, torus)
+    assert res.stats["rule"] == "quadtree"
+    assert abs(res.value) <= res.estimate and not res.flagged
 
 
 def test_noncompact_surface_needs_supported_form():
@@ -211,7 +217,8 @@ def test_untrusted_estimates_are_flagged():
 def test_budget_stop_and_nan_panels_are_flagged():
     # a sweep budget that stops with panels pending must not pass as trusted
     g = lambda u, v: np.exp(-1000.0 * ((u - 0.3) ** 2 + (v - 0.7) ** 2))
-    value, est = adaptive_integrate_2d(g, (0.0, 1.0), (0.0, 1.0), coarse=4, max_sweeps=1)
+    with patch.object(quadrature, "COARSE", 4), patch.object(quadrature, "MAX_SWEEPS", 1):
+        value, est = adaptive_integrate_2d(g, (0.0, 1.0), (0.0, 1.0))
     assert _result(value, est, FLAG_TOL).flagged
     # nor may NaN samples on half the domain
     def pos(u, v):
@@ -229,11 +236,14 @@ def test_quadtree_stop_reason_is_reported_and_flagged():
     # one sweep leaves an estimate far below FLAG_TOL, but the quadtree
     # stopped on its sweep budget, not on its tolerance, so it is flagged
     g = lambda u, v: np.exp(-50.0 * ((u - 0.3) ** 2 + (v - 0.7) ** 2))
-    cut = adaptive_integrate_2d(g, (0.0, 1.0), (0.0, 1.0), tol=1e-15, coarse=4, max_sweeps=1)
+    with patch.object(quadrature, "COARSE", 4):
+        with patch.object(quadrature, "QUADTREE_TOL", 1e-15), patch.object(quadrature, "MAX_SWEEPS", 1):
+            cut = adaptive_integrate_2d(g, (0.0, 1.0), (0.0, 1.0))
+        with patch.object(quadrature, "QUADTREE_TOL", 1e-10):
+            full = adaptive_integrate_2d(g, (0.0, 1.0), (0.0, 1.0))
     assert cut.stats["rule"] == "quadtree" and cut.stats["stop"] == "max_sweeps"
     assert cut.stats["sweeps"] == 1 and cut.stats["points"] == 5 * 16 * 64
     assert cut[1] < FLAG_TOL and _result(*cut, FLAG_TOL, cut.stats).flagged
-    full = adaptive_integrate_2d(g, (0.0, 1.0), (0.0, 1.0), tol=1e-10, coarse=4)
     assert full.stats["stop"] == "tol" and not _result(*full, FLAG_TOL, full.stats).flagged
 
 

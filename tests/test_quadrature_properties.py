@@ -1,11 +1,14 @@
 """Property tests: a quadrature result is trustworthy or flagged, never silently wrong."""
 
+from unittest.mock import patch
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heisgeo import quadrature
 from heisgeo.integrate import FLAG_TOL, _result
-from heisgeo.quadrature import CURVE_QUAD, adaptive_integrate_2d, integrate_1d, integrate_2d
+from heisgeo.quadrature import adaptive_integrate_2d, integrate_1d
 
 # fixed examples keep tier-1 repeatable; no example database is written
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -28,10 +31,12 @@ def test_budget_stop_is_flagged(cu, cv, sharpness, max_sweeps, max_evals):
     # unflagged one is exactly what the run without a budget returns
     g = gaussian(cu, cv, sharpness)
     box = ((0.0, 1.0), (0.0, 1.0))
-    cut = adaptive_integrate_2d(g, *box, tol=FLAG_TOL, coarse=4,
-                                max_sweeps=max_sweeps, max_evals=max_evals)
-    if not _result(*cut, FLAG_TOL).flagged:
-        assert cut == adaptive_integrate_2d(g, *box, tol=FLAG_TOL, coarse=4)
+    with patch.object(quadrature, "QUADTREE_TOL", FLAG_TOL), patch.object(quadrature, "COARSE", 4):
+        with (patch.object(quadrature, "MAX_SWEEPS", max_sweeps),
+              patch.object(quadrature, "MAX_EVALS", max_evals)):
+            cut = adaptive_integrate_2d(g, *box)
+        if not _result(*cut, FLAG_TOL).flagged:
+            assert cut == adaptive_integrate_2d(g, *box)
 
 
 @PROPERTY
@@ -58,6 +63,5 @@ def test_estimate_of_nonzero_integrand_is_positive(coef, lo, width):
     f1 = lambda x: c0 + x * (c1 + x * (c2 + x * c3))
     f2 = lambda u, v: c0 + c1 * u + c2 * v + c3 * u * v
     dom = (lo, lo + width)
-    assert integrate_1d(f1, *dom, CURVE_QUAD)[1] > 0.0
-    assert integrate_2d(f2, dom, dom)[1] > 0.0
+    assert integrate_1d(f1, *dom)[1] > 0.0
     assert adaptive_integrate_2d(f2, dom, dom)[1] > 0.0
