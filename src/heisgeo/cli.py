@@ -125,6 +125,14 @@ _SCHEMAS = {
     "selftest": {},
 }
 
+# the export-mesh keys that only some scenes read; giving one to another
+# scene is a configuration error, not a value to drop silently
+_SCENE_KEYS = {
+    "sigma-cylinder": ("h", "sign"),
+    "band": ("r", "R", "n", "phi_max"),
+    "torus": ("r", "R", "n"),
+}
+
 
 def _load_config(path: str, schema: dict) -> dict:
     cp = configparser.ConfigParser()
@@ -390,6 +398,11 @@ def cmd_export_mesh(args, config) -> int:
         raise CliError("export-mesh needs --output")
     if samples < 2:
         raise CliError("samples must be at least 2")
+    scene_keys = {key for keys in _SCENE_KEYS.values() for key in keys}
+    unread = sorted(key for key in scene_keys - set(_SCENE_KEYS.get(scene, scene_keys))
+                    if _resolve(args, key, config, None) is not None)
+    if unread:
+        raise CliError(f"scene {scene!r} does not read {', '.join(unread)}")
     base = _out_base(output)
 
     if scene == "sigma-cylinder":

@@ -23,8 +23,7 @@ from .forms import (
     middle_differential,
     vertical_correction,
 )
-from .quadrature import (adaptive_integrate_2d, conforming_integrate_1d, conforming_integrate_2d,
-                         integrate_1d, support_roots)
+from .quadrature import conforming_integrate_1d, conforming_integrate_2d, integrate_1d, support_roots
 from .surfaces import ParamSurface
 
 __all__ = [
@@ -49,8 +48,7 @@ class IntegralResult(NamedTuple):
     50·eps·Σ|w·f| (see `heisgeo.quadrature`), so it is never exactly zero
     for an integrand that is nonzero at some node.  It is NaN after a NaN
     sample or a conforming-rule fault, and a NaN estimate is always
-    flagged, as is a quadtree stopped by anything but its tolerance
-    (`stats`, see `RuleResult`).
+    flagged.  `stats` say what the rule did (see `RuleResult`).
     """
 
     value: float
@@ -67,7 +65,7 @@ class StokesReport(NamedTuple):
 
 def _result(value: float, estimate: float, tol: float, stats=MappingProxyType({})) -> IntegralResult:
     # not-<= instead of > so a NaN estimate counts as untrusted
-    flagged = not (estimate <= tol) or stats.get("stop", "tol") != "tol"
+    flagged = not (estimate <= tol)
     return IntegralResult(float(value), float(estimate), flagged, MappingProxyType(dict(stats)))
 
 
@@ -87,6 +85,16 @@ def _ball_level(position, tangents, speed, ball):
         return 2.0 * (np.sqrt(np.maximum(r2 - level, 0.0)) + speed * h) * speed
 
     return jet, lip, radius / speed, (np.linalg.norm(center) + radius) / radius
+
+
+def _rectangle_level(u_dom, v_dom):
+    """(jet, lip, scale, noise) of the level 1 on a whole rectangle: it has
+    no roots, so the conforming rule makes one piece of the rectangle."""
+    def jet(u, v):
+        one = np.ones(np.broadcast(u, v).shape)
+        return one, 0.0 * one, 0.0 * one
+
+    return jet, lambda level, h: 0.0, math.hypot(u_dom[1] - u_dom[0], v_dom[1] - v_dom[0]), 1.0
 
 
 def integrate_curve(form, curve: HCurve, flag_tol: float = FLAG_TOL) -> IntegralResult:
@@ -139,20 +147,23 @@ def _check_truncation_edges(ball, S: ParamSurface) -> None:
 def integrate_surface(form, S: ParamSurface, flag_tol: float = FLAG_TOL) -> IntegralResult:
     """Integral of a degree-2 form over a surface, tangent-pair pullback.
 
-    The conforming rule integrates over the preimage of the form's support
-    ball only, given a finite speed bound of the surface; otherwise the
-    quadtree runs.  On a truncated surface the support ball must stay off
-    the truncation edges.
+    The conforming rule integrates a form with a support ball over the
+    ball's preimage only, and any other form over the whole rectangle as
+    one piece.  A support ball needs a finite speed bound of the surface,
+    without which the pieces are not certified, and on a truncated surface
+    it must stay off the truncation edges; else `ValueError`.
     """
     ball = getattr(form, "support_ball", None)
     if not S.compact:
         _check_truncation_edges(ball, S)
-    f = _surface_integrand(form, S)
-    if ball is None or not math.isfinite(S.speed):
-        res = adaptive_integrate_2d(f, S.u_dom, S.v_dom)
-    else:
+    if ball is None:
+        level = _rectangle_level(S.u_dom, S.v_dom)
+    elif math.isfinite(S.speed):
         level = _ball_level(S.position, (S.tangent_u, S.tangent_v), S.speed, ball)
-        res = conforming_integrate_2d(f, *level[:2], S.u_dom, S.v_dom, *level[2:], S.periodic[1])
+    else:
+        raise ValueError("a form with a support ball needs a speed bound of the surface")
+    res = conforming_integrate_2d(_surface_integrand(form, S), *level[:2], S.u_dom, S.v_dom,
+                                  *level[2:], S.periodic[1])
     return _result(*res, flag_tol, res.stats)
 
 

@@ -1,9 +1,10 @@
-"""Composite Gauss-Legendre quadrature with half-resolution error estimates.
+"""Gauss-Legendre quadrature with rule-pair error estimates.
 
 Integrands must be vectorized over a 1-d array of parameters (2-d rules take
-two flat arrays of equal length).  Error estimates come from comparing against
-the same rule at half the panel count, which is cheap and pessimistic for the
-smooth integrands used here.
+two flat arrays of equal length).  Every rule reports the finer of two rules
+and their gap: the uniform curve rule compares against itself at half the
+panel count, which is cheap and pessimistic for the smooth integrands used
+here; the conforming rules compare the Gauss pair (n, 2n) on each piece.
 
 Every estimate is floored at the rounding bound 50·eps·Σ|w·f| of the rule's
 weighted samples (as in QUADPACK, Piessens et al. 1983): when both rules
@@ -21,7 +22,8 @@ lip times its half-width, the rest are halved and Newton polishes the roots
 left in them.  An estimate is NaN when a NaN or an unsettled solve turns
 up, when the root count changes inside a piece, or when neighbouring
 intervals share a sign.  Its rounding floor is multiplied by `noise`, the
-factor by which f's inputs are rounded worse than f's own scale.
+factor by which f's inputs are rounded worse than f's own scale.  A phi
+that is positive with no roots leaves one piece, the whole rectangle.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "RuleResult",
     "ROUNDING_FLOOR",
     "integrate_1d",
-    "adaptive_integrate_2d",
     "conforming_integrate_1d",
     "conforming_integrate_2d",
     "support_roots",
@@ -40,18 +41,9 @@ __all__ = [
 ]
 
 # the uniform curve rule and PrefixIntegral take CURVE_PANELS equal panels
-# of NODES-point Gauss-Legendre; the quadtree's panels take NODES x NODES
+# of NODES-point Gauss-Legendre
 CURVE_PANELS = 256
 NODES = 8
-
-# the quadtree starts from COARSE x COARSE panels and refines until its error
-# sum is below QUADTREE_TOL, for at most MAX_SWEEPS sweeps and MAX_EVALS
-# integrand points; PANEL_CHUNK panels are evaluated per batch
-QUADTREE_TOL = 1e-7
-COARSE = 16
-MAX_SWEEPS = 60
-MAX_EVALS = 30_000_000
-PANEL_CHUNK = 3000
 
 # multiple of eps * sum |w f| below which a Richardson gap is rounding noise
 ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
@@ -64,9 +56,9 @@ NEWTON_STEPS = 40
 
 
 class RuleResult(tuple):
-    """(value, error) pair whose `stats` say what the rule did: `rule`,
-    integrand `points`, `panels` or `pieces`, and for the quadtree `sweeps`
-    and `stop` (`tol`, `max_evals`, `max_sweeps` or `width_floor`)."""
+    """(value, error) pair whose `stats` say what the rule did: `rule`
+    (`uniform` or `conforming`), integrand `points`, and `panels` or
+    `pieces`."""
 
     def __new__(cls, value, error, **stats):
         self = super().__new__(cls, (float(value), float(error)))
@@ -107,114 +99,6 @@ def integrate_1d(f, a: float, b: float) -> RuleResult:
     the estimate from the same rule at half as many."""
     rules = [((x,), w) for x, w in (_panels(a, b, p) for p in (CURVE_PANELS // 2, CURVE_PANELS))]
     return _pair(f, *rules, False, 1.0, rule="uniform", panels=CURVE_PANELS)
-
-
-def _panel_batch(f, u0, u1, v0, v1, gx, gw):
-    """Tensor Gauss-Legendre values of f and |f| on each rectangle.
-
-    Returns (value, abs_sum) per rectangle, chunked to bound memory.
-    """
-    out = np.empty(len(u0))
-    out_abs = np.empty(len(u0))
-    w2 = np.outer(gw, gw).ravel()
-    for i in range(0, len(u0), PANEL_CHUNK):
-        s = slice(i, i + PANEL_CHUNK)
-        um = 0.5 * (u0[s] + u1[s])[:, None, None]
-        uh = 0.5 * (u1[s] - u0[s])[:, None, None]
-        vm = 0.5 * (v0[s] + v1[s])[:, None, None]
-        vh = 0.5 * (v1[s] - v0[s])[:, None, None]
-        U = um + uh * gx[None, :, None]
-        V = vm + vh * gx[None, None, :]
-        U, V = np.broadcast_arrays(U, V)
-        vals = np.asarray(f(U.reshape(-1), V.reshape(-1)), dtype=float).reshape(U.shape)
-        area = uh[:, 0, 0] * vh[:, 0, 0]
-        out[s] = np.einsum("nij,i,j->n", vals, gw, gw) * area
-        out_abs[s] = (np.abs(vals).reshape(len(area), -1) @ w2) * area
-    return out, out_abs
-
-
-def adaptive_integrate_2d(f, u_dom, v_dom) -> RuleResult:
-    """Quadtree-adaptive integral of f(u, v) over a rectangle; a `RuleResult`.
-
-    Each panel carries a Gauss-Legendre value and the sum over its four
-    children; their difference is the local error.  Panels above an
-    equidistributed share of QUADTREE_TOL are split, child values are reused
-    as the next generation, and the reported value is the child-sum level.
-    If MAX_SWEEPS ends the loop before the children of the last split are
-    evaluated, those children count at their parent's level instead; no
-    panel is dropped, and a NaN sample makes both value and error NaN.
-    Sampling alone can miss an integrand whose support ends inside a panel
-    without touching any node; compactly supported integrands belong to
-    `conforming_integrate_2d`.
-    """
-    gx, gw = _gauss(NODES, -np.ones(1), np.ones(1))
-    e_u = np.linspace(u_dom[0], u_dom[1], COARSE + 1)
-    e_v = np.linspace(v_dom[0], v_dom[1], COARSE + 1)
-    U0, V0 = np.meshgrid(e_u[:-1], e_v[:-1], indexing="ij")
-    U1, V1 = np.meshgrid(e_u[1:], e_v[1:], indexing="ij")
-    u0, u1 = U0.ravel(), U1.ravel()
-    v0, v1 = V0.ravel(), V1.ravel()
-    val, _ = _panel_batch(f, u0, u1, v0, v1, gx, gw)
-    evals = len(u0) * NODES**2
-    csum = np.full(len(u0), np.nan)
-    cabs = np.full(len(u0), np.nan)
-    err = np.full(len(u0), np.nan)
-    cvals = np.full((len(u0), 4), np.nan)
-    # panels whose children are not evaluated yet, and the error and |f| sum
-    # of their parents, which stand in for them if the sweeps run out; the
-    # coarse panels have no parent, so nothing is known about them
-    fresh = np.ones(len(u0), dtype=bool)
-    fresh_err = fresh_abs = np.nan
-    stop, sweeps = "max_sweeps", 0
-    for sweeps in range(1, MAX_SWEEPS + 1):
-        new = np.flatnonzero(fresh)
-        if len(new):
-            nu0, nu1, nv0, nv1 = u0[new], u1[new], v0[new], v1[new]
-            um = 0.5 * (nu0 + nu1)
-            vm = 0.5 * (nv0 + nv1)
-            cu0 = np.concatenate([nu0, um, nu0, um])
-            cu1 = np.concatenate([um, nu1, um, nu1])
-            cv0 = np.concatenate([nv0, nv0, vm, vm])
-            cv1 = np.concatenate([vm, vm, nv1, nv1])
-            cv, ca = _panel_batch(f, cu0, cu1, cv0, cv1, gx, gw)
-            evals += len(cu0) * NODES**2
-            cvals[new] = cv.reshape(4, len(new)).T
-            csum[new] = cvals[new].sum(axis=1)
-            cabs[new] = ca.reshape(4, len(new)).sum(axis=0)
-            err[new] = np.abs(val[new] - csum[new])
-            fresh[new] = False
-            fresh_err = fresh_abs = 0.0
-        if err.sum() <= QUADTREE_TOL or evals > MAX_EVALS:
-            stop = "tol" if err.sum() <= QUADTREE_TOL else "max_evals"
-            break
-        wide = np.minimum(u1 - u0, v1 - v0) > 1e-9
-        ref = (err > 0.25 * QUADTREE_TOL / len(u0)) & wide
-        if not ref.any():
-            stop = "width_floor"
-            break
-        keep = ~ref
-        fresh_err, fresh_abs = float(err[ref].sum()), float(cabs[ref].sum())
-        ru0, ru1, rv0, rv1 = u0[ref], u1[ref], v0[ref], v1[ref]
-        um = 0.5 * (ru0 + ru1)
-        vm = 0.5 * (rv0 + rv1)
-        m = ref.sum()
-        u0 = np.concatenate([u0[keep], ru0, um, ru0, um])
-        u1 = np.concatenate([u1[keep], um, ru1, um, ru1])
-        v0 = np.concatenate([v0[keep], rv0, rv0, vm, vm])
-        v1 = np.concatenate([v1[keep], vm, vm, rv1, rv1])
-        val = np.concatenate([val[keep], cvals[ref].T.ravel()])
-        pad = np.full(4 * m, np.nan)
-        csum = np.concatenate([csum[keep], pad])
-        cabs = np.concatenate([cabs[keep], pad])
-        err = np.concatenate([err[keep], pad])
-        cvals = np.concatenate([cvals[keep], np.full((4 * m, 4), np.nan)])
-        fresh = np.concatenate([fresh[keep], np.ones(4 * m, dtype=bool)])
-    # unevaluated children count by their own values and their parent's error
-    value = float(np.where(fresh, val, csum).sum())
-    error = float(np.where(fresh, 0.0, err).sum()) + fresh_err
-    abs_sum = float(np.where(fresh, 0.0, cabs).sum()) + fresh_abs
-    return RuleResult(value, _floored(error, abs_sum), rule="quadtree", points=evals,
-                      panels=len(u0), sweeps=sweeps, stop=stop)
 
 
 def _solve(jet, owner, lo, hi):

@@ -62,17 +62,21 @@ def test_config_file_validation(tmp_path):
 
 
 def test_flag_and_config_give_the_same_exit_code(tmp_path):
-    # each value is checked once, by its command, whatever its source
+    # each value is checked once, by its command, whatever its source; a
+    # key that the export-mesh scene does not read is an error, not ignored
     out = str(tmp_path / "x")
     for command, values, code in (
         ("foliate", {"R": "2.5", "n": "-1"}, 1),
         ("export-mesh", {"scene": "torus", "R": "2.5", "n": "-1"}, 1),
+        ("export-mesh", {"scene": "sigma-cylinder", "n": "-1", "R": "0.1", "phi_max": "-5"}, 1),
+        ("export-mesh", {"scene": "torus", "h": "-1", "sign": "-1"}, 1),
         ("stokes", {"scene": "halfplane", "forms": "1", "tolerance": "0"}, 3),
     ):
-        flags = [word for key, value in values.items() for word in (f"--{key}", value)]
+        flags = [word for key, value in values.items() for word in (f"--{key.replace('_', '-')}", value)]
         cfg = write_config(tmp_path, "[run]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
-        assert run(command, *flags, "-o", out) == code, (command, "flags")
-        assert run(command, "--config", cfg, "-o", out) == code, (command, "config")
+        assert run(command, *flags, "-o", out) == code, (command, values, "flags")
+        assert run(command, "--config", cfg, "-o", out) == code, (command, values, "config")
+    assert not (tmp_path / "x.obj").exists()
 
 
 def test_config_keys_are_case_sensitive(tmp_path):

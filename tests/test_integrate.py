@@ -1,6 +1,7 @@
 """Curve and surface integration, and the two-sided verification report."""
 
-from unittest.mock import patch
+import dataclasses
+import math
 
 import numpy as np
 
@@ -34,9 +35,7 @@ from heisgeo.forms import (
     y_field,
 )
 from heisgeo.cli import DEFAULT_SEED, _stokes_scene
-from heisgeo import quadrature
-from heisgeo.integrate import FLAG_TOL, _result, _surface_integrand
-from heisgeo.quadrature import adaptive_integrate_2d
+from heisgeo.integrate import FLAG_TOL, _surface_integrand
 
 
 def test_curve_integral_polynomial_oracle():
@@ -139,8 +138,21 @@ def test_closed_torus_stokes_oracle():
     U, V = np.meshgrid(np.linspace(*torus.u_dom, 65), np.linspace(*torus.v_dom, 65))
     assert np.abs(_surface_integrand(form, torus)(U.ravel(), V.ravel())).max() > 1.0
     res = integrate_surface(form, torus)
-    assert res.stats["rule"] == "quadtree"
+    # without a support ball the conforming rule takes the whole rectangle
+    assert res.stats["rule"] == "conforming" and res.stats["pieces"] == 1
     assert abs(res.value) <= res.estimate and not res.flagged
+
+
+def test_support_ball_needs_a_speed_bound():
+    # without a speed bound the support's pieces cannot be certified
+    cyl = lift_cylinder(lift_horizontal(lemniscate(), sign=1), 1.0 / 3.0)
+    unbounded = dataclasses.replace(cyl, speed=math.inf)
+    try:
+        stokes_residual(unbounded, bump_form([1.0, 0.0, 0.1], 0.4))
+    except ValueError as exc:
+        assert "speed bound" in str(exc)
+    else:
+        raise AssertionError("support ball accepted on a surface without a speed bound")
 
 
 def test_noncompact_surface_needs_supported_form():
@@ -215,36 +227,22 @@ def test_untrusted_estimates_are_flagged():
 
 
 def test_budget_stop_and_nan_panels_are_flagged():
-    # a sweep budget that stops with panels pending must not pass as trusted
-    g = lambda u, v: np.exp(-1000.0 * ((u - 0.3) ** 2 + (v - 0.7) ** 2))
-    with patch.object(quadrature, "COARSE", 4), patch.object(quadrature, "MAX_SWEEPS", 1):
-        value, est = adaptive_integrate_2d(g, (0.0, 1.0), (0.0, 1.0))
-    assert _result(value, est, FLAG_TOL).flagged
-    # nor may NaN samples on half the domain
     def pos(u, v):
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
         return np.stack([u, v, np.zeros_like(u)], axis=-1)
 
     sheet = ParamSurface(u_dom=(0.0, 1.0), v_dom=(0.0, 1.0), position=pos)
+    # a peak that the one whole-rectangle piece of a form without a support
+    # ball does not resolve must not pass as trusted
+    peak = lambda p, tu, tv: np.exp(-1000.0 * ((p[..., 0] - 0.3) ** 2 + (p[..., 1] - 0.7) ** 2))
+    res = integrate_surface(peak, sheet)
+    assert res.stats["pieces"] == 1 and res.flagged
+    assert abs(res.value - np.pi / 1000.0) > FLAG_TOL
+    # nor may NaN samples on half the domain
     half_nan = ScalarField(lambda p: np.where(p[..., 0] < 0.5, np.nan, 1.0))
     form = ThetaWedgeForm(half_nan, const_field(0.0))
     res = integrate_surface(form, sheet)
     assert res.flagged and np.isnan(res.value)
-
-
-def test_quadtree_stop_reason_is_reported_and_flagged():
-    # one sweep leaves an estimate far below FLAG_TOL, but the quadtree
-    # stopped on its sweep budget, not on its tolerance, so it is flagged
-    g = lambda u, v: np.exp(-50.0 * ((u - 0.3) ** 2 + (v - 0.7) ** 2))
-    with patch.object(quadrature, "COARSE", 4):
-        with patch.object(quadrature, "QUADTREE_TOL", 1e-15), patch.object(quadrature, "MAX_SWEEPS", 1):
-            cut = adaptive_integrate_2d(g, (0.0, 1.0), (0.0, 1.0))
-        with patch.object(quadrature, "QUADTREE_TOL", 1e-10):
-            full = adaptive_integrate_2d(g, (0.0, 1.0), (0.0, 1.0))
-    assert cut.stats["rule"] == "quadtree" and cut.stats["stop"] == "max_sweeps"
-    assert cut.stats["sweeps"] == 1 and cut.stats["points"] == 5 * 16 * 64
-    assert cut[1] < FLAG_TOL and _result(*cut, FLAG_TOL, cut.stats).flagged
-    assert full.stats["stop"] == "tol" and not _result(*full, FLAG_TOL, full.stats).flagged
 
 
 def test_vertical_term_vanishes_on_horizontal_boundary():

@@ -1,18 +1,15 @@
-"""Composite Gauss-Legendre rules, prefix integrals, adaptive refinement."""
-
-from unittest.mock import patch
+"""Composite Gauss-Legendre rules, prefix integrals, conforming rules."""
 
 import numpy as np
 from scipy import integrate as sci
 
-from heisgeo import quadrature
+from heisgeo.integrate import _rectangle_level
 from heisgeo.quadrature import (
     CURVE_PANELS,
     ROUNDING_FLOOR,
     PrefixIntegral,
     _gauss,
     _panels,
-    adaptive_integrate_2d,
     conforming_integrate_2d,
     integrate_1d,
 )
@@ -55,10 +52,18 @@ def test_prefix_integral_matches_quad():
     assert abs(batch[0]) == 0.0
 
 
+def _whole_rectangle(f, u_dom, v_dom):
+    """The conforming rule under the level without roots that surfaces use
+    for forms without a support ball: one piece, the whole rectangle."""
+    jet, lip, scale, noise = _rectangle_level(u_dom, v_dom)
+    return conforming_integrate_2d(f, jet, lip, u_dom, v_dom, scale, noise, False)
+
+
 def test_adaptive_smooth_matches_dblquad():
     f = lambda u, v: np.exp(-(u**2) - v**2) * np.cos(u * v)
-    with patch.object(quadrature, "QUADTREE_TOL", 1e-9):
-        value, est = adaptive_integrate_2d(f, (-2.0, 2.0), (-2.0, 2.0))
+    res = _whole_rectangle(f, (-2.0, 2.0), (-2.0, 2.0))
+    value, est = res
+    assert res.stats == {"rule": "conforming", "points": 24**2 + 48**2, "pieces": 1}
     truth = sci.dblquad(
         lambda y, x: float(f(np.asarray(x), np.asarray(y))),
         -2.0, 2.0, -2.0, 2.0, epsabs=1e-12,
@@ -125,25 +130,9 @@ def test_conforming_rule_fails_loud():
     assert conforming_integrate_2d(f, jet, lip, (2.0, 3.0), (0.0, 1.0), r, 1.0, False) == (0.0, 0.0)
 
 
-def test_adaptive_sweep_budget_keeps_pending_panels():
-    # max_sweeps=1 stops right after the first split, before the children of
-    # the split panels are evaluated; they count at their parent's level, so
-    # the value keeps the whole peak and the estimate covers the real error
-    g = lambda u, v: np.exp(-1000.0 * ((u - 0.3) ** 2 + (v - 0.7) ** 2))
-    truth = np.pi / 1000.0
-    with patch.object(quadrature, "COARSE", 4), patch.object(quadrature, "MAX_SWEEPS", 1):
-        value, est = adaptive_integrate_2d(g, (0.0, 1.0), (0.0, 1.0))
-    assert abs(value - truth) <= est
-    assert est > 1e-6
-    # no sweep at all: no child level, so no estimate
-    with patch.object(quadrature, "COARSE", 4), patch.object(quadrature, "MAX_SWEEPS", 0):
-        value, est = adaptive_integrate_2d(g, (0.0, 1.0), (0.0, 1.0))
-    assert np.isnan(est) and abs(value - truth) < 1e-3
-
-
 def test_adaptive_nan_sample_propagates():
     f = lambda u, v: np.where(u < 0.5, np.nan, 1.0)
-    value, est = adaptive_integrate_2d(f, (0.0, 1.0), (0.0, 1.0))
+    value, est = _whole_rectangle(f, (0.0, 1.0), (0.0, 1.0))
     assert np.isnan(value) and np.isnan(est)
 
 
@@ -157,7 +146,7 @@ def test_estimates_floored_at_rounding_bound():
         f = lambda x: np.polynomial.polynomial.polyval(x, coef)
         value, err = integrate_1d(f, -1.0, 2.0)
         assert err >= ROUNDING_FLOOR * np.abs(wts * f(pts)).sum() > 0.0
-    value, est = adaptive_integrate_2d(lambda u, v: u * v + 1.0, (0.0, 1.0), (0.0, 1.0))
+    value, est = _whole_rectangle(lambda u, v: u * v + 1.0, (0.0, 1.0), (0.0, 1.0))
     assert 0.0 < est < 1e-12
     # the floor does not invent error where the integrand vanishes at every node
     assert integrate_1d(np.zeros_like, 0.0, 1.0) == (0.0, 0.0)
