@@ -1,13 +1,15 @@
 """Command line driver: figure geometry exports and verification runs.
 
 Subcommands: lift | foliate | stokes | export-mesh | selftest.  Each accepts
---config FILE, an INI file with a single [run] section whose keys mirror the
-long flags; explicit flags win over the file, the file over built-in
-defaults.  The random seed additionally honors the HEIS_SEED environment
-variable between those two.  Exit codes: 0 success, 1 configuration error,
-2 numerical abort (characteristic guard or untrusted quadrature), 3
-verification failure (a residual above tolerance, including a foliation
-leaf that does not close; its outputs are still written).
+--config FILE, an INI file with a single [run] section.  A config key is its
+long flag without the dashes, with `_` for `-` (start_u for --start-u), and
+enters as that flag: a value gets the same parser, message and exit code
+from either source.  The order is defaults < config file < HEIS_SEED (the
+stokes seed) < flags.  Long flags must be spelled in full.  Exit codes: 0
+success, 1 configuration error, 2 numerical abort (characteristic guard or
+untrusted quadrature), 3 verification failure (a residual above tolerance,
+including a foliation leaf that does not close; its outputs are still
+written).
 """
 
 from __future__ import annotations
@@ -51,127 +53,60 @@ class VerificationFailure(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        raise CliError(message)
 
 
 def _parse_seed(text: str) -> int:
     try:
-        return int(str(text), 0)
+        return int(text, 0)
     except ValueError:
-        raise CliError(f"bad seed {text!r}; want an integer (hex ok)")
+        raise argparse.ArgumentTypeError(f"bad seed {text!r}; want an integer (hex ok)")
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
-    parts = str(text).lower().split("x")
     try:
-        nu, nv = (int(p) for p in parts)
+        nu, nv = (int(p) for p in text.lower().split("x"))
     except ValueError:
-        raise CliError(f"bad grid {text!r}; want NUxNV like 256x16")
+        raise argparse.ArgumentTypeError(f"bad grid {text!r}; want NUxNV like 256x16")
     if nu < 2 or nv < 2:
-        raise CliError("grid must be at least 2x2")
+        raise argparse.ArgumentTypeError("grid must be at least 2x2")
     return nu, nv
 
 
 def _parse_sign(text: str) -> int:
     try:
-        value = int(str(text), 10)
+        value = int(text, 10)
     except ValueError:
-        raise CliError(f"bad sign {text!r}; want +1 or -1")
+        raise argparse.ArgumentTypeError(f"bad sign {text!r}; want +1 or -1")
     if value not in (-1, 1):
-        raise CliError(f"sign must be +1 or -1, got {value}")
+        raise argparse.ArgumentTypeError(f"sign must be +1 or -1, got {value}")
     return value
 
 
-# per-subcommand config schema: key -> parser of its raw value; the ranges
-# are checked by the command, so a flag and a config key are checked alike
-_SCHEMAS = {
-    "lift": {
-        "curve": str,
-        "sign": _parse_sign,
-        "samples": int,
-        "output": str,
-    },
-    "foliate": {
-        "r": float,
-        "R": float,
-        "n": int,
-        "start_u": float,
-        "start_v": float,
-        "arclen": float,
-        "samples": int,
-        "grid": _parse_grid,
-        "tolerance": float,
-        "output": str,
-    },
-    "stokes": {
-        "scene": str,
-        "forms": int,
-        "seed": _parse_seed,
-        "tolerance": float,
-        "output": str,
-    },
-    "export-mesh": {
-        "scene": str,
-        "grid": _parse_grid,
-        "h": float,
-        "sign": _parse_sign,
-        "r": float,
-        "R": float,
-        "n": int,
-        "phi_max": float,
-        "samples": int,
-        "output": str,
-    },
-    "selftest": {},
-}
-
-# the export-mesh keys that only some scenes read; giving one to another
-# scene is a configuration error, not a value to drop silently
+# scene defaults of the export-mesh keys; a key that some scene reads and the
+# chosen one does not is a configuration error, not a value to drop silently
 _SCENE_KEYS = {
-    "sigma-cylinder": ("h", "sign"),
-    "band": ("r", "R", "n", "phi_max"),
-    "torus": ("r", "R", "n"),
+    "sigma-cylinder": {"grid": (256, 16), "h": SIGMA_HEIGHT, "sign": +1},
+    "band": {"grid": (256, 24), "r": 1.0, "R": None, "n": 2, "phi_max": BAND_ANGLE},
+    "torus": {"grid": (128, 64), "r": 1.0, "R": None, "n": 2},
 }
 
 
-def _load_config(path: str, schema: dict) -> dict:
+def _config_words(path: str) -> list[str]:
+    """The [run] items of an INI file as `--key=value` flags."""
     cp = configparser.ConfigParser()
     cp.optionxform = str  # keep key case: r and R are different knobs
     if not cp.read(path):
         raise CliError(f"cannot read config file {path}")
     if cp.sections() != ["run"]:
         raise CliError("config must contain exactly one [run] section")
-    out = {}
+    words = []
     for key, raw in cp.items("run"):
-        if key not in schema:
+        # a key is spelled with `_`; `config` would name a second file
+        if key == "config" or "-" in key:
             raise CliError(f"unknown config key {key!r}")
-        try:
-            out[key] = schema[key](raw)
-        except CliError:
-            raise
-        except ValueError:
-            raise CliError(f"bad value {raw!r} for config key {key!r}")
-    return out
-
-
-def _resolve(args, key: str, config: dict, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
-
-
-def _resolve_seed(args, config: dict) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("HEIS_SEED")
-    if env is not None:
-        return _parse_seed(env)
-    if "seed" in config:
-        return config["seed"]
-    return DEFAULT_SEED
+        words.append(f"--{key.replace('_', '-')}={raw}")
+    return words
 
 
 def _out_base(output: str) -> str:
@@ -194,28 +129,21 @@ def _torus_radii(r: float, big_r, n):
     return float(big_r), float(r)
 
 
-def cmd_lift(args, config) -> int:
-    curve_name = _resolve(args, "curve", config, "lemniscate")
-    sign = _resolve(args, "sign", config, -1)
-    samples = _resolve(args, "samples", config, 1024)
-    output = _resolve(args, "output", config, None)
-    if curve_name != "lemniscate":
-        raise CliError(f"unknown curve {curve_name!r}; available: lemniscate")
-    if output is None:
+def cmd_lift(args) -> int:
+    if args.output is None:
         raise CliError("lift needs --output")
-    if samples < 2:
+    if args.samples < 2:
         raise CliError("samples must be at least 2")
 
-    planar = lemniscate()
-    lifted = lift_horizontal(planar, sign=sign)
-    tau = np.linspace(lifted.a, lifted.b, samples)
+    lifted = lift_horizontal(lemniscate(), sign=args.sign)
+    tau = np.linspace(lifted.a, lifted.b, args.samples)
     pts = lifted.position(tau)
-    base = _out_base(output)
+    base = _out_base(args.output)
     write_csv(base + ".csv", ["tau", "x", "y", "t"], np.column_stack([tau, pts]))
     gap = self_intersection_gap(lifted)
     write_json(base + ".json", {
-        "curve": curve_name,
-        "sign": sign,
+        "curve": args.curve,
+        "sign": args.sign,
         "closure_defect": lifted.closure_defect(),
         "horizontality_residual": horizontality_residual(lifted),
         "self_intersection_gap": None if math.isinf(gap) else gap,
@@ -223,35 +151,27 @@ def cmd_lift(args, config) -> int:
     return 0
 
 
-def cmd_foliate(args, config) -> int:
-    r = _resolve(args, "r", config, 1.0)
-    big_r = _resolve(args, "R", config, None)
-    n = _resolve(args, "n", config, None)
-    start_u = _resolve(args, "start_u", config, 0.0)
-    start_v = _resolve(args, "start_v", config, 0.0)
-    arclen = _resolve(args, "arclen", config, None)
-    samples = _resolve(args, "samples", config, 2048)
-    grid = _resolve(args, "grid", config, (128, 64))
-    tolerance = _resolve(args, "tolerance", config, 1e-6)
-    output = _resolve(args, "output", config, None)
-    if output is None:
+def cmd_foliate(args) -> int:
+    n, arclen, tolerance = args.n, args.arclen, args.tolerance
+    start = (args.start_u, args.start_v)
+    if args.output is None:
         raise CliError("foliate needs --output")
     if not 0.0 < tolerance < math.inf:
         raise CliError("tolerance must be positive and finite")
-    if not (math.isfinite(start_u) and math.isfinite(start_v)):
+    if not all(map(math.isfinite, start)):
         raise CliError("start-u and start-v must be finite")
     if arclen is not None and not 0.0 < arclen < math.inf:
         raise CliError("arclen must be positive and finite")
-    if samples < 2:
+    if args.samples < 2:
         raise CliError("samples must be at least 2")
-    big_r, r = _torus_radii(r, big_r, n)
+    big_r, r = _torus_radii(args.r, args.R, n)
     if arclen is None:
         loops = n if n is not None else 8
         arclen = 2.0 * math.pi * r * 1.15 * loops + 10.0
 
     torus = torus_surface(big_r, r)
     try:
-        trace = trace_foliation(torus, (start_u, start_v), arclen, samples=samples)
+        trace = trace_foliation(torus, start, arclen, samples=args.samples)
     except ValueError as exc:
         raise NumericalAbort(str(exc))
     if trace.truncated:
@@ -263,7 +183,7 @@ def cmd_foliate(args, config) -> int:
     # a NaN residual compares false, so it counts as not closed
     closed = bool(residual <= tolerance)
 
-    base = _out_base(output)
+    base = _out_base(args.output)
     write_csv(
         base + ".csv",
         ["u", "v", "x", "y", "t"],
@@ -273,7 +193,7 @@ def cmd_foliate(args, config) -> int:
         "R": big_r,
         "r": r,
         "n": n,
-        "start": [start_u, start_v],
+        "start": list(start),
         "arclength": trace.arclength,
         "closure_residual": residual,
         "windings": [windings[0], windings[1]],
@@ -282,7 +202,7 @@ def cmd_foliate(args, config) -> int:
         "nfev": trace.step_stats["nfev"],
         "steps": trace.step_stats["steps"],
     })
-    verts, faces = surface_mesh(torus, grid[0], grid[1])
+    verts, faces = surface_mesh(torus, *args.grid)
     write_obj(base + ".obj", verts, faces)
     if not closed:
         raise VerificationFailure(
@@ -293,7 +213,10 @@ def cmd_foliate(args, config) -> int:
 
 
 def _stokes_scene(scene: str):
-    """Surface plus a deterministic bump-center sampler hugging the boundary."""
+    """Surface plus a deterministic bump-center sampler hugging the boundary.
+
+    `scene` is halfplane, sigma-cylinder or band; the parser admits no other.
+    """
     if scene == "halfplane":
         S = vertical_halfplane()
 
@@ -314,38 +237,31 @@ def _stokes_scene(scene: str):
             return curve.position(np.asarray(tau)) + rim + jit
 
         return S, draw
-    if scene == "band":
-        big_r = math.sqrt(1.0 + 2.0 ** (2.0 / 3.0))
-        sigma = torus_characteristic_loop(big_r, 1.0)
-        S = revolve_curve(sigma, BAND_ANGLE)
+    big_r = math.sqrt(1.0 + 2.0 ** (2.0 / 3.0))
+    sigma = torus_characteristic_loop(big_r, 1.0)
 
-        def draw(rng, index):
-            u = rng.uniform(0.0, 2.0 * math.pi)
-            jit = rng.uniform(-0.15, 0.15, 3)
-            return rotate_t_axis(BAND_ANGLE * (index % 2), sigma.position(np.asarray(u))) + jit
+    def draw(rng, index):
+        u = rng.uniform(0.0, 2.0 * math.pi)
+        jit = rng.uniform(-0.15, 0.15, 3)
+        return rotate_t_axis(BAND_ANGLE * (index % 2), sigma.position(np.asarray(u))) + jit
 
-        return S, draw
-    raise CliError(f"unknown scene {scene!r}; available: halfplane, sigma-cylinder, band")
+    return revolve_curve(sigma, BAND_ANGLE), draw
 
 
-def cmd_stokes(args, config) -> int:
-    scene = _resolve(args, "scene", config, None)
-    forms = _resolve(args, "forms", config, 20)
-    tolerance = _resolve(args, "tolerance", config, 1e-6)
-    output = _resolve(args, "output", config, None)
-    seed = _resolve_seed(args, config)
+def cmd_stokes(args) -> int:
+    scene, tolerance = args.scene, args.tolerance
     if scene is None:
         raise CliError("stokes needs --scene")
-    if forms < 0:
+    if args.forms < 0:
         raise CliError("forms must be nonnegative")
     # no residual exceeds a NaN or infinite tolerance, so both are rejected
     if not 0.0 <= tolerance < math.inf:
         raise CliError("tolerance must be nonnegative and finite")
 
     S, draw = _stokes_scene(scene)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     entries = []
-    for index in range(forms):
+    for index in range(args.forms):
         center = draw(rng, index)
         radius = rng.uniform(0.2, 0.6)
         report = stokes_residual(S, bump_form(center, radius))
@@ -366,13 +282,13 @@ def cmd_stokes(args, config) -> int:
 
     payload = {
         "scene": scene,
-        "seed": seed,
+        "seed": args.seed,
         "tolerance": tolerance,
         "forms": entries,
         "max_residual": max((e["residual"] for e in entries), default=0.0),
     }
-    if output is not None:
-        write_json(_out_base(output) + ".json", payload)
+    if args.output is not None:
+        write_json(_out_base(args.output) + ".json", payload)
 
     flagged = [e["index"] for e in entries if e["flagged"]]
     if flagged:
@@ -388,59 +304,43 @@ def cmd_stokes(args, config) -> int:
     return 0
 
 
-def cmd_export_mesh(args, config) -> int:
-    scene = _resolve(args, "scene", config, None)
-    output = _resolve(args, "output", config, None)
-    samples = _resolve(args, "samples", config, 1024)
-    if scene is None:
+def cmd_export_mesh(args) -> int:
+    if args.scene is None:
         raise CliError("export-mesh needs --scene")
-    if output is None:
+    if args.output is None:
         raise CliError("export-mesh needs --output")
-    if samples < 2:
+    if args.samples < 2:
         raise CliError("samples must be at least 2")
-    scene_keys = {key for keys in _SCENE_KEYS.values() for key in keys}
-    unread = sorted(key for key in scene_keys - set(_SCENE_KEYS.get(scene, scene_keys))
-                    if _resolve(args, key, config, None) is not None)
+    defaults = _SCENE_KEYS[args.scene]
+    unread = sorted({key for keys in _SCENE_KEYS.values() for key in keys
+                     if key not in defaults and getattr(args, key) is not None})
     if unread:
-        raise CliError(f"scene {scene!r} does not read {', '.join(unread)}")
-    base = _out_base(output)
+        raise CliError(f"scene {args.scene!r} does not read {', '.join(unread)}")
+    for key, default in defaults.items():
+        if getattr(args, key) is None:
+            setattr(args, key, default)
 
-    if scene == "sigma-cylinder":
-        grid = _resolve(args, "grid", config, (256, 16))
-        height = _resolve(args, "h", config, SIGMA_HEIGHT)
-        sign = _resolve(args, "sign", config, +1)
-        if not 0.0 < height < math.inf:
+    if args.scene == "sigma-cylinder":
+        if not 0.0 < args.h < math.inf:
             raise CliError("h must be positive and finite")
-        curve = lift_horizontal(lemniscate(), sign=sign)
-        S = lift_cylinder(curve, height)
-    elif scene == "band":
-        grid = _resolve(args, "grid", config, (256, 24))
-        r = _resolve(args, "r", config, 1.0)
-        big_r = _resolve(args, "R", config, None)
-        n = _resolve(args, "n", config, 2)
-        phi_max = _resolve(args, "phi_max", config, BAND_ANGLE)
-        big_r, r = _torus_radii(r, big_r, n)
-        if not 0.0 < phi_max <= 2.0 * math.pi:
+        S = lift_cylinder(lift_horizontal(lemniscate(), sign=args.sign), args.h)
+    elif args.scene == "band":
+        big_r, r = _torus_radii(args.r, args.R, args.n)
+        if not 0.0 < args.phi_max <= 2.0 * math.pi:
             raise CliError("phi_max must lie in (0, 2*pi]")
         sigma = torus_characteristic_loop(big_r, r)
         if sigma.closure_defect() > 1e-8:
             raise NumericalAbort("characteristic loop does not close at these radii")
-        S = revolve_curve(sigma, phi_max)
-    elif scene == "torus":
-        grid = _resolve(args, "grid", config, (128, 64))
-        r = _resolve(args, "r", config, 1.0)
-        big_r = _resolve(args, "R", config, None)
-        n = _resolve(args, "n", config, 2)
-        big_r, r = _torus_radii(r, big_r, n)
-        S = torus_surface(big_r, r)
+        S = revolve_curve(sigma, args.phi_max)
     else:
-        raise CliError(f"unknown scene {scene!r}; available: sigma-cylinder, band, torus")
+        S = torus_surface(*_torus_radii(args.r, args.R, args.n))
 
-    verts, faces = surface_mesh(S, grid[0], grid[1])
+    base = _out_base(args.output)
+    verts, faces = surface_mesh(S, *args.grid)
     write_obj(base + ".obj", verts, faces)
     tags = {1: "plus", -1: "minus"}
     for curve, orientation in S.boundary:
-        tau = np.linspace(curve.a, curve.b, samples)
+        tau = np.linspace(curve.a, curve.b, args.samples)
         pts = curve.position(tau)
         write_csv(
             f"{base}_boundary_{tags[orientation]}.csv",
@@ -450,7 +350,7 @@ def cmd_export_mesh(args, config) -> int:
     return 0
 
 
-def cmd_selftest(args, config) -> int:
+def cmd_selftest(args) -> int:
     failures = []
 
     def check(name, ok, detail):
@@ -501,47 +401,49 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def subcommand(name, fn, help_text):
-        p = sub.add_parser(name, prog=f"heisgeo {name}", help=help_text)
-        p.set_defaults(fn=fn, command=name)
-        p.add_argument("--config", default=None, help="INI file with a [run] section")
+        p = sub.add_parser(name, prog=f"heisgeo {name}", help=help_text, allow_abbrev=False)
+        p.set_defaults(fn=fn)
+        p.add_argument("--config", help="INI file with a [run] section")
         return p
 
     p = subcommand("lift", cmd_lift, "export a planar curve's horizontal lift")
-    p.add_argument("--curve", default=None, help="curve name (lemniscate)")
-    p.add_argument("--sign", default=None, type=_parse_sign, help="lift sign, +1 or -1 (default -1)")
-    p.add_argument("--samples", default=None, type=int, help="polyline sample count (default 1024)")
-    p.add_argument("-o", "--output", default=None, help="output base path (writes .csv and .json)")
+    p.add_argument("--curve", default="lemniscate", choices=("lemniscate",), help="curve name")
+    p.add_argument("--sign", default=-1, type=_parse_sign, help="lift sign, +1 or -1 (default %(default)s)")
+    p.add_argument("--samples", default=1024, type=int, help="polyline sample count (default %(default)s)")
+    p.add_argument("-o", "--output", help="output base path (writes .csv and .json)")
 
     p = subcommand("foliate", cmd_foliate, "trace a characteristic leaf on a torus")
-    p.add_argument("--r", default=None, type=float, help="tube radius (default 1)")
-    p.add_argument("--R", default=None, type=float, help="center radius (overrides --n)")
-    p.add_argument("--n", default=None, type=int, help="sets R = sqrt(1 + n^(2/3))")
-    p.add_argument("--start-u", dest="start_u", default=None, type=float, help="start u (default 0)")
-    p.add_argument("--start-v", dest="start_v", default=None, type=float, help="start v (default 0)")
-    p.add_argument("--arclen", default=None, type=float, help="trace arclength (default auto)")
-    p.add_argument("--samples", default=None, type=int, help="trace polyline samples (default 2048)")
-    p.add_argument("--grid", default=None, type=_parse_grid, help="torus mesh grid NUxNV (default 128x64)")
-    p.add_argument("--tolerance", default=None, type=float, help="closure tolerance (default 1e-6)")
-    p.add_argument("-o", "--output", default=None, help="output base path (.csv, .json, .obj)")
+    p.add_argument("--r", default=1.0, type=float, help="tube radius (default %(default)s)")
+    p.add_argument("--R", type=float, help="center radius (overrides --n)")
+    p.add_argument("--n", type=int, help="sets R = sqrt(1 + n^(2/3))")
+    p.add_argument("--start-u", default=0.0, type=float, help="start u (default %(default)s)")
+    p.add_argument("--start-v", default=0.0, type=float, help="start v (default %(default)s)")
+    p.add_argument("--arclen", type=float, help="trace arclength (default auto)")
+    p.add_argument("--samples", default=2048, type=int, help="trace polyline samples (default %(default)s)")
+    p.add_argument("--grid", default="128x64", type=_parse_grid, help="torus mesh grid NUxNV (default %(default)s)")
+    p.add_argument("--tolerance", default=1e-6, type=float, help="closure tolerance (default %(default)s)")
+    p.add_argument("-o", "--output", help="output base path (.csv, .json, .obj)")
 
     p = subcommand("stokes", cmd_stokes, "run the Stokes verification sweep")
-    p.add_argument("--scene", default=None, help="halfplane | sigma-cylinder | band")
-    p.add_argument("--forms", default=None, type=int, help="number of random test forms (default 20)")
-    p.add_argument("--seed", default=None, type=_parse_seed, help="RNG seed (hex ok; default 0x5EED)")
-    p.add_argument("--tolerance", default=None, type=float, help="residual tolerance (default 1e-6)")
-    p.add_argument("-o", "--output", default=None, help="JSON report path")
+    p.add_argument("--scene", choices=("halfplane", "sigma-cylinder", "band"), help="surface to verify on")
+    p.add_argument("--forms", default=20, type=int, help="number of random test forms (default %(default)s)")
+    p.add_argument("--seed", default=DEFAULT_SEED, type=_parse_seed,
+                   help="RNG seed, hex ok (default %(default)#x; HEIS_SEED overrides the config file)")
+    p.add_argument("--tolerance", default=1e-6, type=float, help="residual tolerance (default %(default)s)")
+    p.add_argument("-o", "--output", help="JSON report path")
 
     p = subcommand("export-mesh", cmd_export_mesh, "export a surface mesh with boundary polylines")
-    p.add_argument("--scene", default=None, help="sigma-cylinder | band | torus")
-    p.add_argument("--grid", default=None, type=_parse_grid, help="mesh grid NUxNV")
-    p.add_argument("--h", default=None, type=float, help="cylinder height (default 1/3)")
-    p.add_argument("--sign", default=None, type=_parse_sign, help="cylinder lift sign (default +1)")
-    p.add_argument("--r", default=None, type=float, help="tube radius (default 1)")
-    p.add_argument("--R", default=None, type=float, help="center radius (overrides --n)")
-    p.add_argument("--n", default=None, type=int, help="sets R = sqrt(1 + n^(2/3)) (default 2)")
-    p.add_argument("--phi-max", dest="phi_max", default=None, type=float, help="band sweep angle (default pi/12)")
-    p.add_argument("--samples", default=None, type=int, help="boundary polyline samples (default 1024)")
-    p.add_argument("-o", "--output", default=None, help="output base path")
+    p.add_argument("--scene", choices=tuple(_SCENE_KEYS), help="surface to mesh")
+    # the scene keys stay None here, so that a key the scene does not read is seen
+    p.add_argument("--grid", type=_parse_grid, help="mesh grid NUxNV (default per scene)")
+    p.add_argument("--h", type=float, help="cylinder height (default 1/3)")
+    p.add_argument("--sign", type=_parse_sign, help="cylinder lift sign (default +1)")
+    p.add_argument("--r", type=float, help="tube radius (default 1)")
+    p.add_argument("--R", type=float, help="center radius (overrides --n)")
+    p.add_argument("--n", type=int, help="sets R = sqrt(1 + n^(2/3)) (default 2)")
+    p.add_argument("--phi-max", type=float, help="band sweep angle (default pi/12)")
+    p.add_argument("--samples", default=1024, type=int, help="boundary polyline samples (default %(default)s)")
+    p.add_argument("-o", "--output", help="output base path")
 
     subcommand("selftest", cmd_selftest, "run the built-in verification checks")
 
@@ -549,16 +451,20 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    schema = _SCHEMAS[args.command]
     try:
-        config = _load_config(args.config, schema) if args.config else {}
-        return args.fn(args, config)
-    except CliError as exc:
-        print(f"heisgeo: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        args = parser.parse_args(argv)
+        # the config file and HEIS_SEED enter as flags ahead of the user's
+        # own; the last flag wins, so defaults < file < HEIS_SEED < flags
+        words = _config_words(args.config) if args.config else []
+        if args.command == "stokes" and "HEIS_SEED" in os.environ:
+            words.append(f"--seed={os.environ['HEIS_SEED']}")
+        if words:
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + words + argv[at:])
+        return args.fn(args)
+    except (CliError, ValueError, OSError, configparser.Error) as exc:
         print(f"heisgeo: {exc}", file=sys.stderr)
         return 1
     except NumericalAbort as exc:
@@ -567,9 +473,6 @@ def main(argv=None) -> int:
     except VerificationFailure as exc:
         print(f"heisgeo: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"heisgeo: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ import numpy as np
 
 from .core import rotate_t_axis
 from .curves import HCurve, horizontality_residual, planar_radius, vertical_translate
-from .quadrature import PrefixIntegral
 
 __all__ = [
     "ParamSurface",
@@ -274,24 +273,32 @@ def revolve_curve(curve: HCurve, phi_max: float) -> ParamSurface:
 def torus_characteristic_loop(R: float, r: float) -> HCurve:
     """Leaf through (0, 0) of the characteristic foliation on the torus, in closed form.
 
-    Along a leaf parametrized by u the angle obeys dv/du =
-    2 r cos u / (R + r cos u)^2, an explicit quadrature; the resulting curve
-    is horizontal exactly, not just to integration tolerance, because the
-    theta pairings of the two torus tangents cancel by construction.  The
-    curve closes in the ambient group only when the v accumulated over one
-    turn in u is a multiple of 2*pi, which happens at special radii.
+    Along a leaf parametrized by u the angle obeys dv/du = 2 r cos u / W^2
+    with W = R + r cos u, whose antiderivative through v(0) = 0 is
+
+        v(u) = (2r/d^2) (R sin u / W - (r/d) (u - 2 atan(beta sin u / (1 + beta cos u))))
+
+    with d = sqrt(R^2 - r^2) and beta = (R - d)/r < 1, so v is continuous for
+    every real u and advances by -4 pi r^2/d^3 per turn.  The curve is
+    horizontal exactly, because the theta pairings of the two torus
+    tangents cancel by construction.  It closes in the ambient group only
+    when that advance is a multiple of 2*pi, which happens at special radii.
     """
     R, r = float(R), float(r)
     if not R > r > 0:
         raise ValueError(f"need R > r > 0, got R={R}, r={r}")
     torus = torus_surface(R, r)
     a, b = 0.0, 2.0 * math.pi
+    d = math.sqrt((R - r) * (R + r))
+    beta = r / (R + d)  # = (R - d)/r without the cancellation
 
     def slope(u):
         u = np.asarray(u, dtype=float)
         return 2.0 * r * np.cos(u) / (R + r * np.cos(u)) ** 2
 
-    v_of = PrefixIntegral(slope, a, b)
+    def v_of(u):
+        turn = u - 2.0 * np.arctan(beta * np.sin(u) / (1.0 + beta * np.cos(u)))
+        return (2.0 * r / d**2) * (R * np.sin(u) / (R + r * np.cos(u)) - r * turn / d)
 
     def pos(tau):
         tau = np.asarray(tau, dtype=float)

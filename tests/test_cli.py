@@ -57,26 +57,44 @@ def test_config_file_validation(tmp_path):
     assert run("stokes", "--config", bad_key) == 1
     no_section = write_config(tmp_path, "[other]\nscene = halfplane\n", "b.ini")
     assert run("stokes", "--config", no_section) == 1
+    # a malformed file cannot be read: no section header, a repeated key
+    for name, body in (("c.ini", "scene = halfplane\n"), ("g.ini", "[run]\nforms = 1\nforms = 2\n")):
+        assert run("stokes", "--config", write_config(tmp_path, body, name)) == 1, body
     bad_value = write_config(tmp_path, "[run]\nforms = many\n", "d.ini")
     assert run("stokes", "--config", bad_value) == 1
+    # each would run cleanly but for its key: an abbreviated flag name, and
+    # a second config file named from inside the first
+    for name, key in (("e.ini", "out = x"), ("f.ini", "config = b.ini")):
+        cfg = write_config(tmp_path, f"[run]\nscene = halfplane\nforms = 0\n{key}\n", name)
+        assert run("stokes", "--config", cfg) == 1, key
+    # a key is spelled with `_`, as the config files always had it
+    dashed = write_config(tmp_path, "[run]\nn = 2\nstart-u = 0\n", "h.ini")
+    assert run("foliate", "--config", dashed, "-o", str(tmp_path / "leaf")) == 1
 
 
-def test_flag_and_config_give_the_same_exit_code(tmp_path):
+def test_flag_and_config_give_the_same_exit_code(tmp_path, capsys):
     # each value is checked once, by its command, whatever its source; a
-    # key that the export-mesh scene does not read is an error, not ignored
+    # key that the export-mesh scene does not read is an error, not ignored;
+    # the key that failed is named on stderr either way
     out = str(tmp_path / "x")
-    for command, values, code in (
-        ("foliate", {"R": "2.5", "n": "-1"}, 1),
-        ("export-mesh", {"scene": "torus", "R": "2.5", "n": "-1"}, 1),
-        ("export-mesh", {"scene": "sigma-cylinder", "n": "-1", "R": "0.1", "phi_max": "-5"}, 1),
-        ("export-mesh", {"scene": "torus", "h": "-1", "sign": "-1"}, 1),
-        ("stokes", {"scene": "halfplane", "forms": "1", "tolerance": "0"}, 3),
+    for command, values, code, named in (
+        ("foliate", {"R": "2.5", "n": "-1"}, 1, "n"),
+        ("export-mesh", {"scene": "torus", "R": "2.5", "n": "-1"}, 1, "n"),
+        ("export-mesh", {"scene": "sigma-cylinder", "n": "-1", "R": "0.1", "phi_max": "-5"}, 1, "phi_max"),
+        ("export-mesh", {"scene": "torus", "h": "-1", "sign": "-1"}, 1, "sign"),
+        ("stokes", {"scene": "halfplane", "forms": "1", "tolerance": "0"}, 3, "tolerance"),
+        ("foliate", {"n": "2", "grid": "1x1"}, 1, "grid"),
+        ("lift", {"sign": "2"}, 1, "sign"),
+        ("lift", {"samples": "many"}, 1, "samples"),
+        ("stokes", {"scene": "halfplane", "seed": "elephant"}, 1, "seed"),
     ):
         flags = [word for key, value in values.items() for word in (f"--{key.replace('_', '-')}", value)]
         cfg = write_config(tmp_path, "[run]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
-        assert run(command, *flags, "-o", out) == code, (command, values, "flags")
-        assert run(command, "--config", cfg, "-o", out) == code, (command, values, "config")
+        for source, argv in (("flags", flags), ("config", ["--config", cfg])):
+            assert run(command, *argv, "-o", out) == code, (command, values, source)
+            assert named in capsys.readouterr().err, (command, values, source)
     assert not (tmp_path / "x.obj").exists()
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_config_keys_are_case_sensitive(tmp_path):

@@ -17,6 +17,7 @@ from heisgeo import (
     torus_surface,
     vertical_halfplane,
 )
+from heisgeo.quadrature import PrefixIntegral
 from heisgeo.surfaces import characteristic_residual
 
 R2, R = 1.0, np.sqrt(1.0 + 2.0 ** (2.0 / 3.0))
@@ -146,6 +147,20 @@ def test_characteristic_loop_is_horizontal_and_closed():
     assert np.max(np.abs(theta)) <= 1e-12
     ends = sigma.position(np.array([sigma.a, sigma.b]))
     assert np.max(np.abs(ends[1] - ends[0])) <= 1e-10
+
+
+def test_characteristic_loop_angle_is_the_integral_of_its_slope():
+    # the closed-form leaf angle v(u) against a Gauss prefix sum of
+    # dv/du = 2 r cos u / (R + r cos u)^2, read back from the loop's points
+    for big_r, r in ((R, 1.0), (np.sqrt(1.0 + 11.0 ** (2.0 / 3.0)), 1.0), (2.5, 0.5), (3.0, 2.0)):
+        def slope(u):
+            return 2.0 * r * np.cos(u) / (big_r + r * np.cos(u)) ** 2
+
+        u = np.linspace(0.0, 2.0 * np.pi, 2001)
+        p = torus_characteristic_loop(big_r, r).position(u)
+        v = np.unwrap(np.arctan2(p[:, 1], p[:, 0]))
+        reference = PrefixIntegral(slope, 0.0, 2.0 * np.pi)(u)
+        assert np.max(np.abs(v - reference)) <= 1e-13, (big_r, r)
 
 
 def test_project_T_and_foliation_direction():
