@@ -22,8 +22,16 @@ __all__ = [
 ]
 
 
+FLOAT_FORMAT = "%.17g"
+
+
 def format_float(x: float) -> str:
-    return "%.17g" % float(x)
+    return FLOAT_FORMAT % float(x)
+
+
+def _lines(row: str, a: np.ndarray) -> str:
+    """One `row` template line per row of `a`, filled by a single `%`."""
+    return ((row + "\n") * len(a)) % tuple(a.ravel().tolist())
 
 
 def _open_out(path):
@@ -38,11 +46,8 @@ def write_csv(path, header, rows) -> None:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != len(header):
         raise ValueError("rows must be (N, k) with k matching the header")
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_float(x) for x in row))
     with _open_out(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n" + _lines(",".join([FLOAT_FORMAT] * rows.shape[1]), rows))
 
 
 def write_json(path, payload) -> None:
@@ -75,28 +80,18 @@ def surface_mesh(S: ParamSurface, nu: int, nv: int):
     def idx(i, j):
         return (i % nu if per_u else i) * nv + (j % nv if per_v else j)
 
-    faces = []
     ni = nu if per_u else nu - 1
     nj = nv if per_v else nv - 1
-    for i in range(ni):
-        for j in range(nj):
-            a = idx(i, j)
-            b = idx(i + 1, j)
-            c = idx(i + 1, j + 1)
-            d = idx(i, j + 1)
-            faces.append((a, b, c))
-            faces.append((a, c, d))
-    return verts, np.asarray(faces, dtype=int)
+    i, j = (x.ravel() for x in np.meshgrid(np.arange(ni), np.arange(nj), indexing="ij"))
+    a, b, c, d = idx(i, j), idx(i + 1, j), idx(i + 1, j + 1), idx(i, j + 1)
+    # (a, b, c) then (a, c, d) for each cell, i outer: the OBJ bytes depend on this order
+    return verts, np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
 
 
 def write_obj(path, vertices, faces) -> None:
     """Minimal OBJ: v records then 1-based f records, nothing else."""
     vertices = np.asarray(vertices, dtype=float)
     faces = np.asarray(faces, dtype=int)
-    lines = []
-    for vert in vertices:
-        lines.append("v " + " ".join(format_float(x) for x in vert))
-    for face in faces:
-        lines.append("f " + " ".join(str(i + 1) for i in face))
     with _open_out(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_lines("v " + " ".join([FLOAT_FORMAT] * vertices.shape[1]), vertices)
+                 + _lines("f %d %d %d", faces + 1))

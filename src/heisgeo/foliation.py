@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .core import contact, frame_norm
 from .surfaces import ParamSurface
@@ -125,6 +123,7 @@ def trace_foliation(
     theta pairing norm falls to CHARACTERISTIC_RTOL times the local tangent
     scale, the numerical vicinity of a characteristic point.
     """
+    from scipy.integrate import solve_ivp
     if not arclen > 0:
         raise ValueError("arclen must be positive")
     u0, v0 = float(start[0]), float(start[1])
@@ -194,6 +193,7 @@ def detect_period(trace: FoliationTrace, axis: int = 0, close_tol: float = 1e-6)
     winding pair.  If no return closes, the best (smallest residual) return
     is reported instead.  A trace that never returns to the section raises.
     """
+    from scipy.optimize import brentq
     S = trace.surface
     if not S.periodic[axis]:
         raise ValueError("section axis must be periodic to talk about returns")

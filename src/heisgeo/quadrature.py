@@ -20,8 +20,9 @@ never sampled.  lip(phi, h) bounds |grad phi| within h of a point where phi
 takes that value; a cell is dropped only when |phi| at its centre exceeds
 lip times its half-width, the rest are halved and Newton polishes the roots
 left in them.  An estimate is NaN when a NaN or an unsettled solve turns
-up, when the root count changes inside a piece, or when neighbouring
-intervals share a sign.  Its rounding floor is multiplied by `noise`, the
+up, when the root count changes inside a piece, when neighbouring
+intervals share a sign, or when a cell proved that P meets the rectangle
+and no outer node sees P.  Its rounding floor is multiplied by `noise`, the
 factor by which f's inputs are rounded worse than f's own scale.  A phi
 that is positive with no roots leaves one piece, the whole rectangle.
 """
@@ -272,6 +273,9 @@ def conforming_integrate_2d(f, jet, lip, u_dom, v_dom, scale: float, noise: floa
     fault |= bad or bool(np.any(count != count[piece * CONFORMING_PAIR[0]]))
     o, va, vb, bad = _positive_intervals(lambda o, v: phi(u[o], v), np.full(len(u), v_dom[0]),
                                          np.full(len(u), v_dom[1]), r_owner, roots)
+    # a cell with phi above its bound proved that P meets the rectangle, so
+    # outer nodes that see no positive interval have missed the support
+    bad |= inside and not len(o)
     rules = []
     for k, n in enumerate(CONFORMING_PAIR):
         mine = rule[o] == k

@@ -1,12 +1,16 @@
 """Calibration: Stokes gives the true value for free, so every claimed error must cover the actual one."""
 
+import dataclasses
+import math
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heisgeo.cli import DEFAULT_SEED, _stokes_scene
-from heisgeo.forms import bump_form
-from heisgeo.integrate import stokes_residual
+from heisgeo.forms import ThetaWedgeForm, bump_field, bump_form
+from heisgeo.integrate import integrate_surface, stokes_residual
+from heisgeo.surfaces import vertical_halfplane
 
 # fixed examples keep tier-1 repeatable; no example database is written
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -60,3 +64,29 @@ def test_thin_pieces_of_the_first_sigma_cylinder_form_are_found():
     assert report.lhs.stats["pieces"] == 7
     assert report.residual <= 1e-12
     assert not report.lhs.flagged and not report.rhs.flagged
+
+
+def test_reparametrized_halfplane_does_not_return_a_silent_zero():
+    # the half-plane with t = 1.5 + 1.5 w^3: the cell search proves that a
+    # small ball at t = 1.5 meets the rectangle, while every outer u-node of
+    # the one piece misses it; the value must match the original
+    # parametrization's within its estimate, or be flagged
+    plane = vertical_halfplane()
+
+    def position(u, w):
+        return plane.position(u, 1.5 + 1.5 * np.asarray(w, float) ** 3)
+
+    def tangent_w(u, w):
+        u, w = np.broadcast_arrays(np.asarray(u, float), np.asarray(w, float))
+        return plane.tangent_v(u, w) * (4.5 * w**2)[..., None]
+
+    cubic = dataclasses.replace(plane, v_dom=(-1.0, 1.0), position=position, tangent_v=tangent_w,
+                                truncation_edges=((0, -3.0), (0, 3.0), (1, 1.0)),
+                                speed=math.sqrt(1.0 + 4.5**2))
+    for center, radius in (((0.0, 0.0, 1.5), 0.05), ((0.02, 0.0, 1.5), 0.1)):
+        b = bump_field(np.array(center), radius)
+        form = ThetaWedgeForm(b, b, support_ball=(np.array(center), radius))
+        oracle = integrate_surface(form, plane)
+        assert not oracle.flagged and abs(oracle.value) > 1e-3, (center, radius, oracle)
+        result = integrate_surface(form, cubic)
+        assert result.flagged or abs(result.value - oracle.value) <= result.estimate, (center, radius, result)

@@ -241,6 +241,25 @@ def test_module_entry_point(tmp_path):
     assert res.returncode == 1 and "--scene" in res.stderr
 
 
+def test_stokes_does_not_load_scipy(tmp_path):
+    # scipy.integrate alone costs most of a second of start-up; only leaf
+    # tracing needs it, so a Stokes run must not import it
+    env = {k: v for k, v in os.environ.items() if k != "HEIS_SEED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    probe = (
+        "import json, sys\n"
+        "from heisgeo.cli import main\n"
+        "code = main(['stokes', '--scene', 'halfplane', '--forms', '1', '-o', sys.argv[1]])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "s")],
+                         env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    code, scipy_modules = json.loads(res.stdout.splitlines()[-1])
+    assert code == 0
+    assert scipy_modules == []
+
+
 def test_seed_precedence(tmp_path, monkeypatch):
     def seed_of(*argv):
         out = tmp_path / "seed.json"

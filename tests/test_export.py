@@ -1,13 +1,19 @@
 """File emitters: byte determinism, formats, mesh topology."""
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 
 from heisgeo import surface_mesh, torus_surface, write_csv, write_json, write_obj
 from heisgeo.export import format_float
 from heisgeo.curves import lemniscate, lift_horizontal
-from heisgeo.surfaces import lift_cylinder, vertical_halfplane
+from heisgeo.surfaces import lift_cylinder, revolve_curve, torus_characteristic_loop, vertical_halfplane
+
+# doubles whose text is easy to get wrong: signed zero, the shortest decimal
+# that is not exact, huge and subnormal magnitudes, non-finite and integral values
+AWKWARD = np.array([[-0.0, 0.1, 1e300], [5e-324, np.inf, -np.inf], [np.nan, 3.0, -2.0], [0.0, 1e16, 7.0]])
 
 
 def test_format_float_roundtrips_doubles():
@@ -22,6 +28,51 @@ def test_write_csv_layout(tmp_path):
     write_csv(path, ["a", "b"], np.array([[1.0, 0.5], [2.0, 0.25]]))
     text = path.read_text()
     assert text == "a,b\n1,0.5\n2,0.25\n"
+
+
+def test_writers_match_per_number_formatting(tmp_path):
+    # one format_float call per number is the reference for the block writers
+    write_csv(tmp_path / "a.csv", ["x", "y", "t"], AWKWARD)
+    lines = ["x,y,t"] + [",".join(format_float(x) for x in row) for row in AWKWARD]
+    assert (tmp_path / "a.csv").read_text() == "\n".join(lines) + "\n"
+
+    faces = np.array([[0, 1, 2], [2, 3, 0], [1, 3, 2]])
+    write_obj(tmp_path / "a.obj", AWKWARD, faces)
+    lines = ["v " + " ".join(format_float(x) for x in row) for row in AWKWARD]
+    lines += ["f " + " ".join(str(i + 1) for i in face) for face in faces]
+    assert (tmp_path / "a.obj").read_text() == "\n".join(lines) + "\n"
+
+
+def _reference_faces(S, nu, nv):
+    per_u, per_v = S.periodic
+
+    def idx(i, j):
+        return (i % nu if per_u else i) * nv + (j % nv if per_v else j)
+
+    faces = []
+    for i in range(nu if per_u else nu - 1):
+        for j in range(nv if per_v else nv - 1):
+            a, b, c, d = idx(i, j), idx(i + 1, j), idx(i + 1, j + 1), idx(i, j + 1)
+            faces += [(a, b, c), (a, c, d)]
+    return np.asarray(faces, dtype=int)
+
+
+def test_surface_mesh_faces_match_the_double_loop():
+    torus = torus_surface(np.sqrt(2.0), 1.0)
+    band = revolve_curve(torus_characteristic_loop(math.sqrt(1.0 + 2.0 ** (2.0 / 3.0)), 1.0), 0.3)
+    surfaces = [
+        torus,
+        lift_cylinder(lift_horizontal(lemniscate(), sign=1), 1.0 / 3.0),
+        vertical_halfplane(),
+        band,
+        # the only periodic axis is v
+        dataclasses.replace(torus, periodic=(False, True)),
+    ]
+    assert {S.periodic for S in surfaces} == {(a, b) for a in (False, True) for b in (False, True)}
+    for S in surfaces:
+        for nu, nv in ((2, 2), (7, 5), (4, 9)):
+            faces = surface_mesh(S, nu, nv)[1]
+            np.testing.assert_array_equal(faces, _reference_faces(S, nu, nv))
 
 
 def test_write_csv_rejects_shape_mismatch(tmp_path):
