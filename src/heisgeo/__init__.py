@@ -13,7 +13,6 @@ from .core import (
     contact,
     dilate,
     frame_at,
-    frame_coords,
     frame_norm,
     identity,
     inverse,

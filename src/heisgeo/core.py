@@ -33,8 +33,9 @@ __all__ = [
     "rotate_t_axis",
     "frame_at",
     "contact",
-    "frame_coords",
     "frame_norm",
+    "theta_of",
+    "frame_length",
 ]
 
 
@@ -100,31 +101,27 @@ def frame_at(p) -> list[TangentVector]:
     ]
 
 
+def theta_of(x, y, vx, vy, vt):
+    """theta at the point (x, y, .) of the vector (vx, vy, vt); floats or arrays."""
+    return vt + 0.5 * (y * vx - x * vy)
+
+
+def frame_length(vx, vy, th):
+    """Length of a vector in the (X, Y, T) frame from vx, vy and its theta pairing th."""
+    return np.sqrt(vx * vx + vy * vy + th * th)
+
+
 def contact(p, v) -> np.ndarray:
     """theta_p(v) = v_t + (y v_x - x v_y)/2, broadcasting over leading axes."""
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     if p.shape[-1:] != (3,) or v.shape[-1:] != (3,):
         raise ValueError(f"need trailing axes of length 3, got {p.shape} and {v.shape}")
-    return v[..., 2] + 0.5 * (p[..., 1] * v[..., 0] - p[..., 0] * v[..., 1])
-
-
-def frame_coords(p, v) -> np.ndarray:
-    """Coefficients of v in the frame basis: (dx(v), dy(v), theta(v)).
-
-    The coframe dual to (X, Y, T) is (dx, dy, theta), so the horizontal
-    coefficients are the raw x,y components and only the last slot differs
-    from the coordinate representation.
-    """
-    th = contact(p, v)
-    out = np.empty(th.shape + (3,))
-    out[...] = v
-    out[..., 2] = th
-    return out
+    return theta_of(p[..., 0], p[..., 1], v[..., 0], v[..., 1], v[..., 2])
 
 
 def frame_norm(p, v) -> np.ndarray:
     """Length of v in the metric making (X, Y, T) orthonormal."""
     th = contact(p, v)
     v = np.asarray(v, dtype=float)
-    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + th * th)
+    return frame_length(v[..., 0], v[..., 1], th)

@@ -5,7 +5,8 @@ A leaf is an integral curve of the parameter-space field
 corresponding tangent vector, so the independent variable of the ODE is
 frame arclength in the group.  One pairing helper, one characteristic
 margin and one direction helper serve both the public
-`foliation_direction` and the leaf solver.  The trace keeps the periodic
+`foliation_direction` and the leaf solver; they work on components, so the
+solver's single points run on Python floats.  The trace keeps the periodic
 coordinates unwrapped; winding numbers are read off by counting period
 multiples at section returns, never by re-wrapping.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import contact, frame_norm
+from .core import frame_length, theta_of
 from .surfaces import ParamSurface
 
 __all__ = [
@@ -68,24 +69,29 @@ def _wrap_gap(delta: float, period: float) -> float:
     return delta - period * round(delta / period)
 
 
+def _components(a):
+    """x, y, t components of a (..., 3) array; Python floats for a single point."""
+    return a.tolist() if a.ndim == 1 else (a[..., 0], a[..., 1], a[..., 2])
+
+
 def _pairings(S: ParamSurface, u, v):
-    """Position, tangents and their theta pairings (theta(S_u), theta(S_v))."""
-    p = S.position(u, v)
-    su = S.tangent_u(u, v)
-    sv = S.tangent_v(u, v)
-    return p, su, sv, contact(p, su), contact(p, sv)
+    """Position and tangents as components, and their theta pairings (theta(S_u), theta(S_v))."""
+    p = _components(S.position(u, v))
+    su = _components(S.tangent_u(u, v))
+    sv = _components(S.tangent_v(u, v))
+    return p, su, sv, theta_of(p[0], p[1], *su), theta_of(p[0], p[1], *sv)
 
 
 def _margin(p, su, sv, tu, tv):
     """Pairing norm minus the characteristic threshold; <= 0 marks a characteristic point."""
-    scale = np.maximum(frame_norm(p, su), frame_norm(p, sv))
+    scale = np.maximum(frame_length(su[0], su[1], tu), frame_length(sv[0], sv[1], tv))
     return np.hypot(tu, tv) - CHARACTERISTIC_RTOL * scale
 
 
 def _direction(p, su, sv, tu, tv):
     """(theta(S_v), -theta(S_u)) over the frame length of W = theta(S_v) S_u - theta(S_u) S_v."""
-    w = np.asarray(tv)[..., None] * su - np.asarray(tu)[..., None] * sv
-    wlen = frame_norm(p, w)
+    w = [tv * a - tu * b for a, b in zip(su, sv)]
+    wlen = frame_length(w[0], w[1], theta_of(p[0], p[1], *w))
     return tv / wlen, -tu / wlen
 
 

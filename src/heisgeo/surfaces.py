@@ -1,9 +1,10 @@
 """Parametrized surfaces with boundary in the group.
 
 A surface is a rectangle of parameters with a position map into the group,
-tangent callables (exact where the constructor knows them, else central
-differences), per axis periodicity flags, and a constructor supplied list of
-oriented boundary curves.  The theta pairings of the two tangents drive
+its two exact tangent callables, per axis periodicity flags, and a
+constructor supplied list of oriented boundary curves.  The torus maps take
+a single-point path on two floats (see `_on_angles`), which is how the leaf
+solver calls them.  The theta pairings of the two tangents drive
 everything geometric here: a point is characteristic when both vanish, and
 the kernel direction of theta restricted to the tangent plane is the
 characteristic foliation (see `heisgeo.foliation`).
@@ -31,8 +32,6 @@ __all__ = [
     "cylinder_embeds",
 ]
 
-FD_PARTIAL_SCALE = 1e-6
-
 # endpoint gap, relative to 1 + |start|, up to which a curve counts as closed
 CLOSURE_TOL = 1e-8
 
@@ -55,8 +54,8 @@ class ParamSurface:
     u_dom: tuple[float, float]
     v_dom: tuple[float, float]
     position: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    tangent_u: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    tangent_v: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    tangent_u: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    tangent_v: Callable[[np.ndarray, np.ndarray], np.ndarray]
     boundary: tuple[tuple[HCurve, int], ...] = ()
     periodic: tuple[bool, bool] = (False, False)
     truncation_edges: tuple[tuple[int, float], ...] = ()
@@ -69,23 +68,6 @@ class ParamSurface:
     def __post_init__(self):
         if not (self.u_dom[1] > self.u_dom[0] and self.v_dom[1] > self.v_dom[0]):
             raise ValueError("parameter rectangle is empty")
-        pos = self.position
-        if self.tangent_u is None:
-
-            def fd_u(u, v):
-                u = np.asarray(u, dtype=float)
-                h = FD_PARTIAL_SCALE * (1.0 + np.abs(u))
-                return (pos(u + h, v) - pos(u - h, v)) / (2.0 * h)[..., None]
-
-            object.__setattr__(self, "tangent_u", fd_u)
-        if self.tangent_v is None:
-
-            def fd_v(u, v):
-                v = np.asarray(v, dtype=float)
-                h = FD_PARTIAL_SCALE * (1.0 + np.abs(v))
-                return (pos(u, v + h) - pos(u, v - h)) / (2.0 * h)[..., None]
-
-            object.__setattr__(self, "tangent_v", fd_v)
 
 
 def vertical_halfplane() -> ParamSurface:
@@ -189,28 +171,43 @@ def lift_cylinder(curve: HCurve, height: float) -> ParamSurface:
     )
 
 
+def _on_angles(formula):
+    """Surface map (u, v) -> the three components formula(cos u, sin u, cos v, sin v).
+
+    Two floats (np.float64 is one), as the leaf solver passes, take `math`
+    trig and give one (3,) array; anything else broadcasts with numpy.
+    """
+
+    def f(u, v):
+        if isinstance(u, float) and isinstance(v, float):
+            return np.array(formula(math.cos(u), math.sin(u), math.cos(v), math.sin(v)))
+        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+        out = np.empty(u.shape + (3,))
+        out[..., 0], out[..., 1], out[..., 2] = formula(np.cos(u), np.sin(u), np.cos(v), np.sin(v))
+        return out
+
+    return f
+
+
 def torus_surface(R: float, r: float) -> ParamSurface:
     """Torus of revolution about the t-axis, tube radius r, center radius R."""
     R, r = float(R), float(r)
     if not R > r > 0:
         raise ValueError(f"need R > r > 0, got R={R}, r={r}")
 
-    def pos(u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        w = R + r * np.cos(u)
-        return np.stack([w * np.cos(v), w * np.sin(v), r * np.sin(u)], axis=-1)
+    @_on_angles
+    def pos(cu, su, cv, sv):
+        w = R + r * cu
+        return w * cv, w * sv, r * su
 
-    def tan_u(u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        return np.stack(
-            [-r * np.sin(u) * np.cos(v), -r * np.sin(u) * np.sin(v), r * np.cos(u)],
-            axis=-1,
-        )
+    @_on_angles
+    def tan_u(cu, su, cv, sv):
+        return -r * su * cv, -r * su * sv, r * cu
 
-    def tan_v(u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        w = R + r * np.cos(u)
-        return np.stack([-w * np.sin(v), w * np.cos(v), np.zeros_like(u)], axis=-1)
+    @_on_angles
+    def tan_v(cu, su, cv, sv):
+        w = R + r * cu
+        return -w * sv, w * cv, 0.0
 
     return ParamSurface(
         u_dom=(0.0, 2.0 * math.pi),
@@ -314,13 +311,13 @@ def torus_characteristic_loop(R: float, r: float) -> HCurve:
 
 
 def characteristic_residual(S: ParamSurface, u, v):
-    """Theta pairings (theta(S_u), theta(S_v)); (0,0) marks a characteristic point."""
+    """Theta pairings (theta(S_u), theta(S_v)); (0,0) marks a characteristic point.
+
+    A single point gives two floats, a batch two arrays.
+    """
     from .foliation import _pairings
 
-    tu, tv = _pairings(S, u, v)[3:]
-    if np.ndim(tu) == 0:
-        return float(tu), float(tv)
-    return tu, tv
+    return _pairings(S, u, v)[3:]
 
 
 def cylinder_embeds(curve: HCurve, height: float, samples: int = 4096) -> bool:

@@ -6,7 +6,6 @@ from heisgeo import (
     contact,
     dilate,
     frame_at,
-    frame_coords,
     frame_norm,
     identity,
     inverse,
@@ -90,16 +89,18 @@ def test_theta_duality():
         assert abs(contact(p, T.vec) - 1.0) <= 1e-14
 
 
-def test_frame_coords_roundtrip():
+def test_frame_norm_is_the_length_of_frame_coordinates():
     rng = np.random.default_rng(15)
     p = random_points(rng, 50)
     v = rng.normal(size=(50, 3))
-    coeffs = frame_coords(p, v)
-    # theta(v) = v_t + (y v_x - x v_y)/2, and dx(v), dy(v) are v_x, v_y
+    # the coframe dual to (X, Y, T) is (dx, dy, theta), so the frame
+    # coordinates of v are (v_x, v_y, theta(v)), and undoing theta gives v
+    coeffs = v.copy()
+    coeffs[:, 2] = contact(p, v)
     back = coeffs.copy()
     back[:, 2] -= 0.5 * (p[:, 1] * coeffs[:, 0] - p[:, 0] * coeffs[:, 1])
     assert np.max(np.abs(back - v)) < 1e-13
-    assert np.allclose(frame_norm(p, v), np.linalg.norm(frame_coords(p, v), axis=-1))
+    assert np.allclose(frame_norm(p, v), np.linalg.norm(coeffs, axis=-1))
 
 
 def test_contact_left_invariance():
@@ -133,7 +134,7 @@ def test_wrong_trailing_axis_raises():
     # such as an H^2 point, is rejected instead of being misread
     good = np.zeros(3)
     for bad in (np.zeros(5), np.zeros((4, 2)), np.zeros(()), np.zeros((3, 4))):
-        for fn in (contact, frame_norm, multiply, frame_coords):
+        for fn in (contact, frame_norm, multiply):
             for args in ((bad, good), (good, bad)):
                 with np.testing.assert_raises(ValueError):
                     fn(*args)
@@ -142,7 +143,7 @@ def test_wrong_trailing_axis_raises():
 def test_single_point_calls_match_batched_rows():
     rng = np.random.default_rng(20)
     p, q = random_points(rng, 64), random_points(rng, 64)
-    for fn in (contact, frame_norm, multiply, frame_coords):
+    for fn in (contact, frame_norm, multiply):
         batched = fn(p, q)
         single = np.array([fn(p[i], q[i]) for i in range(len(p))])
         assert single.tobytes() == batched.tobytes(), fn.__name__

@@ -155,9 +155,13 @@ def test_surface_mesh_triangles_wind_counterclockwise():
         out[..., 1] = v
         return out
 
+    def constant(vec):
+        return lambda u, v: np.broadcast_to(vec, np.broadcast(u, v).shape + (3,)).copy()
+
     from heisgeo import ParamSurface
 
-    sheet = ParamSurface(u_dom=(0.0, 1.0), v_dom=(0.0, 2.0), position=pos)
+    sheet = ParamSurface(u_dom=(0.0, 1.0), v_dom=(0.0, 2.0), position=pos,
+                         tangent_u=constant([1.0, 0.0, 0.0]), tangent_v=constant([0.0, 1.0, 0.0]))
     verts, faces = surface_mesh(sheet, 6, 6)
     a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
     cross_z = np.cross(b - a, c - a)[:, 2]

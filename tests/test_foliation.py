@@ -101,6 +101,38 @@ def test_trace_follows_foliation_direction():
     assert len(signs) == 1
 
 
+def test_solver_direction_is_the_batched_field_bit_for_bit(monkeypatch):
+    # the solver's right-hand side runs on Python floats, the public field on
+    # arrays; both must give the same bits, up to the per-trace sign
+    import scipy.integrate
+
+    seen = []
+    solve_ivp = scipy.integrate.solve_ivp
+
+    def spy(fun, *args, **kwargs):
+        seen.append(fun)
+        return solve_ivp(fun, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", spy)
+    rng = np.random.default_rng(44)
+    for n in (2, 11):
+        torus = torus_for(n)
+        trace_foliation(torus, (0.0, 0.0), 1.0)
+        uv = rng.uniform(-100.0, 100.0, (2000, 2))
+        solver = np.array([seen[-1](0.0, y) for y in uv])
+        field = np.array(foliation_direction(torus, uv[:, 0], uv[:, 1])).T
+        sign = np.sign(solver[0, 0] * field[0, 0])
+        assert (sign * field).tobytes() == solver.tobytes(), n
+
+
+def test_leaf_step_stats_are_pinned():
+    # solver work on the fig4 (n = 2) and fig6 (n = 11) leaves; a right-hand
+    # side whose bits moved would move these counts
+    for n, nfev, steps in ((2, 2609, 137), (11, 10772, 562)):
+        stats = trace_foliation(torus_for(n), (0.0, 0.0), auto_arclen(n)).step_stats
+        assert (stats["nfev"], stats["steps"]) == (nfev, steps), n
+
+
 def test_foliation_direction_shares_the_trace_guard():
     plane = flat_plane()
     trace = trace_foliation(plane, (-0.1, 0.0), 1.0)

@@ -38,6 +38,20 @@ from heisgeo.cli import DEFAULT_SEED, _stokes_scene
 from heisgeo.integrate import FLAG_TOL, _surface_integrand
 
 
+def _unit_sheet(**kw):
+    """The sheet (u, v, 0) over the unit square, with its exact tangents."""
+    def pos(u, v):
+        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+        return np.stack([u, v, np.zeros_like(u)], axis=-1)
+
+    def constant(vec):
+        return lambda u, v: np.broadcast_to(vec, np.broadcast(u, v).shape + (3,)).copy()
+
+    return ParamSurface(u_dom=(0.0, 1.0), v_dom=(0.0, 1.0), position=pos,
+                        tangent_u=constant([1.0, 0.0, 0.0]),
+                        tangent_v=constant([0.0, 1.0, 0.0]), **kw)
+
+
 def test_curve_integral_polynomial_oracle():
     seg = segment([0.1, -0.2, 0.0], [0.8, 0.3, -0.5 * (-0.2 * 0.7 - 0.1 * 0.5)])
     # the t endpoint above makes q - p horizontal at p; dx and dy see only xy
@@ -117,14 +131,7 @@ def test_boundary_integral_applies_orientations():
 
 def test_surface_integral_closed_form_oracle():
     # sheet (u, v, 0) over the unit square pairs theta^dx to u/2
-    def pos(u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        out = np.zeros(u.shape + (3,))
-        out[..., 0] = u
-        out[..., 1] = v
-        return out
-
-    sheet = ParamSurface(u_dom=(0.0, 1.0), v_dom=(0.0, 1.0), position=pos)
+    sheet = _unit_sheet()
     form = ThetaWedgeForm(const_field(1.0), const_field(0.0))
     res = integrate_surface(form, sheet)
     assert abs(res.value - 0.25) < 1e-12
@@ -227,11 +234,7 @@ def test_untrusted_estimates_are_flagged():
 
 
 def test_budget_stop_and_nan_panels_are_flagged():
-    def pos(u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        return np.stack([u, v, np.zeros_like(u)], axis=-1)
-
-    sheet = ParamSurface(u_dom=(0.0, 1.0), v_dom=(0.0, 1.0), position=pos)
+    sheet = _unit_sheet()
     # a peak that the one whole-rectangle piece of a form without a support
     # ball does not resolve must not pass as trusted
     peak = lambda p, tu, tv: np.exp(-1000.0 * ((p[..., 0] - 0.3) ** 2 + (p[..., 1] - 0.7) ** 2))
@@ -270,19 +273,6 @@ def test_vertical_term_detects_vertical_boundary():
         return out
 
     vseg = HCurve(0.0, 1.0, pos, vel)
-
-    def sheet_pos(u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        out = np.zeros(u.shape + (3,))
-        out[..., 0] = u
-        out[..., 1] = v
-        return out
-
-    sheet = ParamSurface(
-        u_dom=(0.0, 1.0),
-        v_dom=(0.0, 1.0),
-        position=sheet_pos,
-        boundary=((vseg, 1),),
-    )
+    sheet = _unit_sheet(boundary=((vseg, 1),))
     form = bump_form([0.2, 0.3, 0.25], 0.3)
     assert vertical_term_vanishing(sheet, form) > 1e-3

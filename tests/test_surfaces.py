@@ -55,6 +55,21 @@ def test_torus_tangents_match_fd():
         assert np.max(np.abs(torus.tangent_v(u, v) - fd_v)) < 1e-8
 
 
+def test_torus_single_point_path_matches_the_array_path():
+    # the leaf solver calls the maps on two floats, which take math trig;
+    # they must give the bits that numpy's trig gives on length-1 arrays
+    rng = np.random.default_rng(43)
+    for n in (2, 11):
+        torus = torus_surface(np.sqrt(1.0 + n ** (2.0 / 3.0)), 1.0)
+        uv = rng.uniform(-100.0, 100.0, (10_000, 2))
+        for f in (torus.position, torus.tangent_u, torus.tangent_v):
+            arrays = np.array([f(u[None], v[None])[0] for u, v in uv])
+            for cast in (np.float64, float):
+                points = [f(cast(u), cast(v)) for u, v in uv]
+                assert {p.shape for p in points} == {(3,)}
+                assert np.array(points).tobytes() == arrays.tobytes(), (n, f, cast)
+
+
 def test_vertical_halfplane_structure():
     hp = vertical_halfplane()
     p = hp.position(np.array([0.5]), np.array([1.2]))[0]
