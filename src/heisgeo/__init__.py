@@ -40,9 +40,7 @@ from .forms import (
     VerticalForm,
     bump_field,
     bump_form,
-    complex_differential,
     const_field,
-    eval_form,
     horizontal_differential,
     middle_differential,
     scalar_from_jet,
@@ -61,7 +59,6 @@ from .integrate import (
     integrate_curve,
     integrate_surface,
     stokes_residual,
-    stokes_residual_curve,
     vertical_term_vanishing,
 )
 from .surfaces import (

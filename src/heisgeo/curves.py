@@ -37,6 +37,10 @@ __all__ = [
 # smallest cell of the sample hash in self_intersection_gap; samples closer
 # than a thousandth of it in the plane are taken as a retraced arc
 CROSSING_TOL = 1e-6
+# `segment` accepts q - p when |theta_p(q - p)| <= HORIZONTAL_TOL (1 + |q - p|)
+HORIZONTAL_TOL = 1e-9
+# Newton steps on a candidate crossing before `_newton_refine_pair` gives up
+NEWTON_ITERS = 8
 
 
 @dataclass(frozen=True)
@@ -106,7 +110,7 @@ def circle(radius: float) -> PlanarCurve:
     return PlanarCurve(0.0, 2.0 * np.pi, pos, vel, float(radius))
 
 
-def segment(p, q, tol: float = 1e-9) -> HCurve:
+def segment(p, q) -> HCurve:
     """Straight segment from p to q on [0, 1]; q - p must be horizontal at p.
 
     When theta_p(q - p) = 0 the whole coordinate segment is horizontal (the
@@ -117,7 +121,7 @@ def segment(p, q, tol: float = 1e-9) -> HCurve:
     q = np.asarray(q, dtype=float)
     v = q - p
     th = float(contact(p, v))
-    if abs(th) > tol * (1.0 + float(np.linalg.norm(v))):
+    if abs(th) > HORIZONTAL_TOL * (1.0 + float(np.linalg.norm(v))):
         raise ValueError(f"q - p is not horizontal at p: theta pairing {th:.3e}")
 
     def pos(tau):
@@ -206,9 +210,9 @@ def vertical_translate(curve: HCurve, s: float) -> HCurve:
     )
 
 
-def _newton_refine_pair(curve: HCurve, t1: float, t2: float, iters: int = 8):
+def _newton_refine_pair(curve: HCurve, t1: float, t2: float):
     """Newton on gamma(t1) - gamma(t2) = 0 in the plane; None if it degenerates."""
-    for _ in range(iters):
+    for _ in range(NEWTON_ITERS):
         p1 = curve.position(t1)
         p2 = curve.position(t2)
         r = p1[:2] - p2[:2]

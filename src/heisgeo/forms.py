@@ -1,17 +1,16 @@
 """Scalar fields and the small complex of forms on the three dimensional group.
 
-Fields evaluate on points of shape (..., 3).  Frame derivatives are exact
-whenever a derivative rule is known (coordinate fields, jets, algebra of
-such fields) and otherwise fall back to centered differences along the
-group flows.  Forms are stored by coefficients in the coframe
-(dx, dy, theta) dual to the frame (X, Y, T); there is no dt coefficient
-anywhere, which is what makes the complex small.
+Fields evaluate on points of shape (..., 3).  Frame derivatives come only
+from derivative rules (coordinate fields, jets, algebra of such fields); a
+field without a rule raises on differentiation.  Forms are stored by
+coefficients in the coframe (dx, dy, theta) dual to the frame (X, Y, T);
+there is no dt coefficient anywhere, which is what makes the complex small.
 
 A field built from a jet carries one entry point, `jet(p)`, for its
 coordinate gradient and Hessian.  D(omega) of a form with jet coefficients
 reads one jet per distinct coefficient and point batch; the lazily built
-derivative fields give the same numbers bit for bit and serve the
-finite-difference fallback and third derivatives.
+derivative fields give the same numbers bit for bit and serve single
+derivatives and the five-point third derivatives.
 """
 
 from __future__ import annotations
@@ -33,18 +32,11 @@ __all__ = [
     "VerticalForm",
     "ThetaWedgeForm",
     "TopForm",
-    "eval_form",
     "horizontal_differential",
     "vertical_correction",
     "middle_differential",
     "top_differential",
-    "complex_differential",
 ]
-
-# each nesting level of finite differencing widens the step so the next
-# difference is not drowned by the noise of the previous one; the actual
-# step scales with the point so far-out evaluations keep relative accuracy
-_FD_STEPS = (1e-5, 1e-4, 1e-3)
 
 # third derivatives of jet fields difference the exact second order closures;
 # the five point rule with a coarser step keeps both truncation and rounding
@@ -67,7 +59,7 @@ def _fd4_field(func, axis: int) -> "ScalarField":
         )
         return num / (12.0 * h)
 
-    return ScalarField(diff, fd_depth=1)
+    return ScalarField(diff)
 
 
 class ScalarField:
@@ -75,20 +67,18 @@ class ScalarField:
 
     `func` maps points (..., 3) to values (...).  The optional dX, dY, dT
     arguments are zero-argument callables producing the derivative fields;
-    they are invoked at most once.  Without them, X(), Y(), T() differentiate
-    numerically along the group flow of the corresponding frame vector, so
-    even purely numerical fields compose correctly with every operator here.
+    they are invoked at most once.  X(), Y() and T() of a field built
+    without the matching rule raise `ValueError`.
     """
 
     # jet(p) -> (gradient, Hessian entries) for fields built from a jet; see
     # _jet_field.  Fields from the algebra below carry none.
     jet = None
 
-    def __init__(self, func, dX=None, dY=None, dT=None, fd_depth: int = 0):
+    def __init__(self, func, dX=None, dY=None, dT=None):
         self._func = func
         self._thunks = [dX, dY, dT]
         self._cache: dict = {}
-        self.fd_depth = fd_depth
 
     def __call__(self, p):
         return self._func(np.asarray(p, dtype=float))
@@ -96,7 +86,9 @@ class ScalarField:
     def _derive(self, axis: int) -> "ScalarField":
         if axis not in self._cache:
             thunk = self._thunks[axis]
-            self._cache[axis] = thunk() if thunk is not None else self._fd(axis)
+            if thunk is None:
+                raise ValueError(f"field has no derivative rule for {'XYT'[axis]}")
+            self._cache[axis] = thunk()
         return self._cache[axis]
 
     def X(self) -> "ScalarField":
@@ -108,18 +100,6 @@ class ScalarField:
     def T(self) -> "ScalarField":
         return self._derive(2)
 
-    def _fd(self, axis: int) -> "ScalarField":
-        base = _FD_STEPS[min(self.fd_depth, len(_FD_STEPS) - 1)]
-        func = self._func
-
-        def diff(p):
-            h = base * (1.0 + np.linalg.norm(p, axis=-1))
-            off = np.zeros_like(p)
-            off[..., axis] = h
-            return (func(multiply(p, off)) - func(multiply(p, -off))) / (2.0 * h)
-
-        return ScalarField(diff, fd_depth=self.fd_depth + 1)
-
     def __add__(self, other):
         g = _as_field(other)
         return ScalarField(
@@ -127,7 +107,6 @@ class ScalarField:
             dX=lambda: self.X() + g.X(),
             dY=lambda: self.Y() + g.Y(),
             dT=lambda: self.T() + g.T(),
-            fd_depth=max(self.fd_depth, g.fd_depth),
         )
 
     __radd__ = __add__
@@ -149,7 +128,6 @@ class ScalarField:
                 dX=lambda: self.X() * g + self * g.X(),
                 dY=lambda: self.Y() * g + self * g.Y(),
                 dT=lambda: self.T() * g + self * g.T(),
-                fd_depth=max(self.fd_depth, g.fd_depth),
             )
         c = float(other)
         return ScalarField(
@@ -157,7 +135,6 @@ class ScalarField:
             dX=lambda: self.X() * c,
             dY=lambda: self.Y() * c,
             dT=lambda: self.T() * c,
-            fd_depth=self.fd_depth,
         )
 
     __rmul__ = __mul__
@@ -243,8 +220,9 @@ def scalar_from_jet(value, gradient, hessian) -> ScalarField:
 
     `gradient(p) -> (..., 3)` and `hessian(p) -> (..., 3, 3)` hold coordinate
     derivatives; the chain rule through X = dx - (y/2) dt and Y = dy + (x/2) dt
-    is applied here once so callers only supply the flat jet.  Third and
-    higher frame derivatives fall back to finite differences.
+    is applied here once so callers only supply the flat jet.  A third frame
+    derivative takes the five-point rule on the exact second derivative; a
+    fourth raises `ValueError`.
     """
 
     def jet(p):
@@ -263,7 +241,7 @@ def _jet_field(value, jet) -> ScalarField:
     entries, in the layout `_frame_second` reads; the field keeps it as
     `.jet`, so `middle_differential` evaluates it once per point batch for
     all of D(omega).  The derivative fields below serve single derivatives
-    and the finite-difference third derivatives.
+    and the five-point third derivatives.
     """
 
     def second(k):
@@ -379,8 +357,6 @@ class HorizontalForm:
     derivatives of the coefficients vanish wherever the coefficients do.
     """
 
-    degree = 1
-
     def __init__(self, f: ScalarField, g: ScalarField, support_ball=None):
         self.f = f
         self.g = g
@@ -393,8 +369,6 @@ class HorizontalForm:
 
 class VerticalForm:
     """One form c theta, annihilating horizontal vectors by construction."""
-
-    degree = 1
 
     def __init__(self, c: ScalarField, support_ball=None):
         self.c = c
@@ -412,8 +386,6 @@ class ThetaWedgeForm:
     agree with the fields `a` and `b`, which the differential below still
     reads.
     """
-
-    degree = 2
 
     def __init__(self, a: ScalarField, b: ScalarField, support_ball=None, coefficients=None):
         self.a = a
@@ -437,8 +409,6 @@ class ThetaWedgeForm:
 class TopForm:
     """Volume multiple c theta^dx^dy."""
 
-    degree = 3
-
     def __init__(self, c: ScalarField, support_ball=None):
         self.c = c
         self.support_ball = support_ball
@@ -457,17 +427,6 @@ class TopForm:
             + c1 * (a2 * b3 - a3 * b2)
         )
         return self.c(base) * det
-
-
-def eval_form(form, p, *vectors):
-    """Evaluate a form on exactly degree many tangent vectors at p."""
-    degree = 0 if isinstance(form, ScalarField) else form.degree
-    if len(vectors) != degree:
-        raise ValueError(
-            f"degree {degree} form needs {degree} vectors, got {len(vectors)}"
-        )
-    p = np.asarray(p, dtype=float)
-    return form(p, *vectors) if vectors else form(p)
 
 
 def horizontal_differential(u: ScalarField) -> HorizontalForm:
@@ -518,14 +477,3 @@ def top_differential(w: ThetaWedgeForm) -> TopForm:
         w.a.Y() - w.b.X(),
         support_ball=w.support_ball,
     )
-
-
-def complex_differential(form):
-    """Differential of any rung: scalar, horizontal, or theta wedge form."""
-    if isinstance(form, ScalarField):
-        return horizontal_differential(form)
-    if isinstance(form, HorizontalForm):
-        return middle_differential(form)
-    if isinstance(form, ThetaWedgeForm):
-        return top_differential(form)
-    raise TypeError(f"no differential for {type(form).__name__}")

@@ -19,7 +19,6 @@ import numpy as np
 from .curves import HCurve
 from .forms import (
     HorizontalForm,
-    horizontal_differential,
     middle_differential,
     vertical_correction,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "integrate_surface",
     "boundary_integral",
     "stokes_residual",
-    "stokes_residual_curve",
     "vertical_term_vanishing",
 ]
 
@@ -204,18 +202,6 @@ def stokes_residual(S: ParamSurface, form: HorizontalForm, flag_tol: float = 2e-
     lhs = integrate_surface(two_form, S, flag_tol=flag_tol)
     rhs = boundary_integral(form, S, flag_tol=flag_tol, support_ball=form.support_ball)
     return StokesReport(lhs, rhs, abs(lhs.value - rhs.value))
-
-
-def stokes_residual_curve(curve: HCurve, f) -> float:
-    """Residual of the degree-0 Stokes identity along one horizontal curve.
-
-    The curve integral of the horizontal differential of f must equal the
-    endpoint difference because the theta component of df pairs to zero
-    with a horizontal velocity.
-    """
-    lhs = integrate_curve(horizontal_differential(f), curve)
-    ends = f(curve.position(curve.b)) - f(curve.position(curve.a))
-    return float(abs(lhs.value - float(ends)))
 
 
 def vertical_term_vanishing(S: ParamSurface, form: HorizontalForm) -> float:

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .core import rotate_t_axis
-from .curves import HCurve, horizontality_residual, planar_radius, vertical_translate
+from .curves import HCurve, horizontality_residual, planar_radius, self_intersection_gap, vertical_translate
 
 __all__ = [
     "ParamSurface",
@@ -326,7 +326,5 @@ def cylinder_embeds(curve: HCurve, height: float, samples: int = 4096) -> bool:
     The cylinder self-intersects exactly when two parameters hit the same
     planar point with vertical offsets closer than the ruling height.
     """
-    from .curves import self_intersection_gap
-
     return float(height) < self_intersection_gap(curve, samples=samples)
 

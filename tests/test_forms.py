@@ -1,6 +1,7 @@
 """Scalar fields with exact jets, the small complex, and its identities."""
 
 import numpy as np
+import pytest
 
 from heisgeo import contact, frame_at, point
 from heisgeo.forms import (
@@ -9,9 +10,7 @@ from heisgeo.forms import (
     ThetaWedgeForm,
     bump_field,
     bump_form,
-    complex_differential,
     const_field,
-    eval_form,
     horizontal_differential,
     middle_differential,
     scalar_from_jet,
@@ -142,17 +141,19 @@ def test_complex_second_identity_exact_fields():
         assert np.max(np.abs(vals)) <= 1e-10
 
 
-def test_complex_identities_fd_fallback_fields():
-    # plain callables lean on finite differences throughout; identities
-    # survive at the looser fd tolerance
+def test_fields_without_a_rule_raise():
+    # derivatives come from rules only: a plain callable has none, and a jet
+    # field's rules stop after the five-point third derivative
     f = ScalarField(lambda p: np.sin(p[..., 0]) * np.cos(p[..., 1]) + p[..., 2] ** 2)
-    g = ScalarField(lambda p: np.exp(-0.3 * p[..., 0] ** 2) + p[..., 1] * p[..., 2])
-    p = np.array([[0.3, -0.4, 0.2], [1.0, 0.7, -0.5]])
-    v = np.array([[1.0, 0.2, -0.3], [0.0, 1.0, 0.5]])
-    Dd0 = middle_differential(horizontal_differential(f))
-    assert np.max(np.abs(Dd0(p, v[0], v[1]))) <= 1e-5
-    dD = top_differential(middle_differential(HorizontalForm(f, g)))
-    assert np.max(np.abs(dD(p, v[0], v[1], np.array([0.3, -1.0, 0.8])))) <= 1e-5
+    for derive in (f.X, f.Y, f.T):
+        with pytest.raises(ValueError):
+            derive()
+    rng = np.random.default_rng(36)
+    g = random_jet_field(rng)
+    third = g.X().X().X()
+    assert np.all(np.isfinite(third(random_points(rng, 20))))
+    with pytest.raises(ValueError):
+        third.X()
 
 
 def coordinate_exterior_derivative(P, Q, R, p, v1, v2, h=1e-6):
@@ -209,24 +210,17 @@ def test_vertical_correction_kills_flat_wedge_component():
         assert abs(val) <= 1e-8
 
 
-def test_eval_form_degrees_and_values():
+def test_form_values_on_the_frame():
     p = point(0.7, -0.2, 0.3)
     X, Y, T = frame_at(p)
     one = const_field(1.0)
     theta_dx = ThetaWedgeForm(one, const_field(0.0))
-    assert abs(eval_form(theta_dx, p, X.vec, T.vec) + 1.0) < 1e-15
-    assert abs(eval_form(theta_dx, p, T.vec, X.vec) - 1.0) < 1e-15
-    assert abs(eval_form(theta_dx, p, X.vec, Y.vec)) < 1e-15
+    assert abs(theta_dx(p, X.vec, T.vec) + 1.0) < 1e-15
+    assert abs(theta_dx(p, T.vec, X.vec) - 1.0) < 1e-15
+    assert abs(theta_dx(p, X.vec, Y.vec)) < 1e-15
     w = HorizontalForm(x_field(), y_field())
-    assert abs(eval_form(w, p, X.vec) - p[0]) < 1e-15
-    try:
-        eval_form(w, p, X.vec, Y.vec)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("degree mismatch accepted")
-    # scalar fields count as degree zero
-    assert abs(eval_form(x_field(), p) - 0.7) < 1e-15
+    assert abs(w(p, X.vec) - p[0]) < 1e-15
+    assert abs(x_field()(p) - 0.7) < 1e-15
 
 
 def test_vertical_form_annihilates_horizontal():
@@ -238,15 +232,6 @@ def test_vertical_form_annihilates_horizontal():
         assert abs(form(p, X.vec)) == 0.0
         assert abs(form(p, Y.vec)) == 0.0
         assert abs(form(p, T.vec) - form.c(p)) < 1e-15
-
-
-def test_complex_differential_dispatch():
-    rng = np.random.default_rng(32)
-    f = random_jet_field(rng)
-    w = HorizontalForm(f, f)
-    assert isinstance(complex_differential(f), HorizontalForm)
-    assert isinstance(complex_differential(w), ThetaWedgeForm)
-    assert complex_differential(middle_differential(w)).degree == 3
 
 
 def test_bump_field_support_and_smoothness():
