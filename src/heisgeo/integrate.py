@@ -69,15 +69,17 @@ def _result(value: float, estimate: float, tol: float, stats=MappingProxyType({}
 
 def _ball_level(position, tangents, speed, ball):
     """(jet, lip, scale, noise) of the level r^2 - |p - c|^2 along a map.
+    jet(*x, axes) is the level and its derivatives along the tangents in
+    `axes` (default all); with axes=() only the position is evaluated.
     Within h, |grad| <= 2 (|p - c| + speed h) speed; points rounded to
     eps (|c| + r) are seen at the ball's scale r: noise = (|c| + r) / r."""
     center, radius = np.asarray(ball[0], dtype=float), float(ball[1])
     r2 = radius * radius
 
-    def jet(*x):
+    def jet(*x, axes=tuple(range(len(tangents)))):
         d = position(*x) - center
         return (r2 - (d * d).sum(axis=-1),
-                *(-2.0 * (d * t(*x)).sum(axis=-1) for t in tangents))
+                *(-2.0 * (d * tangents[k](*x)).sum(axis=-1) for k in axes))
 
     def lip(level, h):
         return 2.0 * (np.sqrt(np.maximum(r2 - level, 0.0)) + speed * h) * speed
@@ -86,11 +88,11 @@ def _ball_level(position, tangents, speed, ball):
 
 
 def _rectangle_level(u_dom, v_dom):
-    """(jet, lip, scale, noise) of the level 1 on a whole rectangle: it has
-    no roots, so the conforming rule makes one piece of the rectangle."""
-    def jet(u, v):
+    """(jet, lip, scale, noise) of the level 1 on a whole rectangle, jet as
+    `_ball_level`'s: it has no roots, so the conforming rule makes one piece."""
+    def jet(u, v, axes=(0, 1)):
         one = np.ones(np.broadcast(u, v).shape)
-        return one, 0.0 * one, 0.0 * one
+        return (one, *(0.0 * one for _ in axes))
 
     return jet, lambda level, h: 0.0, math.hypot(u_dom[1] - u_dom[0], v_dom[1] - v_dom[0]), 1.0
 
@@ -137,7 +139,7 @@ def _check_truncation_edges(ball, S: ParamSurface) -> None:
             lambda s: S.position(*at(s)), (lambda s: tangent(*at(s)),), S.speed, ball)
         span = S.v_dom if axis == 0 else S.u_dom
         roots, fault = support_roots(jet, lip, *span, scale)
-        if fault or len(roots) or not jet(np.array(span[0]))[0] < 0.0:
+        if fault or len(roots) or not jet(np.array(span[0]), axes=())[0] < 0.0:
             raise ValueError(
                 f"support ball reaches the truncation edge {'uv'[axis]} = {value:g}")
 

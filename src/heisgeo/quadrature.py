@@ -5,6 +5,7 @@ two flat arrays of equal length).  Every rule reports the finer of two rules
 and their gap: the uniform curve rule compares against itself at half the
 panel count, which is cheap and pessimistic for the smooth integrands used
 here; the conforming rules compare the Gauss pair (n, 2n) on each piece.
+Each n-point rule is built once, on first use, and kept read-only.
 
 Every estimate is floored at the rounding bound 50·eps·Σ|w·f| of the rule's
 weighted samples (as in QUADPACK, Piessens et al. 1983): when both rules
@@ -19,15 +20,19 @@ pair (n, 2n) giving the value and the floored gap.  Roots are solved for,
 never sampled.  lip(phi, h) bounds |grad phi| within h of a point where phi
 takes that value; a cell is dropped only when |phi| at its centre exceeds
 lip times its half-width, the rest are halved and Newton polishes the roots
-left in them.  An estimate is NaN when a NaN or an unsettled solve turns
-up, when the root count changes inside a piece, when neighbouring
-intervals share a sign, or when a cell proved that P meets the rectangle
-and no outer node sees P.  Its rounding floor is multiplied by `noise`, the
-factor by which f's inputs are rounded worse than f's own scale.  A phi
-that is positive with no roots leaves one piece, the whole rectangle.
+left in them.  The level jet takes the axes to differentiate along, so a
+query that reads phi alone evaluates phi alone.  An estimate is NaN when a
+NaN or an unsettled solve turns up, when the root count changes inside a
+piece, when neighbouring intervals share a sign, or when a cell proved
+that P meets the rectangle and no outer node sees P.  Its rounding floor
+is multiplied by `noise`, the factor by which f's inputs are rounded worse
+than f's own scale.  A phi that is positive with no roots leaves one
+piece, the whole rectangle.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -67,14 +72,17 @@ class RuleResult(tuple):
         return self
 
 
-def _floored(gap: float, abs_sum: float) -> float:
-    """Richardson gap raised to the rounding bound of the fine rule."""
-    return float(max(gap, ROUNDING_FLOOR * abs_sum))
+@functools.cache
+def _legendre(n):
+    """Read-only nodes and weights of n-point Gauss-Legendre on [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _gauss(n, lo, hi):
     """Nodes and weights, flattened, of n-point Gauss-Legendre on each [lo, hi]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre(n)
     half = 0.5 * (hi - lo)[:, None]
     return ((0.5 * (lo + hi))[:, None] + half * x).ravel(), (half * w).ravel()
 
@@ -83,9 +91,10 @@ def _pair(f, coarse, fine, fault, noise, **stats):
     """Result of a rule pair, each (args, weights): the fine value and the
     gap floored at `noise` times the rounding floor, NaN on a fault; f is
     evaluated once on both rules' nodes.  `stats` name the rule."""
-    vals = np.asarray(f(*(np.r_[c, d] for c, d in zip(coarse[0], fine[0]))), dtype=float)
+    vals = np.asarray(f(*(np.concatenate((c, d)) for c, d in zip(coarse[0], fine[0]))), dtype=float)
     c, d = coarse[1] * vals[:len(coarse[1])], fine[1] * vals[len(coarse[1]):]
-    error = np.nan if fault else _floored(abs(d.sum() - c.sum()), noise * float(np.abs(d).sum()))
+    floor = ROUNDING_FLOOR * (noise * float(np.abs(d).sum()))
+    error = np.nan if fault else float(max(abs(d.sum() - c.sum()), floor))
     return RuleResult(d.sum(), error, points=len(vals), **stats)
 
 
@@ -121,27 +130,27 @@ def _solve(jet, owner, lo, hi):
 def _line_roots(jet, lip, owner, a, b, floor):
     """Roots of g in the cells [a, b] of each line; (owner, root, fault).
 
-    jet(owner, x) = (g, g').  Surviving cells of width `floor` merge into
-    clusters; ends of differing sign bracket a root, ends of equal sign
+    jet(owner, x) = (g, g'), or (g,) with axes=().  Surviving cells of width `floor`
+    merge into clusters; ends of differing sign bracket a root, ends of equal sign
     with differing slopes an extremum, and two roots if g crosses zero there.
     """
     done = [(owner, a, b)] if not len(a) else []
     while len(a):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        g = jet(owner, mid)[0]
+        g = jet(owner, mid, axes=())[0]
         live = ~(np.abs(g) > lip(g, half) * half)
         owner, a, b, mid = owner[live], a[live], b[live], mid[live]
         fine = b - a <= floor
         done.append((owner[fine], a[fine], b[fine]))
         owner, a, b, mid = np.tile(owner[~fine], 2), a[~fine], b[~fine], mid[~fine]
-        a, b = np.r_[a, mid], np.r_[mid, b]
+        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
     owner, a, b = (np.concatenate(x) for x in zip(*done))
     if not len(owner):
         return owner, a, False
     order = np.lexsort((a, owner))
     owner, a, b = owner[order], a[order], b[order]
-    first = np.flatnonzero(np.r_[True, (owner[1:] != owner[:-1]) | (a[1:] != b[:-1])])
-    owner, a, b = owner[first], a[first], b[np.r_[first[1:], len(b)] - 1]
+    first = np.flatnonzero(np.concatenate(([True], (owner[1:] != owner[:-1]) | (a[1:] != b[:-1]))))
+    owner, a, b = owner[first], a[first], b[np.append(first[1:], len(b)) - 1]
     (ga, da), (gb, db) = jet(owner, a), jet(owner, b)
     cross = (ga > 0.0) != (gb > 0.0)
     found = [(owner[cross], _solve(jet, owner[cross], a[cross], b[cross]))]
@@ -151,20 +160,20 @@ def _line_roots(jet, lip, owner, a, b, floor):
         h = 1e-4 * (hi - lo)
         x = _solve(lambda o, x: (jet(o, x)[1], (jet(o, x + h)[1] - jet(o, x - h)[1]) / (2.0 * h)),
                    o, lo, hi)
-        two = (jet(o, x)[0] > 0.0) != (ga[turn] > 0.0)
+        two = (jet(o, x, axes=())[0] > 0.0) != (ga[turn] > 0.0)
         o, lo, x, hi = o[two], lo[two], x[two], hi[two]
         found += [(o, _solve(jet, o, lo, x)), (o, _solve(jet, o, x, hi))]
     owner, root = (np.concatenate(x) for x in zip(*found))
     order = np.lexsort((root, owner))
-    return owner[order], root[order], bool(np.isnan(np.r_[ga, gb, root]).any())
+    return owner[order], root[order], bool(np.isnan(np.concatenate((ga, gb, root))).any())
 
 
 def support_roots(jet, lip, a: float, b: float, scale: float):
-    """Roots of g on [a, b] with jet(x) = (g, g'); (roots, fault).  Cells
-    start at most `scale` (the size of {g > 0}) wide and end scale/64 wide."""
+    """Roots of g on [a, b], jet(x, axes) as in `_line_roots`; (roots, fault).
+    Cells start at most `scale` (the size of {g > 0}) wide, end scale/64 wide."""
     edges = np.linspace(a, b, int(np.ceil((b - a) / scale)) + 1)
-    _, roots, fault = _line_roots(lambda o, x: jet(x), lip, np.zeros(len(edges) - 1, dtype=int),
-                                  edges[:-1], edges[1:], scale / 64.0)
+    _, roots, fault = _line_roots(lambda o, x, axes=(0,): jet(x, axes=axes), lip,
+                                  np.zeros(len(edges) - 1, dtype=int), edges[:-1], edges[1:], scale / 64.0)
     return roots, fault
 
 
@@ -172,7 +181,7 @@ def _positive_intervals(value, lo, hi, owner, roots):
     """(line, a, b) of the intervals between roots where value(line, x) > 0,
     and a fault when neighbours share a sign, which simple roots forbid."""
     lines = np.arange(len(lo))
-    cuts, own = np.r_[lo, roots, hi], np.r_[lines, owner, lines]
+    cuts, own = np.concatenate((lo, roots, hi)), np.concatenate((lines, owner, lines))
     order = np.lexsort((cuts, own))
     cuts, own = cuts[order], own[order]
     keep = (own[1:] == own[:-1]) & (cuts[1:] > cuts[:-1])
@@ -182,12 +191,12 @@ def _positive_intervals(value, lo, hi, owner, roots):
 
 
 def conforming_integrate_1d(f, jet, lip, a: float, b: float, scale: float, noise: float) -> RuleResult:
-    """Integral over [a, b] of f, which vanishes where g <= 0; jet(x) = (g, g').
+    """Integral over [a, b] of f, which vanishes where g <= 0; jet as in `support_roots`.
 
     Each interval between roots where g > 0 gets the pair CURVE_PAIR.
     """
     roots, fault = support_roots(jet, lip, a, b, scale)
-    _, lo, hi, bad = _positive_intervals(lambda o, x: jet(x)[0], np.array([a]), np.array([b]),
+    _, lo, hi, bad = _positive_intervals(lambda o, x: jet(x, axes=())[0], np.array([a]), np.array([b]),
                                          np.zeros(len(roots), dtype=int), roots)
     rules = [((x,), w) for x, w in (_gauss(n, lo, hi) for n in CURVE_PAIR)]
     return _pair(f, *rules, fault or bad, noise, rule="conforming", pieces=len(lo))
@@ -197,14 +206,15 @@ def conforming_integrate_2d(f, jet, lip, u_dom, v_dom, scale: float, noise: floa
                             periodic_v: bool) -> RuleResult:
     """Integral over a rectangle of f, which vanishes outside P = {phi > 0}.
 
-    jet(u, v) = (phi, phi_u, phi_v).  The u-breakpoints are the roots of
-    phi on the v-edges (none when v is periodic) and the folds phi = phi_v
-    = 0, which lie in kept cells of the quadtree over phi.  The outer rule
+    jet(u, v) = (phi, phi_u, phi_v); jet(u, v, axes) = phi and its partials
+    along the listed axes only.  The u-breakpoints are the roots of phi on
+    the v-edges (none when v is periodic) and the folds phi = phi_v = 0,
+    which lie in kept cells of the quadtree over phi.  The outer rule
     runs through u = a + (b - a)(1 - cos(pi s))/2 (A. Sidi, 1993), which
     smooths the square-root behaviour at folds; the inner roots at each
     outer node lie in the kept cells of its column.
     """
-    phi = lambda u, v: jet(u, v)[0]
+    phi = lambda u, v: jet(u, v, axes=())[0]
     su, sv = u_dom[1] - u_dom[0], v_dom[1] - v_dom[0]
     nu, nv = int(np.ceil(su / min(su, sv))), int(np.ceil(sv / min(su, sv)))
     du, dv = su / nu, sv / nv
@@ -217,7 +227,8 @@ def conforming_integrate_2d(f, jet, lip, u_dom, v_dom, scale: float, noise: floa
         inside |= bool((g > bound).any())
         iu, iv = iu[~(np.abs(g) > bound)], iv[~(np.abs(g) > bound)]
         if level < levels:
-            iu, iv = np.r_[2 * iu, 2 * iu + 1, 2 * iu, 2 * iu + 1], np.r_[2 * iv, 2 * iv, 2 * iv + 1, 2 * iv + 1]
+            iu, iv = (np.concatenate((2 * iu, 2 * iu + 1, 2 * iu, 2 * iu + 1)),
+                      np.concatenate((2 * iv, 2 * iv, 2 * iv + 1, 2 * iv + 1)))
             du, dv = 0.5 * du, 0.5 * dv
     if not len(iu) and not inside:
         return RuleResult(0.0, 0.0, rule="conforming", points=0, pieces=0)
@@ -228,7 +239,7 @@ def conforming_integrate_2d(f, jet, lip, u_dom, v_dom, scale: float, noise: floa
     hu, hv, n = 1e-3 * du, 1e-3 * dv, len(u)
     step_u = step_v = np.full(n, np.inf)
     for _ in range(8 if n else 0):
-        p, pu, pv = jet(np.r_[u, u + hu, u - hu, u, u], np.r_[v, v, v, v + hv, v - hv])
+        p, pu, pv = jet(np.concatenate((u, u + hu, u - hu, u, u)), np.concatenate((v, v, v, v + hv, v - hv)))
         pv, pv_u1, pv_u0, pv_v1, pv_v0 = np.split(pv, 5)
         puv, pvv = (pv_u1 - pv_u0) / (2.0 * hu), (pv_v1 - pv_v0) / (2.0 * hv)
         det = pu[:n] * pvv - pv * puv
@@ -240,12 +251,12 @@ def conforming_integrate_2d(f, jet, lip, u_dom, v_dom, scale: float, noise: floa
             & (u > u_dom[0]) & (u < u_dom[1]) & (v >= v_dom[0]) & (v <= v_dom[1]))
     breaks, fault = [np.array(u_dom), u[fold]], False
     for v_edge in () if periodic_v else v_dom:
-        roots, bad = support_roots(lambda u, v_edge=v_edge: jet(u, np.full_like(u, v_edge))[:2],
+        roots, bad = support_roots(lambda u, axes=(0,), v_edge=v_edge: jet(u, np.full_like(u, v_edge), axes=axes),
                                    lip, *u_dom, scale)
         breaks, fault = breaks + [roots], fault or bad
     breaks = np.unique(np.clip(np.concatenate(breaks), *u_dom))
-    breaks = breaks[np.r_[True, np.diff(breaks) > 1e-12 * su]]
-    a, b = breaks[:-1], np.r_[breaks[1:-1], u_dom[1]]
+    breaks = breaks[np.concatenate(([True], np.diff(breaks) > 1e-12 * su))]
+    a, b = breaks[:-1], np.append(breaks[1:-1], u_dom[1])
 
     # outer nodes u with weights wu, piece and rule (0 or 1) of both rules
     nodes = []
@@ -266,8 +277,8 @@ def conforming_integrate_2d(f, jet, lip, u_dom, v_dom, scale: float, noise: floa
     rows = int(round(sv / dv))
     owner, cells = np.divmod(np.unique(owner * rows + cells), rows)
     r_owner, roots, bad = _line_roots(
-        lambda o, v: jet(u[o], v)[::2], lip, owner, np.clip(v_dom[0] + cells * dv, *v_dom),
-        np.clip(v_dom[0] + (cells + 1) * dv, *v_dom), 0.25 * dv)
+        lambda o, v, axes=(0,): jet(u[o], v, axes=(1,) * len(axes)), lip, owner,
+        np.clip(v_dom[0] + cells * dv, *v_dom), np.clip(v_dom[0] + (cells + 1) * dv, *v_dom), 0.25 * dv)
     count = np.bincount(r_owner, minlength=len(u))
     # every node of a piece must see as many roots as the piece's first node
     fault |= bad or bool(np.any(count != count[piece * CONFORMING_PAIR[0]]))
@@ -298,7 +309,7 @@ class PrefixIntegral:
             raise ValueError("need b > a")
         self.f = f
         self.a, self.b = float(a), float(b)
-        self.gx, self.gw = _gauss(NODES, -np.ones(1), np.ones(1))
+        self.gx, self.gw = _legendre(NODES)
         self.edges = np.linspace(a, b, CURVE_PANELS + 1)
         pts, wts = _gauss(NODES, self.edges[:-1], self.edges[1:])
         panel_vals = (wts * np.asarray(f(pts), dtype=float)).reshape(CURVE_PANELS, NODES).sum(axis=1)

@@ -27,6 +27,7 @@ from heisgeo.forms import (
     HorizontalForm,
     ScalarField,
     ThetaWedgeForm,
+    bump_field,
     const_field,
     scalar_from_jet,
     t_field,
@@ -34,7 +35,7 @@ from heisgeo.forms import (
     y_field,
 )
 from heisgeo.cli import DEFAULT_SEED, _stokes_scene
-from heisgeo.integrate import FLAG_TOL, _surface_integrand
+from heisgeo.integrate import FLAG_TOL, _ball_level, _surface_integrand
 
 
 def _unit_sheet(**kw):
@@ -280,3 +281,29 @@ def test_vertical_term_detects_vertical_boundary():
     sheet = _unit_sheet(boundary=((vseg, 1),))
     form = bump_form([0.2, 0.3, 0.25], 0.3)
     assert vertical_term_vanishing(sheet, form) > 1e-3
+
+
+def test_level_queries_evaluate_only_the_tangents_they_read():
+    S = vertical_halfplane()
+    calls = dict.fromkeys(("position", "tangent_u", "tangent_v"), 0)
+
+    def counted(name):
+        def call(u, v):
+            calls[name] += 1
+            return getattr(S, name)(u, v)
+        return call
+
+    counted_S = dataclasses.replace(S, **{name: counted(name) for name in calls})
+    c, r = np.array([0.0, 0.0, 1.5]), 0.2
+    b = bump_field(c, r)
+    res = integrate_surface(ThetaWedgeForm(b, b, support_ball=(c, r)), counted_S)
+    assert (res.value, res.estimate) == (-0.025132741228718135, 2.3717505786458495e-15)
+    assert res.stats["points"] == 2880 and res.stats["pieces"] == 3
+    # the cell search, root bracketing and sign tests read the level alone;
+    # the v-lines read phi_v, the v-edges phi_u, the fold Newton both
+    assert calls == {"position": 67, "tangent_u": 10, "tangent_v": 44}
+    jet = _ball_level(S.position, (S.tangent_u, S.tangent_v), S.speed, (c, r))[0]
+    u, v = np.linspace(-0.3, 0.3, 7), np.linspace(1.2, 1.8, 7)
+    alone, full = jet(u, v, axes=()), jet(u, v)
+    assert len(alone) == 1 and len(full) == 3
+    assert alone[0].tobytes() == full[0].tobytes()

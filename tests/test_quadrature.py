@@ -1,8 +1,10 @@
 """Composite Gauss-Legendre rules, prefix integrals, conforming rules."""
 
 import numpy as np
+import pytest
 from scipy import integrate as sci
 
+from heisgeo import quadrature
 from heisgeo.integrate import _rectangle_level
 from heisgeo.quadrature import (
     CURVE_PANELS,
@@ -24,6 +26,22 @@ def test_panel_rule_weights_and_polynomial_exactness():
     for k in range(10):
         exact = (3.0 ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
         assert abs(wts @ pts**k - exact) < 1e-12 * max(1.0, abs(exact))
+
+
+def test_each_gauss_rule_is_built_once(monkeypatch):
+    build = np.polynomial.legendre.leggauss
+    calls = []
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or build(n))
+    sizes = (8, 16, 24, 32, 48)
+    for n in sizes + sizes:
+        x, w = _gauss(n, -np.ones(1), np.ones(1))
+        fresh = build(n)
+        assert x.tobytes() == fresh[0].tobytes() and w.tobytes() == fresh[1].tobytes()
+    # earlier calls may have filled the cache already; none builds a rule twice
+    assert sorted(calls) == sorted(set(calls)) and set(calls) <= set(sizes)
+    for cached in quadrature._legendre(24):
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
 
 
 def test_integrate_1d_value_and_estimate():
@@ -78,7 +96,8 @@ def _disc(c, r):
         q = 1.0 - ((u - c[0]) ** 2 + (v - c[1]) ** 2) / r**2
         return np.where(q > 0.0, q, 0.0) ** 4
     phi = lambda u, v: r**2 - (u - c[0]) ** 2 - (v - c[1]) ** 2
-    jet = lambda u, v: (phi(u, v), -2.0 * (u - c[0]), -2.0 * (v - c[1]))
+    # the level and its derivatives along the listed axes, as the rule asks
+    jet = lambda u, v, axes=(0, 1): (phi(u, v), *(-2.0 * ((u, v)[k] - c[k]) for k in axes))
     # |grad phi| = 2 |x - c| <= 2 (|x0 - c| + h) within h of x0
     lip = lambda level, h: 2.0 * (np.sqrt(np.maximum(r**2 - level, 0.0)) + h)
     return f, jet, lip
@@ -117,13 +136,15 @@ def test_conforming_support_cut_by_domain_edge():
 def test_conforming_rule_fails_loud():
     c, r = np.array([0.4, 0.5]), 0.2
     f, jet, lip = _disc(c, r)
+    phi = lambda u, v: jet(u, v, axes=())[0]
     # a NaN inside the support reaches the value and the estimate
     nan_inside = lambda u, v: np.where(u > 0.45, np.nan, f(u, v))
     value, est = conforming_integrate_2d(nan_inside, jet, lip, (0.0, 1.0), (0.0, 1.0), r, 1.0, False)
     assert np.isnan(value) and np.isnan(est)
     # a slope that hides the folds leaves one piece whose outer nodes see
     # zero or two roots; the count change flags it instead of integrating
-    blind = lambda u, v: jet(u, v)[:2] + (np.full_like(u, 1e3),)
+    blind = lambda u, v, axes=(0, 1): (phi(u, v), *(jet(u, v)[1] if k == 0 else np.full_like(u, 1e3)
+                                                     for k in axes))
     res = conforming_integrate_2d(f, blind, lip, (0.0, 1.0), (0.0, 1.0), r, 1.0, False)
     assert res.stats["pieces"] == 1 and np.isnan(res[1])
     # a support that misses the rectangle gives exactly zero
