@@ -13,22 +13,18 @@ from .core import (
     contact,
     dilate,
     frame_at,
-    frame_norm,
     identity,
     inverse,
     multiply,
-    point,
     rotate_t_axis,
 )
 from .curves import (
     HCurve,
     PlanarCurve,
-    circle,
     horizontality_residual,
     lemniscate,
     lift_closed_defect,
     lift_horizontal,
-    segment,
     self_intersection_gap,
     vertical_translate,
 )
@@ -40,18 +36,14 @@ from .forms import (
     VerticalForm,
     bump_field,
     bump_form,
-    const_field,
     horizontal_differential,
     middle_differential,
     scalar_from_jet,
-    t_field,
     top_differential,
     vertical_correction,
-    x_field,
-    y_field,
 )
-from .export import format_float, surface_mesh, write_csv, write_json, write_obj
-from .foliation import FoliationTrace, detect_period, foliation_direction, trace_foliation
+from .export import surface_mesh, write_csv, write_json, write_obj
+from .foliation import FoliationTrace, detect_period, trace_foliation
 from .integrate import (
     IntegralResult,
     StokesReport,

@@ -285,7 +285,8 @@ def cmd_stokes(args) -> int:
         "seed": args.seed,
         "tolerance": tolerance,
         "forms": entries,
-        "max_residual": max((e["residual"] for e in entries), default=0.0),
+        # np.max, unlike max, keeps a NaN wherever it falls in the list
+        "max_residual": float(np.max([e["residual"] for e in entries], initial=0.0)),
     }
     if args.output is not None:
         write_json(_out_base(args.output) + ".json", payload)

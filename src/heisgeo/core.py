@@ -25,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "TangentVector",
-    "point",
     "identity",
     "multiply",
     "inverse",
@@ -33,7 +32,6 @@ __all__ = [
     "rotate_t_axis",
     "frame_at",
     "contact",
-    "frame_norm",
     "theta_of",
     "frame_length",
 ]
@@ -44,11 +42,6 @@ class TangentVector(NamedTuple):
 
     base: np.ndarray
     vec: np.ndarray
-
-
-def point(x, y, t) -> np.ndarray:
-    """Assemble the point (x, y, t)."""
-    return np.array([float(x), float(y), float(t)])
 
 
 def identity() -> np.ndarray:
@@ -118,10 +111,3 @@ def contact(p, v) -> np.ndarray:
     if p.shape[-1:] != (3,) or v.shape[-1:] != (3,):
         raise ValueError(f"need trailing axes of length 3, got {p.shape} and {v.shape}")
     return theta_of(p[..., 0], p[..., 1], v[..., 0], v[..., 1], v[..., 2])
-
-
-def frame_norm(p, v) -> np.ndarray:
-    """Length of v in the metric making (X, Y, T) orthonormal."""
-    th = contact(p, v)
-    v = np.asarray(v, dtype=float)
-    return frame_length(v[..., 0], v[..., 1], th)

@@ -25,8 +25,6 @@ __all__ = [
     "PlanarCurve",
     "HCurve",
     "lemniscate",
-    "circle",
-    "segment",
     "lift_horizontal",
     "lift_closed_defect",
     "horizontality_residual",
@@ -37,8 +35,6 @@ __all__ = [
 # smallest cell of the sample hash in self_intersection_gap; samples closer
 # than a thousandth of it in the plane are taken as a retraced arc
 CROSSING_TOL = 1e-6
-# `segment` accepts q - p when |theta_p(q - p)| <= HORIZONTAL_TOL (1 + |q - p|)
-HORIZONTAL_TOL = 1e-9
 # Newton steps on a candidate crossing before `_newton_refine_pair` gives up
 NEWTON_ITERS = 8
 
@@ -92,47 +88,6 @@ def lemniscate() -> PlanarCurve:
 
     # |vel|^2 = sin^2 + cos^2(2 tau) <= 2
     return PlanarCurve(0.0, 2.0 * np.pi, pos, vel, math.sqrt(2.0))
-
-
-def circle(radius: float) -> PlanarCurve:
-    """Counterclockwise circle of given radius about the origin on [0, 2pi]."""
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-
-    def pos(tau):
-        tau = np.asarray(tau, dtype=float)
-        return radius * np.stack([np.cos(tau), np.sin(tau)], axis=-1)
-
-    def vel(tau):
-        tau = np.asarray(tau, dtype=float)
-        return radius * np.stack([-np.sin(tau), np.cos(tau)], axis=-1)
-
-    return PlanarCurve(0.0, 2.0 * np.pi, pos, vel, float(radius))
-
-
-def segment(p, q) -> HCurve:
-    """Straight segment from p to q on [0, 1]; q - p must be horizontal at p.
-
-    When theta_p(q - p) = 0 the whole coordinate segment is horizontal (the
-    theta-pairing with the constant velocity is constant along it), so this is
-    the horizontal line through the two points.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    v = q - p
-    th = float(contact(p, v))
-    if abs(th) > HORIZONTAL_TOL * (1.0 + float(np.linalg.norm(v))):
-        raise ValueError(f"q - p is not horizontal at p: theta pairing {th:.3e}")
-
-    def pos(tau):
-        tau = np.asarray(tau, dtype=float)
-        return p + tau[..., None] * v
-
-    def vel(tau):
-        tau = np.asarray(tau, dtype=float)
-        return np.broadcast_to(v, tau.shape + (3,)).copy()
-
-    return HCurve(0.0, 1.0, pos, vel, float(np.linalg.norm(v)))
 
 
 def planar_radius(curve) -> float:

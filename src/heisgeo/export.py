@@ -14,7 +14,6 @@ import numpy as np
 from .surfaces import ParamSurface
 
 __all__ = [
-    "format_float",
     "write_csv",
     "write_json",
     "surface_mesh",
@@ -23,10 +22,6 @@ __all__ = [
 
 
 FLOAT_FORMAT = "%.17g"
-
-
-def format_float(x: float) -> str:
-    return FLOAT_FORMAT % float(x)
 
 
 def _lines(row: str, a: np.ndarray) -> str:

@@ -4,9 +4,9 @@ A leaf is an integral curve of the parameter-space field
 (theta(S_v), -theta(S_u)) normalized by the ambient frame length of the
 corresponding tangent vector, so the independent variable of the ODE is
 frame arclength in the group.  One pairing helper, one characteristic
-margin and one direction helper serve both the public
-`foliation_direction` and the leaf solver; they work on components, so the
-solver's single points run on Python floats.  The trace keeps the periodic
+margin and one direction helper make the leaf solver's right-hand side and
+its guard; they work on components, so single points run on Python floats
+and batches on arrays.  The trace keeps the periodic
 coordinates unwrapped; winding numbers are read off by counting period
 multiples at section returns, never by re-wrapping.
 """
@@ -23,7 +23,6 @@ from .surfaces import ParamSurface
 
 __all__ = [
     "FoliationTrace",
-    "foliation_direction",
     "trace_foliation",
     "detect_period",
 ]
@@ -93,24 +92,6 @@ def _direction(p, su, sv, tu, tv):
     w = [tv * a - tu * b for a, b in zip(su, sv)]
     wlen = frame_length(w[0], w[1], theta_of(p[0], p[1], *w))
     return tv / wlen, -tu / wlen
-
-
-def foliation_direction(S: ParamSurface, u, v):
-    """Characteristic direction in parameter space, frame-normalized.
-
-    The kernel of theta inside the tangent plane is spanned by
-    W = theta(S_v) S_u - theta(S_u) S_v; returned is (theta(S_v), -theta(S_u))
-    divided by the frame length of W, so moving at unit speed in the returned
-    coordinates moves at unit frame speed in the group.  Raises within the
-    characteristic guard that also truncates `trace_foliation`.
-    """
-    pairs = _pairings(S, u, v)
-    if np.any(_margin(*pairs) <= 0.0):
-        raise ValueError("characteristic point: foliation direction undefined")
-    du, dv = _direction(*pairs)
-    if np.ndim(du) == 0:
-        return float(du), float(dv)
-    return du, dv
 
 
 def trace_foliation(

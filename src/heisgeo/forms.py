@@ -1,8 +1,8 @@
 """Scalar fields and the small complex of forms on the three dimensional group.
 
 Fields evaluate on points of shape (..., 3).  Frame derivatives come only
-from derivative rules (coordinate fields, jets, algebra of such fields); a
-field without a rule raises on differentiation.  Forms are stored by
+from derivative rules (jets and the algebra of such fields); a field
+without a rule raises on differentiation.  Forms are stored by
 coefficients in the coframe (dx, dy, theta) dual to the frame (X, Y, T);
 there is no dt coefficient anywhere, which is what makes the complex small.
 
@@ -21,10 +21,6 @@ from .core import contact, multiply
 
 __all__ = [
     "ScalarField",
-    "const_field",
-    "x_field",
-    "y_field",
-    "t_field",
     "scalar_from_jet",
     "bump_field",
     "bump_form",
@@ -100,8 +96,7 @@ class ScalarField:
     def T(self) -> "ScalarField":
         return self._derive(2)
 
-    def __add__(self, other):
-        g = _as_field(other)
+    def __add__(self, g: "ScalarField"):
         return ScalarField(
             lambda p: self(p) + g(p),
             dX=lambda: self.X() + g.X(),
@@ -109,16 +104,11 @@ class ScalarField:
             dT=lambda: self.T() + g.T(),
         )
 
-    __radd__ = __add__
-
     def __neg__(self):
         return self * (-1.0)
 
-    def __sub__(self, other):
-        return self + (-_as_field(other))
-
-    def __rsub__(self, other):
-        return _as_field(other) + (-self)
+    def __sub__(self, g: "ScalarField"):
+        return self + (-g)
 
     def __mul__(self, other):
         if isinstance(other, ScalarField):
@@ -138,50 +128,6 @@ class ScalarField:
         )
 
     __rmul__ = __mul__
-
-
-def _as_field(obj) -> ScalarField:
-    if isinstance(obj, ScalarField):
-        return obj
-    return const_field(float(obj))
-
-
-def const_field(c: float) -> ScalarField:
-    c = float(c)
-    return ScalarField(
-        lambda p: np.full(p.shape[:-1], c),
-        dX=lambda: const_field(0.0),
-        dY=lambda: const_field(0.0),
-        dT=lambda: const_field(0.0),
-    )
-
-
-def x_field() -> ScalarField:
-    return ScalarField(
-        lambda p: p[..., 0],
-        dX=lambda: const_field(1.0),
-        dY=lambda: const_field(0.0),
-        dT=lambda: const_field(0.0),
-    )
-
-
-def y_field() -> ScalarField:
-    return ScalarField(
-        lambda p: p[..., 1],
-        dX=lambda: const_field(0.0),
-        dY=lambda: const_field(1.0),
-        dT=lambda: const_field(0.0),
-    )
-
-
-def t_field() -> ScalarField:
-    # X t = -y/2 and Y t = x/2, the frame twists the vertical coordinate
-    return ScalarField(
-        lambda p: p[..., 2],
-        dX=lambda: y_field() * (-0.5),
-        dY=lambda: x_field() * 0.5,
-        dT=lambda: const_field(1.0),
-    )
 
 
 def _frame_first(p, dx, dy, dt):

@@ -97,16 +97,16 @@ def _rectangle_level(u_dom, v_dom):
     return jet, lambda level, h: 0.0, math.hypot(u_dom[1] - u_dom[0], v_dom[1] - v_dom[0]), 1.0
 
 
-def integrate_curve(form, curve: HCurve, flag_tol: float = FLAG_TOL) -> IntegralResult:
+def integrate_curve(form, curve: HCurve, flag_tol: float = FLAG_TOL,
+                    support_ball=None) -> IntegralResult:
     """Integral of a degree-1 form over a curve, velocity pullback.
 
     Only the in-ball intervals are integrated when the form has a support
     ball and the curve a finite speed bound; else the uniform rule runs.
+    `support_ball` defaults to the form's own; passing it lets a form
+    wrapped in a plain callable keep its clipped rule.
     """
-    return _curve_integral(form, curve, flag_tol, getattr(form, "support_ball", None))
-
-
-def _curve_integral(form, curve: HCurve, flag_tol: float, ball) -> IntegralResult:
+    ball = support_ball or getattr(form, "support_ball", None)
     f = lambda tau: form(curve.position(tau), curve.velocity(tau))
     if ball is None or not math.isfinite(curve.speed):
         res = integrate_1d(f, curve.a, curve.b)
@@ -171,8 +171,7 @@ def boundary_integral(form, S: ParamSurface, flag_tol: float = FLAG_TOL,
                       support_ball=None) -> IntegralResult:
     """Sum of oriented boundary component integrals of a degree-1 form.
 
-    `support_ball` defaults to the form's own; passing it lets a form
-    wrapped in a plain callable keep its clipped rims.
+    `support_ball` is handed to `integrate_curve` for every rim.
     """
     if S.boundary is None:
         raise ValueError("surface carries no boundary data")
@@ -181,7 +180,7 @@ def boundary_integral(form, S: ParamSurface, flag_tol: float = FLAG_TOL,
     flagged = False
     stats = {}
     for curve, orientation in S.boundary:
-        part = _curve_integral(form, curve, flag_tol, support_ball or getattr(form, "support_ball", None))
+        part = integrate_curve(form, curve, flag_tol, support_ball)
         total += orientation * part.value
         estimate += part.estimate
         flagged |= part.flagged

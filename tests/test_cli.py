@@ -1,6 +1,7 @@
 """Command line driver: exit codes, config layering, output files."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,9 @@ from pathlib import Path
 
 import numpy as np
 
+import heisgeo.cli
 from heisgeo.cli import DEFAULT_SEED, main
+from heisgeo.integrate import IntegralResult, StokesReport
 
 
 def run(*argv):
@@ -196,6 +199,28 @@ def test_stokes_nan_tolerance_exit_1(tmp_path, capsys):
     assert run("stokes", "--config", cfg, "-o", str(out)) == 1
     assert "tolerance" in capsys.readouterr().err
     assert not (tmp_path / "s.json").exists()
+
+
+def test_stokes_nan_residual_reaches_max_residual(tmp_path, monkeypatch):
+    # a NaN after a finite residual must not drop out of the summary
+    real = heisgeo.cli.stokes_residual
+    calls = []
+
+    def second_form_nan(S, form):
+        report = real(S, form)
+        calls.append(form)
+        if len(calls) == 2:
+            nan = IntegralResult(math.nan, math.nan, True, report.lhs.stats)
+            return StokesReport(nan, report.rhs, abs(nan.value - report.rhs.value))
+        return report
+
+    monkeypatch.setattr(heisgeo.cli, "stokes_residual", second_form_nan)
+    out = tmp_path / "s"
+    assert run("stokes", "--scene", "halfplane", "--forms", "2", "-o", str(out)) == 2
+    payload = json.loads((tmp_path / "s.json").read_text())
+    assert math.isfinite(payload["forms"][0]["residual"])
+    assert math.isnan(payload["forms"][1]["residual"])
+    assert math.isnan(payload["max_residual"])
 
 
 def test_foliate_infinite_tolerance_exit_1(tmp_path, capsys):

@@ -3,13 +3,12 @@
 import numpy as np
 
 from heisgeo import (
-    circle,
+    PlanarCurve,
     contact,
     horizontality_residual,
     lemniscate,
     lift_closed_defect,
     lift_horizontal,
-    segment,
     self_intersection_gap,
     vertical_translate,
 )
@@ -48,8 +47,13 @@ def test_lift_closure_and_defect():
     assert np.max(np.abs(ends[1] - ends[0])) <= 1e-10
     # signed area enclosed by the lemniscate is zero, so the lift closes
     assert lift_closed_defect(lemniscate()) <= 1e-12
-    # a circle encloses area pi r^2 and its lift cannot close
-    assert abs(lift_closed_defect(circle(1.0)) - np.pi) < 1e-10
+    # the unit circle encloses area pi and its lift cannot close
+    circle = PlanarCurve(
+        0.0, 2.0 * np.pi,
+        lambda tau: np.stack([np.cos(tau), np.sin(tau)], axis=-1),
+        lambda tau: np.stack([-np.sin(tau), np.cos(tau)], axis=-1),
+    )
+    assert abs(lift_closed_defect(circle) - np.pi) < 1e-10
 
 
 def test_lift_sign_plus_is_theta_horizontal():
@@ -71,7 +75,7 @@ def test_self_intersection_gap_is_two_thirds():
     assert abs(gap_plus - 2.0 / 3.0) <= 1e-6
 
 
-def test_no_self_intersection_reports_inf():
+def test_no_self_intersection_reports_inf(segment):
     # an embedded horizontal segment has no vertical self-intersection
     seg = segment(np.zeros(3), np.array([1.0, 0.5, 0.0]))
     assert self_intersection_gap(seg, samples=512) == np.inf
@@ -87,11 +91,3 @@ def test_vertical_translate():
     # translation is vertical, so the curve stays horizontal
     assert horizontality_residual(raised) <= 1e-10
 
-
-def test_segment_requires_horizontal_chord():
-    # the chord from the origin to a point with nonzero t is not horizontal
-    try:
-        segment(np.zeros(3), np.array([0.0, 0.0, 1.0]))
-    except ValueError:
-        return
-    raise AssertionError("vertical chord accepted")

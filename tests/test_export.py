@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from heisgeo import surface_mesh, torus_surface, write_csv, write_json, write_obj
-from heisgeo.export import format_float
+from heisgeo.export import FLOAT_FORMAT
 from heisgeo.curves import lemniscate, lift_horizontal
 from heisgeo.surfaces import lift_cylinder, revolve_curve, torus_characteristic_loop, vertical_halfplane
 
@@ -19,8 +19,8 @@ AWKWARD = np.array([[-0.0, 0.1, 1e300], [5e-324, np.inf, -np.inf], [np.nan, 3.0,
 def test_format_float_roundtrips_doubles():
     rng = np.random.default_rng(7)
     for x in rng.standard_normal(200) * 10.0 ** rng.integers(-12, 12, 200):
-        assert float(format_float(x)) == x
-    assert format_float(0.1) == "0.10000000000000001"
+        assert float(FLOAT_FORMAT % x) == x
+    assert FLOAT_FORMAT % 0.1 == "0.10000000000000001"
 
 
 def test_write_csv_layout(tmp_path):
@@ -31,14 +31,14 @@ def test_write_csv_layout(tmp_path):
 
 
 def test_writers_match_per_number_formatting(tmp_path):
-    # one format_float call per number is the reference for the block writers
+    # formatting each number on its own is the reference for the block writers
     write_csv(tmp_path / "a.csv", ["x", "y", "t"], AWKWARD)
-    lines = ["x,y,t"] + [",".join(format_float(x) for x in row) for row in AWKWARD]
+    lines = ["x,y,t"] + [",".join(FLOAT_FORMAT % x for x in row) for row in AWKWARD]
     assert (tmp_path / "a.csv").read_text() == "\n".join(lines) + "\n"
 
     faces = np.array([[0, 1, 2], [2, 3, 0], [1, 3, 2]])
     write_obj(tmp_path / "a.obj", AWKWARD, faces)
-    lines = ["v " + " ".join(format_float(x) for x in row) for row in AWKWARD]
+    lines = ["v " + " ".join(FLOAT_FORMAT % x for x in row) for row in AWKWARD]
     lines += ["f " + " ".join(str(i + 1) for i in face) for face in faces]
     assert (tmp_path / "a.obj").read_text() == "\n".join(lines) + "\n"
 

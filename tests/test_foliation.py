@@ -7,11 +7,11 @@ from scipy.spatial import cKDTree
 from heisgeo import (
     contact,
     detect_period,
-    foliation_direction,
     rotate_t_axis,
     torus_surface,
     trace_foliation,
 )
+from heisgeo.foliation import _direction, _pairings
 from heisgeo.surfaces import ParamSurface
 
 
@@ -87,14 +87,14 @@ def test_one_u_loop_advances_v_by_closed_form():
 
 
 def test_trace_follows_foliation_direction():
-    # the solver integrates the one public field, up to the per-trace sign
+    # the solver integrates the one direction field, up to the per-trace sign
     torus = torus_for(2)
     trace = trace_foliation(torus, (0.1, 0.2), 6.0)
     h = 1e-4
     signs = set()
     for s in (0.5, 1.7, 3.0, 4.4, 5.5):
         slope = (trace.at(s + h) - trace.at(s - h)) / (2.0 * h)
-        field = np.array(foliation_direction(torus, *trace.at(s)))
+        field = np.array(_direction(*_pairings(torus, *trace.at(s))))
         sign = 1.0 if slope @ field > 0.0 else -1.0
         signs.add(sign)
         assert np.max(np.abs(slope - sign * field)) <= 1e-6, s
@@ -102,8 +102,8 @@ def test_trace_follows_foliation_direction():
 
 
 def test_solver_direction_is_the_batched_field_bit_for_bit(monkeypatch):
-    # the solver's right-hand side runs on Python floats, the public field on
-    # arrays; both must give the same bits, up to the per-trace sign
+    # the solver's right-hand side runs on Python floats, the direction field
+    # on a batch on arrays; both must give the same bits, up to the per-trace sign
     import scipy.integrate
 
     seen = []
@@ -120,7 +120,7 @@ def test_solver_direction_is_the_batched_field_bit_for_bit(monkeypatch):
         trace_foliation(torus, (0.0, 0.0), 1.0)
         uv = rng.uniform(-100.0, 100.0, (2000, 2))
         solver = np.array([seen[-1](0.0, y) for y in uv])
-        field = np.array(foliation_direction(torus, uv[:, 0], uv[:, 1])).T
+        field = np.array(_direction(*_pairings(torus, uv[:, 0], uv[:, 1]))).T
         sign = np.sign(solver[0, 0] * field[0, 0])
         assert (sign * field).tobytes() == solver.tobytes(), n
 
@@ -131,23 +131,6 @@ def test_leaf_step_stats_are_pinned():
     for n, nfev, steps in ((2, 2609, 137), (11, 10772, 562)):
         stats = trace_foliation(torus_for(n), (0.0, 0.0), auto_arclen(n)).step_stats
         assert (stats["nfev"], stats["steps"]) == (nfev, steps), n
-
-
-def test_foliation_direction_shares_the_trace_guard():
-    plane = flat_plane()
-    trace = trace_foliation(plane, (-0.1, 0.0), 1.0)
-    assert trace.truncated
-    # the trace stops on the guard; halfway on to the characteristic origin
-    # the direction is refused, twice as far out it is still defined
-    u, v = trace.uv[-1]
-    try:
-        foliation_direction(plane, 0.5 * u, 0.5 * v)
-    except ValueError as exc:
-        assert "characteristic" in str(exc)
-    else:
-        raise AssertionError("direction defined inside the characteristic guard")
-    du, dv = foliation_direction(plane, 2.0 * u, 2.0 * v)
-    assert np.isfinite(du) and np.isfinite(dv)
 
 
 def test_trace_chords_nearly_horizontal():

@@ -3,22 +3,18 @@
 import numpy as np
 import pytest
 
-from heisgeo import contact, frame_at, point
+from heisgeo import contact, frame_at
 from heisgeo.forms import (
     HorizontalForm,
     ScalarField,
     ThetaWedgeForm,
     bump_field,
     bump_form,
-    const_field,
     horizontal_differential,
     middle_differential,
     scalar_from_jet,
-    t_field,
     top_differential,
     vertical_correction,
-    x_field,
-    y_field,
 )
 
 
@@ -62,21 +58,6 @@ def frame_fd(field, p, axis, h=1e-6):
     ]
     d = dirs[axis]
     return (field(p + h * d) - field(p - h * d)) / (2 * h)
-
-
-def test_coordinate_fields():
-    rng = np.random.default_rng(21)
-    p = random_points(rng, 40)
-    x, y, t = x_field(), y_field(), t_field()
-    assert np.max(np.abs(x(p) - p[:, 0])) == 0.0
-    assert np.max(np.abs(x.X()(p) - 1.0)) == 0.0
-    assert np.max(np.abs(x.Y()(p))) == 0.0
-    assert np.max(np.abs(y.Y()(p) - 1.0)) == 0.0
-    # the vertical coordinate sees the frame twist
-    assert np.max(np.abs(t.X()(p) + p[:, 1] / 2)) < 1e-15
-    assert np.max(np.abs(t.Y()(p) - p[:, 0] / 2)) < 1e-15
-    assert np.max(np.abs(t.T()(p) - 1.0)) == 0.0
-    assert np.max(np.abs(const_field(3.5)(p) - 3.5)) == 0.0
 
 
 def test_jet_first_derivatives_match_fd():
@@ -210,17 +191,16 @@ def test_vertical_correction_kills_flat_wedge_component():
         assert abs(val) <= 1e-8
 
 
-def test_form_values_on_the_frame():
-    p = point(0.7, -0.2, 0.3)
+def test_form_values_on_the_frame(affine_field):
+    p = np.array([0.7, -0.2, 0.3])
     X, Y, T = frame_at(p)
-    one = const_field(1.0)
-    theta_dx = ThetaWedgeForm(one, const_field(0.0))
+    theta_dx = ThetaWedgeForm(affine_field(1.0), affine_field())
     assert abs(theta_dx(p, X.vec, T.vec) + 1.0) < 1e-15
     assert abs(theta_dx(p, T.vec, X.vec) - 1.0) < 1e-15
     assert abs(theta_dx(p, X.vec, Y.vec)) < 1e-15
-    w = HorizontalForm(x_field(), y_field())
+    w = HorizontalForm(affine_field(x=1.0), affine_field(y=1.0))
     assert abs(w(p, X.vec) - p[0]) < 1e-15
-    assert abs(x_field()(p) - 0.7) < 1e-15
+    assert abs(affine_field(x=1.0)(p) - 0.7) < 1e-15
 
 
 def test_vertical_form_annihilates_horizontal():

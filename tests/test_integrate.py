@@ -17,7 +17,6 @@ from heisgeo import (
     lift_cylinder,
     lift_horizontal,
     middle_differential,
-    segment,
     stokes_residual,
     torus_surface,
     vertical_halfplane,
@@ -28,11 +27,7 @@ from heisgeo.forms import (
     ScalarField,
     ThetaWedgeForm,
     bump_field,
-    const_field,
     scalar_from_jet,
-    t_field,
-    x_field,
-    y_field,
 )
 from heisgeo.cli import DEFAULT_SEED, _stokes_scene
 from heisgeo.integrate import FLAG_TOL, _ball_level, _surface_integrand
@@ -52,20 +47,20 @@ def _unit_sheet(**kw):
                         tangent_v=constant([0.0, 1.0, 0.0]), **kw)
 
 
-def test_curve_integral_polynomial_oracle():
+def test_curve_integral_polynomial_oracle(segment, affine_field):
     seg = segment([0.1, -0.2, 0.0], [0.8, 0.3, -0.5 * (-0.2 * 0.7 - 0.1 * 0.5)])
     # the t endpoint above makes q - p horizontal at p; dx and dy see only xy
-    one_dx = HorizontalForm(const_field(1.0), const_field(0.0))
+    one_dx = HorizontalForm(affine_field(1.0), affine_field())
     res = integrate_curve(one_dx, seg)
     assert abs(res.value - 0.7) < 1e-14
     assert not res.flagged
 
-    x_dx = HorizontalForm(x_field(), const_field(0.0))
+    x_dx = HorizontalForm(affine_field(x=1.0), affine_field())
     res = integrate_curve(x_dx, seg)
     assert abs(res.value - 0.5 * (0.8**2 - 0.1**2)) < 1e-14
 
 
-def test_curve_integral_orientation_flip():
+def test_curve_integral_orientation_flip(segment, affine_field):
     seg = segment([0.0, 0.0, 0.0], [1.0, 0.5, 0.0])
 
     rev = HCurve(
@@ -74,7 +69,7 @@ def test_curve_integral_orientation_flip():
         position=lambda tau: seg.position(seg.a + seg.b - np.asarray(tau, float)),
         velocity=lambda tau: -seg.velocity(seg.a + seg.b - np.asarray(tau, float)),
     )
-    form = HorizontalForm(x_field(), const_field(2.0))
+    form = HorizontalForm(affine_field(x=1.0), affine_field(2.0))
     fwd = integrate_curve(form, seg).value
     bwd = integrate_curve(form, rev).value
     assert abs(fwd + bwd) < 1e-14
@@ -86,7 +81,7 @@ def _endpoint_gap(curve, f):
     return abs(lhs - float(f(curve.position(curve.b)) - f(curve.position(curve.a))))
 
 
-def test_degree_zero_identity_on_curves():
+def test_degree_zero_identity_on_curves(segment):
     f = scalar_from_jet(
         value=lambda p: p[..., 0] ** 2 - p[..., 1] * p[..., 2],
         gradient=lambda p: np.stack(
@@ -105,7 +100,7 @@ def test_degree_zero_identity_on_curves():
     assert _endpoint_gap(sigma, f) < 1e-10
 
 
-def test_degree_zero_identity_needs_horizontality():
+def test_degree_zero_identity_needs_horizontality(affine_field):
     # flat circle at t = 0 is not horizontal; with f = t the curve integral
     # of the horizontal differential is the enclosed area, not zero
     def pos(tau):
@@ -117,7 +112,7 @@ def test_degree_zero_identity_needs_horizontality():
         return np.stack([-np.sin(tau), np.cos(tau), np.zeros_like(tau)], axis=-1)
 
     flat = HCurve(0.0, 2.0 * np.pi, pos, vel)
-    assert abs(_endpoint_gap(flat, t_field()) - np.pi) < 1e-6
+    assert abs(_endpoint_gap(flat, affine_field(t=1.0)) - np.pi) < 1e-6
 
 
 def test_boundary_integral_applies_orientations():
@@ -134,19 +129,34 @@ def test_boundary_integral_applies_orientations():
     assert abs(res.value) > 1e-4  # the bump actually meets the rims
 
 
-def test_surface_integral_closed_form_oracle():
+def test_support_ball_argument_stands_in_for_the_forms_own():
+    # a bump form wrapped in a plain callable has no `support_ball`; passing
+    # the ball gives the form's own clipped rule, and without it the
+    # uniform rule runs
+    rim = lift_cylinder(lift_horizontal(lemniscate(), sign=1), 1.0 / 3.0).boundary[0][0]
+    form = bump_form([1.0, 0.0, 0.1], 0.4)
+    plain = lambda base, vec: form(base, vec)
+    own = integrate_curve(form, rim)
+    passed = integrate_curve(plain, rim, support_ball=form.support_ball)
+    assert own.stats["rule"] == "conforming"
+    assert (passed.value, passed.estimate, passed.flagged) == (own.value, own.estimate, own.flagged)
+    assert dict(passed.stats) == dict(own.stats)
+    assert integrate_curve(plain, rim).stats["rule"] == "uniform"
+
+
+def test_surface_integral_closed_form_oracle(affine_field):
     # sheet (u, v, 0) over the unit square pairs theta^dx to u/2
     sheet = _unit_sheet()
-    form = ThetaWedgeForm(const_field(1.0), const_field(0.0))
+    form = ThetaWedgeForm(affine_field(1.0), affine_field())
     res = integrate_surface(form, sheet)
     assert abs(res.value - 0.25) < 1e-12
 
 
-def test_closed_torus_stokes_oracle():
+def test_closed_torus_stokes_oracle(affine_field):
     # the torus has no boundary, so the surface side of Stokes is exactly 0
     # for any horizontal form, here one whose D(omega) is far from 0
     torus = torus_surface(np.sqrt(2.0), 1.0)
-    form = middle_differential(HorizontalForm(y_field(), t_field()))
+    form = middle_differential(HorizontalForm(affine_field(y=1.0), affine_field(t=1.0)))
     U, V = np.meshgrid(np.linspace(*torus.u_dom, 65), np.linspace(*torus.v_dom, 65))
     assert np.abs(_surface_integrand(form, torus)(U.ravel(), V.ravel())).max() > 1.0
     res = integrate_surface(form, torus)
@@ -167,9 +177,9 @@ def test_support_ball_needs_a_speed_bound():
         raise AssertionError("support ball accepted on a surface without a speed bound")
 
 
-def test_noncompact_surface_needs_supported_form():
+def test_noncompact_surface_needs_supported_form(affine_field):
     hp = vertical_halfplane()
-    form = middle_differential(HorizontalForm(x_field(), const_field(1.0)))
+    form = middle_differential(HorizontalForm(affine_field(x=1.0), affine_field(1.0)))
     try:
         integrate_surface(form, hp)
     except ValueError as exc:
@@ -214,7 +224,7 @@ def test_stokes_two_sided_on_halfplane_bump():
     assert abs(report.lhs.value) > 1e-4
 
 
-def test_flagging_thresholds():
+def test_flagging_thresholds(segment):
     # the bump is a degree-8 polynomial whose support ends on panel edges, so
     # both Richardson rules are exact and their gap can round to zero; the
     # positive estimate comes from the rounding floor 50*eps*sum|w*f|
@@ -231,14 +241,14 @@ def test_flagging_thresholds():
     assert report.lhs.flagged and report.rhs.flagged
 
 
-def test_untrusted_estimates_are_flagged():
+def test_untrusted_estimates_are_flagged(segment, affine_field):
     seg = segment([-1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
-    nan_form = HorizontalForm(ScalarField(lambda p: np.full(p.shape[:-1], np.nan)), const_field(0.0))
+    nan_form = HorizontalForm(ScalarField(lambda p: np.full(p.shape[:-1], np.nan)), affine_field())
     res = integrate_curve(nan_form, seg, flag_tol=1.0)
     assert res.flagged
 
 
-def test_budget_stop_and_nan_panels_are_flagged():
+def test_budget_stop_and_nan_panels_are_flagged(affine_field):
     sheet = _unit_sheet()
     # a peak that the one whole-rectangle piece of a form without a support
     # ball does not resolve must not pass as trusted
@@ -248,7 +258,7 @@ def test_budget_stop_and_nan_panels_are_flagged():
     assert abs(res.value - np.pi / 1000.0) > FLAG_TOL
     # nor may NaN samples on half the domain
     half_nan = ScalarField(lambda p: np.where(p[..., 0] < 0.5, np.nan, 1.0))
-    form = ThetaWedgeForm(half_nan, const_field(0.0))
+    form = ThetaWedgeForm(half_nan, affine_field())
     res = integrate_surface(form, sheet)
     assert res.flagged and np.isnan(res.value)
 
