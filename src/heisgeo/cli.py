@@ -26,7 +26,7 @@ from .core import rotate_t_axis
 from .curves import lemniscate, lift_horizontal, horizontality_residual, self_intersection_gap
 from .foliation import detect_period, trace_foliation
 from .forms import bump_form
-from .integrate import stokes_residual
+from .integrate import STOKES_BUDGET, stokes_residual
 from .surfaces import lift_cylinder, revolve_curve, torus_characteristic_loop, torus_surface, vertical_halfplane
 from .export import surface_mesh, write_csv, write_json, write_obj
 
@@ -35,8 +35,6 @@ __all__ = ["main"]
 DEFAULT_SEED = 0x5EED
 SIGMA_HEIGHT = 1.0 / 3.0
 BAND_ANGLE = math.pi / 12.0
-# combined quadrature estimate a stokes run may carry before it aborts
-ESTIMATE_BOUND = 2e-7
 
 
 class CliError(Exception):
@@ -275,7 +273,7 @@ def cmd_stokes(args) -> int:
             "residual": report.residual,
             "estimate": estimate,
             # not-<= instead of > so a NaN estimate counts as untrusted
-            "flagged": not (estimate <= ESTIMATE_BOUND) or report.lhs.flagged or report.rhs.flagged,
+            "flagged": not (estimate <= STOKES_BUDGET) or report.lhs.flagged or report.rhs.flagged,
             "lhs_stats": dict(report.lhs.stats),
             "rhs_stats": dict(report.rhs.stats),
         })
@@ -387,7 +385,7 @@ def cmd_selftest(args) -> int:
         estimate = report.lhs.estimate + report.rhs.estimate
         check(
             f"stokes-{scene}",
-            report.residual <= 1e-6 and estimate <= ESTIMATE_BOUND,
+            report.residual <= 1e-6 and estimate <= STOKES_BUDGET,
             f"residual {report.residual:.3e}, estimate {estimate:.2e}, "
             f"points {report.lhs.stats['points']} + {report.rhs.stats['points']}",
         )

@@ -7,8 +7,10 @@ frame arclength in the group.  One pairing helper, one characteristic
 margin and one direction helper make the leaf solver's right-hand side and
 its guard; they work on components, so single points run on Python floats
 and batches on arrays.  The trace keeps the periodic
-coordinates unwrapped; winding numbers are read off by counting period
-multiples at section returns, never by re-wrapping.
+coordinates unwrapped.  Returns to the sections through the start point
+are events of the leaf solver itself, located on its dense output; winding
+numbers are read off by counting period multiples at those returns, never
+by re-wrapping.
 """
 
 from __future__ import annotations
@@ -40,9 +42,12 @@ class FoliationTrace:
     """One traced leaf: unwrapped parameter samples plus ambient points.
 
     `truncated` reports an abort near a characteristic point and
-    `step_stats` carries solver metadata.  Whether and how the leaf closes
-    is `detect_period`'s verdict.  The dense solution is kept so section
-    crossings can be refined afterwards.
+    `step_stats` carries solver metadata.  `returns` maps each periodic
+    axis to the solver's section events on it: the arclengths (n,) and the
+    unwrapped (u, v) (n, 2) where that coordinate equals its start value
+    modulo its period, the start itself included at s = 0.  Whether and how
+    the leaf closes is `detect_period`'s verdict.  The dense solution
+    serves `at`.
     """
 
     surface: ParamSurface
@@ -51,6 +56,7 @@ class FoliationTrace:
     arclength: float
     truncated: bool
     step_stats: dict
+    returns: dict
     _dense: object
 
     def at(self, s):
@@ -61,11 +67,6 @@ class FoliationTrace:
 def _axis_period(S: ParamSurface, axis: int) -> float:
     dom = S.u_dom if axis == 0 else S.v_dom
     return dom[1] - dom[0]
-
-
-def _wrap_gap(delta: float, period: float) -> float:
-    """Reduce a coordinate difference modulo the period to [-period/2, period/2]."""
-    return delta - period * round(delta / period)
 
 
 def _components(a):
@@ -108,7 +109,11 @@ def trace_foliation(
     Norsett & Wanner, Solving ODEs I) over frame arclength, with step sizes
     left to its error control, and stops early, flagging truncation, if the
     theta pairing norm falls to CHARACTERISTIC_RTOL times the local tangent
-    scale, the numerical vicinity of a characteristic point.
+    scale, the numerical vicinity of a characteristic point.  Each periodic
+    axis k carries one more, non-terminal event, sin(pi (y_k - y_k(0)) / P_k),
+    which vanishes where the leaf meets the section through the start; the
+    solver locates its roots on each step's dense output (ibid., II.6) and
+    calls no right-hand side for them.
     """
     from scipy.integrate import solve_ivp
     if not arclen > 0:
@@ -132,6 +137,11 @@ def trace_foliation(
 
     near_characteristic.terminal = True
 
+    def section(axis):
+        start, period = (u0, v0)[axis], _axis_period(S, axis)
+        return lambda s, y: math.sin(math.pi * (y[axis] - start) / period)
+
+    axes = [axis for axis in range(2) if S.periodic[axis]]
     sol = solve_ivp(
         rhs,
         (0.0, float(arclen)),
@@ -140,7 +150,7 @@ def trace_foliation(
         rtol=RTOL,
         atol=ATOL,
         dense_output=True,
-        events=near_characteristic,
+        events=[near_characteristic] + [section(axis) for axis in axes],
     )
     if sol.status == -1:
         raise RuntimeError(f"foliation integration failed: {sol.message}")
@@ -165,6 +175,7 @@ def trace_foliation(
         arclength=s_end,
         truncated=truncated,
         step_stats=stats,
+        returns={axis: (sol.t_events[i], sol.y_events[i]) for i, axis in enumerate(axes, 1)},
         _dense=sol.sol,
     )
 
@@ -173,70 +184,30 @@ def detect_period(trace: FoliationTrace, axis: int = 0, close_tol: float = 1e-6)
     """Poincare return analysis on the section through the start point.
 
     The section is {coordinate[axis] = the start's coordinate}.  Its
-    crossings (modulo the axis period) are bracketed on the solver grid and
-    refined by root finding to 1e-10 in arclength.  Returns are compared
-    with the start modulo the surface periods; the first return within
-    `close_tol` decides periodicity and its per axis period counts are the
-    winding pair.  If no return closes, the best (smallest residual) return
-    is reported instead.  A trace that never returns to the section raises.
+    crossings (modulo the axis period) are the leaf solver's own section
+    events, stored on the trace; nothing is resampled or re-solved here.
+    Returns are compared with the start modulo the surface periods; the
+    first return within `close_tol` decides periodicity and its per axis
+    period counts are the winding pair.  If no return closes, the best
+    (smallest residual) return is reported instead.  A trace that never
+    returns to the section raises.
     """
-    from scipy.optimize import brentq
     S = trace.surface
     if not S.periodic[axis]:
         raise ValueError("section axis must be periodic to talk about returns")
-    period = _axis_period(S, axis)
-    value = float(trace.uv[0, axis])
-
-    dense = trace._dense
-    s_grid = np.linspace(0.0, trace.arclength, max(4 * len(trace.uv), 4096))
-    coord = dense(s_grid)[axis]
-
-    # integer section levels value + k*period swept by the unwrapped coordinate
-    k_lo = math.floor((coord.min() - value) / period)
-    k_hi = math.ceil((coord.max() - value) / period)
-    crossings: list[float] = []
-    for k in range(k_lo, k_hi + 1):
-        level = value + k * period
-        resid = coord - level
-        hit = np.where(resid[:-1] * resid[1:] <= 0.0)[0]
-        for i in hit:
-            if resid[i] == 0.0 and resid[i + 1] == 0.0:
-                continue
-            s_root = brentq(
-                lambda s: dense(s)[axis] - level,
-                s_grid[i],
-                s_grid[i + 1],
-                xtol=1e-10,
-            )
-            crossings.append(float(s_root))
-    crossings.sort()
-    # collapse duplicates from grid points sitting exactly on a level
-    dedup: list[float] = []
-    for s in crossings:
-        if not dedup or s - dedup[-1] > 1e-8:
-            dedup.append(s)
-    crossings = dedup
-
-    returns = [s for s in crossings if s > 1e-8]
-    if not returns:
+    s, uv = trace.returns[axis]
+    # the solver reports the start itself, where the section event is exactly 0
+    later = s > 1e-8
+    if not later.any():
         raise ValueError("trace does not return to the section")
-
-    ref = dense(0.0)
-    best = None
-    for s in returns:
-        here = dense(s)
-        gaps = here - ref
-        winds = [0, 0]
-        for ax in range(2):
-            if S.periodic[ax]:
-                per = _axis_period(S, ax)
-                winds[ax] = int(round(gaps[ax] / per)) if ax == axis else int(round((gaps[ax] - _wrap_gap(gaps[ax], per)) / per))
-                gaps[ax] = _wrap_gap(gaps[ax], per)
-        residual = float(np.hypot(gaps[0], gaps[1]))
-        cand = (residual, (abs(winds[0]), abs(winds[1])))
-        if residual <= close_tol:
-            return cand
-        if best is None or residual < best[0]:
-            best = cand
-    return best
-
+    gaps = uv[later] - trace.uv[0]
+    winds = np.zeros_like(gaps)
+    for ax in range(2):
+        if S.periodic[ax]:
+            period = _axis_period(S, ax)
+            winds[:, ax] = np.rint(gaps[:, ax] / period)
+            gaps[:, ax] -= period * winds[:, ax]
+    residual = np.hypot(gaps[:, 0], gaps[:, 1])
+    closed = np.flatnonzero(residual <= close_tol)
+    i = closed[0] if closed.size else np.argmin(residual)
+    return float(residual[i]), (abs(int(winds[i, 0])), abs(int(winds[i, 1])))

@@ -110,16 +110,8 @@ class ScalarField:
     def __sub__(self, g: "ScalarField"):
         return self + (-g)
 
-    def __mul__(self, other):
-        if isinstance(other, ScalarField):
-            g = other
-            return ScalarField(
-                lambda p: self(p) * g(p),
-                dX=lambda: self.X() * g + self * g.X(),
-                dY=lambda: self.Y() * g + self * g.Y(),
-                dT=lambda: self.T() * g + self * g.T(),
-            )
-        c = float(other)
+    def __mul__(self, c: float):
+        c = float(c)
         return ScalarField(
             lambda p: c * self(p),
             dX=lambda: self.X() * c,

@@ -37,6 +37,9 @@ __all__ = [
 
 # an integral is flagged when its internal error estimate exceeds this
 FLAG_TOL = 1e-8
+# error budget of a Stokes verification: each side flags against it, and a
+# run trusts the pair while their combined estimate stays within it
+STOKES_BUDGET = 2e-7
 
 
 class IntegralResult(NamedTuple):
@@ -190,14 +193,14 @@ def boundary_integral(form, S: ParamSurface, flag_tol: float = FLAG_TOL,
     return IntegralResult(float(total), float(estimate), flagged, MappingProxyType(stats))
 
 
-def stokes_residual(S: ParamSurface, form: HorizontalForm, flag_tol: float = 2e-7) -> StokesReport:
+def stokes_residual(S: ParamSurface, form: HorizontalForm, flag_tol: float = STOKES_BUDGET) -> StokesReport:
     """Compare the two sides of the Stokes identity for the middle operator.
 
     The surface side integrates the second order differential of `form`,
     the boundary side `form` itself over the oriented boundary; the
-    residual is their difference.  Both sides flag against `flag_tol`, the
-    error budget of the verification, rather than the strict default used
-    for standalone integrals.
+    residual is their difference.  Both sides flag against `flag_tol`, by
+    default STOKES_BUDGET, the error budget of the verification, rather than
+    the strict FLAG_TOL used for standalone integrals.
     """
     two_form = middle_differential(form)
     lhs = integrate_surface(two_form, S, flag_tol=flag_tol)

@@ -1,5 +1,8 @@
 """Characteristic foliation tracing and section-return analysis."""
 
+import dataclasses
+import math
+
 import numpy as np
 from scipy.optimize import brentq
 from scipy.spatial import cKDTree
@@ -160,6 +163,90 @@ def test_rotation_about_axis_maps_leaves_to_leaves():
     assert np.max(np.abs(a.uv[:, 0] - b.uv[:, 0])) < 1e-8
     assert np.max(np.abs((b.uv[:, 1] - phi) - a.uv[:, 1])) < 1e-8
     assert hausdorff_distance(rotate_t_axis(phi, a.points), b.points) < 1e-6
+
+
+def reference_returns(trace, axis, grid=8192):
+    """Section returns by scanning a resampled grid and refining each bracket by brentq.
+
+    An independent root finder for the solver's section events on a torus
+    (period 2 pi on both axes): it sweeps every level start + 2 pi k crossed
+    by the unwrapped coordinate, refines to 1e-10 in arclength and drops the
+    start and duplicate roots.
+    """
+    value = trace.uv[0, axis]
+    s_grid = np.linspace(0.0, trace.arclength, grid)
+    coord = trace.at(s_grid)[axis]
+    k_lo = math.floor((coord.min() - value) / (2.0 * np.pi))
+    k_hi = math.ceil((coord.max() - value) / (2.0 * np.pi))
+    roots = []
+    for level in value + 2.0 * np.pi * np.arange(k_lo, k_hi + 1):
+        resid = coord - level
+        for i in np.flatnonzero(resid[:-1] * resid[1:] <= 0.0):
+            roots.append(brentq(lambda s, c: trace.at(s)[axis] - c, s_grid[i], s_grid[i + 1],
+                                args=(level,), xtol=1e-10))
+    unique = []
+    for s in sorted(roots):
+        if s > 1e-8 and (not unique or s - unique[-1] > 1e-8):
+            unique.append(s)
+    return np.array(unique)
+
+
+def reference_windings(trace, s_returns, close_tol=1e-6):
+    """Winding pair of the first return closing within `close_tol` (else the best one)."""
+    ref = trace.at(0.0)
+    best = None
+    for s in s_returns:
+        gaps = trace.at(s) - ref
+        winds = tuple(abs(int(round(gaps[ax] / (2.0 * np.pi)))) for ax in range(2))
+        gaps -= 2.0 * np.pi * np.round(gaps / (2.0 * np.pi))
+        residual = float(np.hypot(*gaps))
+        if residual <= close_tol:
+            return winds
+        if best is None or residual < best[0]:
+            best = (residual, winds)
+    return best[1]
+
+
+def test_solver_section_events_match_a_grid_root_scan():
+    for n in (1, 2, 3, 11):
+        trace = trace_foliation(torus_for(n), (0.0, 0.0), auto_arclen(n))
+        for axis in (0, 1):
+            s_events, uv_events = trace.returns[axis]
+            later = s_events > 1e-8
+            expected = reference_returns(trace, axis)
+            assert later.sum() == expected.size > 0, (n, axis)
+            assert np.max(np.abs(s_events[later] - expected)) <= 1e-9, (n, axis)
+            # the event state is the dense solution at the event
+            assert np.max(np.abs(uv_events[later] - trace.at(s_events[later]).T)) <= 1e-12, (n, axis)
+            residual, windings = detect_period(trace, axis=axis)
+            assert residual <= 1e-6, (n, axis, residual)
+            assert windings == reference_windings(trace, expected), (n, axis)
+
+
+def test_detect_period_reads_stored_returns_without_dense_calls():
+    trace = trace_foliation(torus_for(2), (0.0, 0.0), auto_arclen(2))
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return trace._dense(s)
+
+    spied = dataclasses.replace(trace, _dense=counted)
+    assert detect_period(spied, axis=0) == detect_period(trace, axis=0)
+    assert detect_period(spied, axis=1) == detect_period(trace, axis=1)
+    assert calls == []
+
+
+def test_surface_without_periodic_axis_has_no_section():
+    trace = trace_foliation(flat_plane(), (-1.0, 0.5), 0.5)
+    assert trace.returns == {}
+    for axis in (0, 1):
+        try:
+            detect_period(trace, axis=axis)
+        except ValueError as exc:
+            assert "periodic" in str(exc)
+        else:
+            raise AssertionError("section on a non-periodic axis accepted")
 
 
 def test_detect_period_raises_without_return():

@@ -95,7 +95,6 @@ def test_field_algebra():
     f, g = random_jet_field(rng), random_jet_field(rng)
     p = random_points(rng, 50)
     assert np.max(np.abs((f + g)(p) - f(p) - g(p))) < 1e-14
-    assert np.max(np.abs((f * g).X()(p) - (f.X()(p) * g(p) + f(p) * g.X()(p)))) < 1e-11
     assert np.max(np.abs((2.5 * f)(p) - 2.5 * f(p))) < 1e-14
 
 

@@ -1,0 +1,73 @@
+"""Golden outputs: the figure runs and the seeded Stokes reports, byte for byte.
+
+Each of the six `configs/fig*.ini` runs and `heisgeo stokes --seed 0x5EED`
+on the three scenes writes files whose SHA-256 is pinned here.  A change
+that moves any byte of these reports must re-baseline them on purpose and
+list every moved value.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from heisgeo.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+RUNS = {
+    "fig1": "lift",
+    "fig2": "lift",
+    "fig3": "export-mesh",
+    "fig4": "foliate",
+    "fig5": "export-mesh",
+    "fig6": "foliate",
+}
+
+SCENES = ("halfplane", "sigma-cylinder", "band")
+
+SHA256 = {
+    "fig1.csv": "1745bfb9757c4a60e2ca567a7ee82ac69740e60990ee62ad2d29a27bf860e728",
+    "fig1.json": "7fdd1e983190c9d175a1b66451d3d4b02f0cd58b2541e801a4c904ff53778320",
+    "fig2.csv": "80c6b65611789538e15c1ab4f8c8d4cfd9bf4726cb36a25c808dff2b4f838e0c",
+    "fig2.json": "7fdd1e983190c9d175a1b66451d3d4b02f0cd58b2541e801a4c904ff53778320",
+    "fig3.obj": "cfa040e7ca4f469441953215f7c112cde6c45d6dd33a5a042315a819d026b57e",
+    "fig3_boundary_minus.csv": "60f92e509c26c020310543fc0adc30bd45a0bda3bcf475d006ce17373454b367",
+    "fig3_boundary_plus.csv": "002d07886293ebc99bf50ccdb4dc2890eaf028bff9afc1513e09de38fdb7e527",
+    "fig4.csv": "8b3fce43c9c60f615faa0cedfcafaa4a594ba872d03bf5be46b89ffadcad3df6",
+    "fig4.json": "3882f7a366d1b08509391e7e4a439d885827026a5fecf4f08e106f49f7a33dc0",
+    "fig4.obj": "2f932b2523e875b1c25e60dfae0036df9ceed49502404e9b63b41b5c0c8048a3",
+    "fig5.obj": "0b4b7797fff43691cf925e1b99e32c5f0f41e374dde5c9b094089a181febfdf0",
+    "fig5_boundary_minus.csv": "334f4393c7a79bb366bb5fd60a8a1a5659bebb971abc10ea82a16def82a6d544",
+    "fig5_boundary_plus.csv": "9b9f90409f03823bf348f8e6f38092b6b3ffa2ee1ca6b6eb6966e7acf0656b94",
+    "fig6.csv": "ed88b05ce780cd90c1e9d63790d99321595845d4e9ff88f37a89bcce3809b27a",
+    "fig6.json": "b0d0664030f55e2bcf10d15f6d97f10d1147c8019314f601d45d3de4d9cf9447",
+    "fig6.obj": "bfbd646e4abdc6e0af6cf1d657919fd5770e084cab13a3950e3e2f5ac8bbadc3",
+    "stokes_band.json": "c2fb2f447d47e66bb69f0acf59fab7877f70eb6e43a620833bed98883bcc3471",
+    "stokes_halfplane.json": "e05faf279edd1dfbbd2942e007a24b705b88e3dcd962d20b0bf64dfde3579fbd",
+    "stokes_sigma-cylinder.json": "6729a248e3c5443fcb968b9122b4ac5ba252298dad5554b5ba2768708bb765e5",
+}
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """Run every golden command once into a fresh directory; name -> sha256."""
+    out = tmp_path_factory.mktemp("golden")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("HEIS_SEED", raising=False)
+        for fig, command in RUNS.items():
+            config = str(CONFIGS / f"{fig}.ini")
+            assert main([command, "--config", config, "--output", str(out / fig)]) == 0, fig
+        for scene in SCENES:
+            argv = ["stokes", "--scene", scene, "--seed", "0x5EED", "-o", str(out / f"stokes_{scene}.json")]
+            assert main(argv) == 0, scene
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+
+
+def test_runs_write_exactly_the_golden_files(outputs):
+    assert sorted(outputs) == sorted(SHA256)
+
+
+@pytest.mark.parametrize("name", sorted(SHA256))
+def test_golden_output_bytes(outputs, name):
+    assert outputs.get(name) == SHA256[name]
