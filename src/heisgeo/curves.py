@@ -13,7 +13,7 @@ planar loop is equivalent to the loop enclosing zero signed area.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -32,16 +32,16 @@ __all__ = [
     "self_intersection_gap",
 ]
 
-# smallest cell of the sample hash in self_intersection_gap; samples closer
-# than a thousandth of it in the plane are taken as a retraced arc
+# smallest planar cell of the sample join in self_intersection_gap; samples
+# closer than a thousandth of it in the plane are taken as a retraced arc
 CROSSING_TOL = 1e-6
-# Newton steps on a candidate crossing before `_newton_refine_pair` gives up
+# Newton steps on a candidate crossing in self_intersection_gap before it gives up
 NEWTON_ITERS = 8
 
 
 @dataclass(frozen=True)
-class PlanarCurve:
-    """Parametrized plane curve on [a, b]; callables vectorized, (..., 2) valued.
+class _Curve:
+    """Parametrized curve on [a, b], b > a; position/velocity vectorized.
 
     `speed` bounds |velocity| over [a, b]; inf when no bound is known.
     """
@@ -57,18 +57,12 @@ class PlanarCurve:
             raise ValueError("need b > a")
 
 
-@dataclass(frozen=True)
-class HCurve:
-    """Curve in the group on [a, b]; position/velocity vectorized, (..., 3) valued.
+class PlanarCurve(_Curve):
+    """Plane curve on [a, b]; position and velocity are (..., 2) valued."""
 
-    `speed` bounds |velocity| over [a, b]; inf when no bound is known.
-    """
 
-    a: float
-    b: float
-    position: Callable[[np.ndarray], np.ndarray]
-    velocity: Callable[[np.ndarray], np.ndarray]
-    speed: float = math.inf
+class HCurve(_Curve):
+    """Curve in the group on [a, b]; position and velocity are (..., 3) valued."""
 
     def closure_defect(self) -> float:
         """Euclidean distance between the two endpoints."""
@@ -156,96 +150,81 @@ def horizontality_residual(curve: HCurve) -> float:
 def vertical_translate(curve: HCurve, s: float) -> HCurve:
     """Translate by the central element (0,0,s): adds s to t, velocity unchanged."""
     off = np.array([0.0, 0.0, float(s)])
-    return HCurve(
-        curve.a,
-        curve.b,
-        lambda tau: curve.position(tau) + off,
-        curve.velocity,
-        curve.speed,
-    )
-
-
-def _newton_refine_pair(curve: HCurve, t1: float, t2: float):
-    """Newton on gamma(t1) - gamma(t2) = 0 in the plane; None if it degenerates."""
-    for _ in range(NEWTON_ITERS):
-        p1 = curve.position(t1)
-        p2 = curve.position(t2)
-        r = p1[:2] - p2[:2]
-        if np.linalg.norm(r) < 1e-14:
-            return t1, t2
-        v1 = curve.velocity(t1)[:2]
-        v2 = curve.velocity(t2)[:2]
-        jac = np.column_stack([v1, -v2])
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        if abs(det) < 1e-12 * (np.linalg.norm(v1) * np.linalg.norm(v2) + 1e-30):
-            return None
-        step = np.linalg.solve(jac, -r)
-        if not np.all(np.isfinite(step)) or np.linalg.norm(step) > 1.0:
-            return None
-        t1 += step[0]
-        t2 += step[1]
-    p1 = curve.position(t1)
-    p2 = curve.position(t2)
-    if np.linalg.norm(p1[:2] - p2[:2]) > 1e-10:
-        return None
-    return t1, t2
+    return replace(curve, position=lambda tau: curve.position(tau) + off)
 
 
 def self_intersection_gap(curve: HCurve, samples: int = 4096) -> float:
     """Minimal |t1 - t2| over planar double points of the lifted curve.
 
-    Parameter pairs are found by hashing samples into planar cells and refined
-    by Newton iteration on the 2x2 crossing system; pairs whose planar points
-    already coincide at sample accuracy (retraced arcs) are kept unrefined.
-    Pairs congruent modulo the parameter period are the same point of a closed
-    curve, not a self-intersection, and are excluded.  Returns +inf when the
-    planar projection is injective.
+    Candidate sample pairs lie in the same or neighbouring planar cells and
+    are found by one join on sorted cell keys; Newton iteration on the 2x2
+    crossing system refines all of them together, and pairs whose planar
+    points already coincide at sample accuracy (retraced arcs) are kept
+    unrefined.  Pairs congruent modulo the parameter period are the same
+    point of a closed curve, not a self-intersection, and are excluded.
+    Returns +inf when the planar projection is injective.
     """
     period = curve.b - curve.a
-    tau = curve.a + period * np.arange(samples) / samples
+    idx = np.arange(samples)
+    tau = curve.a + period * idx / samples
     pts = curve.position(tau)
     xy = pts[..., :2]
     step = period / samples
     speed = np.linalg.norm(curve.velocity(tau)[..., :2], axis=-1)
     cell = max(CROSSING_TOL, 3.0 * step * float(np.max(speed)))
     excl = 8.0 * step
+    if not np.all(np.isfinite(xy)):
+        raise ValueError("curve has non-finite planar samples")
 
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i in range(samples):
-        key = (int(math.floor(xy[i, 0] / cell)), int(math.floor(xy[i, 1] / cell)))
-        buckets.setdefault(key, []).append(i)
+    # pairs from the nine cells around each sample i: in the sorted keys
+    # cell * samples + index, the samples j >= i + 8 of one cell form one run
+    # (the nearer ones along the curve lie within excl of i)
+    ij = np.floor(xy / cell).astype(np.int64)
+    ij -= ij.min(axis=0) - 1
+    width = int(ij[:, 1].max()) + 2
+    cells = ij[:, 0] * width + ij[:, 1]
+    key = np.sort(cells * samples + idx)
+    offsets = (np.arange(-1, 2)[:, None] * width + np.arange(-1, 2)).ravel()
+    near = (cells[:, None] + offsets) * samples
+    lo = np.searchsorted(key, near + idx[:, None] + 8)
+    count = np.maximum(np.searchsorted(key, near + samples) - lo, 0)
+    i = np.repeat(idx, count.sum(axis=1))
+    lo, count = lo.ravel(), count.ravel()
+    j = key[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())] % samples
+    dpar = np.abs(tau[j] - tau[i])
+    planar = np.linalg.norm(xy[j] - xy[i], axis=-1)
+    keep = (np.minimum(dpar, period - dpar) >= excl) & (planar <= cell)
+    i, j, planar = i[keep], j[keep], planar[keep]
+    retraced = planar <= CROSSING_TOL * 1e-3
+    best = np.abs(pts[j[retraced], 2] - pts[i[retraced], 2]).min(initial=math.inf)
 
-    best = math.inf
-    seen: set[tuple[int, int]] = set()
-    for (cx, cy), idxs in buckets.items():
-        cand: list[int] = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                cand.extend(buckets.get((cx + dx, cy + dy), []))
-        for i in idxs:
-            for j in cand:
-                if j <= i or (i, j) in seen:
-                    continue
-                dpar = abs(tau[j] - tau[i])
-                dpar = min(dpar, period - dpar)
-                if dpar < excl:
-                    continue
-                if np.linalg.norm(xy[j] - xy[i]) > cell:
-                    continue
-                seen.add((i, j))
-                planar = np.linalg.norm(xy[j] - xy[i])
-                if planar <= CROSSING_TOL * 1e-3:
-                    gap = abs(pts[j, 2] - pts[i, 2])
-                else:
-                    ref = _newton_refine_pair(curve, float(tau[i]), float(tau[j]))
-                    if ref is None:
-                        continue
-                    t1, t2 = ref
-                    dpar = abs(t2 - t1)
-                    if min(dpar, abs(period - dpar)) < excl:
-                        continue
-                    q1 = curve.position(t1)
-                    q2 = curve.position(t2)
-                    gap = abs(q2[2] - q1[2])
-                best = min(best, gap)
-    return best
+    # Newton on gamma(t1) - gamma(t2) = 0 in the plane; a pair stops when it
+    # meets, and is dropped when its Jacobian degenerates or its step exceeds 1
+    t = np.stack([tau[i[~retraced]], tau[j[~retraced]]])
+    gap = np.full(t.shape[1], math.inf)
+    live = np.ones(t.shape[1], dtype=bool)
+    for it in range(NEWTON_ITERS + 1):
+        k = np.flatnonzero(live)
+        if not k.size:
+            break
+        p = curve.position(t[:, k])
+        r = p[0, :, :2] - p[1, :, :2]
+        dist = np.linalg.norm(r, axis=-1)
+        met = dist <= 1e-10 if it == NEWTON_ITERS else dist < 1e-14
+        gap[k[met]] = np.abs(p[1, met, 2] - p[0, met, 2])
+        live[k] = False
+        if it == NEWTON_ITERS:
+            break
+        v = curve.velocity(t[:, k])[..., :2]
+        jac = np.stack([v[0], -v[1]], axis=-1)
+        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        norms = np.linalg.norm(v, axis=-1)
+        go = ~met & (np.abs(det) >= 1e-12 * (norms[0] * norms[1] + 1e-30))
+        dt = np.linalg.solve(jac[go], -r[go, :, None])[..., 0]
+        ok = np.isfinite(dt).all(axis=-1) & (np.linalg.norm(dt, axis=-1) <= 1.0)
+        k = k[go][ok]
+        t[:, k] += dt[ok].T
+        live[k] = True
+    dpar = np.abs(t[1] - t[0])
+    gap[np.minimum(dpar, np.abs(period - dpar)) < excl] = math.inf
+    return float(gap.min(initial=best))

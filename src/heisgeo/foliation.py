@@ -42,12 +42,12 @@ class FoliationTrace:
     """One traced leaf: unwrapped parameter samples plus ambient points.
 
     `truncated` reports an abort near a characteristic point and
-    `step_stats` carries solver metadata.  `returns` maps each periodic
-    axis to the solver's section events on it: the arclengths (n,) and the
-    unwrapped (u, v) (n, 2) where that coordinate equals its start value
-    modulo its period, the start itself included at s = 0.  Whether and how
-    the leaf closes is `detect_period`'s verdict.  The dense solution
-    serves `at`.
+    `step_stats` holds the solver's `steps` and its RHS calls `nfev`.
+    `returns` maps each periodic axis to the solver's section events on it:
+    the arclengths (n,) and the unwrapped (u, v) (n, 2) where that
+    coordinate equals its start value modulo its period, the start itself
+    included at s = 0.  Whether and how the leaf closes is `detect_period`'s
+    verdict.  The dense solution serves `at`.
     """
 
     surface: ParamSurface
@@ -161,20 +161,13 @@ def trace_foliation(
     uv = sol.sol(grid).T
     pts = S.position(uv[:, 0], uv[:, 1])
 
-    steps = np.diff(sol.t)
-    stats = {
-        "steps": int(sol.t.size - 1),
-        "nfev": int(sol.nfev),
-        "min_step": float(steps.min()) if steps.size else 0.0,
-        "max_step": float(steps.max()) if steps.size else 0.0,
-    }
     return FoliationTrace(
         surface=S,
         uv=uv,
         points=pts,
         arclength=s_end,
         truncated=truncated,
-        step_stats=stats,
+        step_stats={"steps": int(sol.t.size - 1), "nfev": int(sol.nfev)},
         returns={axis: (sol.t_events[i], sol.y_events[i]) for i, axis in enumerate(axes, 1)},
         _dense=sol.sol,
     )

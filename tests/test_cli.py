@@ -268,21 +268,31 @@ def test_module_entry_point(tmp_path):
 
 def test_stokes_does_not_load_scipy(tmp_path):
     # scipy.integrate alone costs most of a second of start-up; only leaf
-    # tracing needs it, so a Stokes run must not import it
+    # tracing needs it, so lift, Stokes and mesh-export runs must not import
+    # it.  One process runs each command in turn and lists the scipy modules
+    # loaded so far after each one.
     env = {k: v for k, v in os.environ.items() if k != "HEIS_SEED"}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    runs = [
+        ["lift", "-o", str(tmp_path / "l")],
+        ["stokes", "--scene", "halfplane", "--forms", "1", "-o", str(tmp_path / "s")],
+        ["export-mesh", "--scene", "sigma-cylinder", "--grid", "8x4", "-o", str(tmp_path / "m")],
+        ["export-mesh", "--scene", "band", "--grid", "8x4", "-o", str(tmp_path / "b")],
+    ]
     probe = (
         "import json, sys\n"
         "from heisgeo.cli import main\n"
-        "code = main(['stokes', '--scene', 'halfplane', '--forms', '1', '-o', sys.argv[1]])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    code = main(argv)\n"
+        "    print(json.dumps([argv[0], code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
     )
-    res = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "s")],
+    res = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)],
                          env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    code, scipy_modules = json.loads(res.stdout.splitlines()[-1])
-    assert code == 0
-    assert scipy_modules == []
+    lines = [json.loads(line) for line in res.stdout.splitlines() if line.startswith("[")]
+    assert [(name, code) for name, code, _ in lines] == [(argv[0], 0) for argv in runs]
+    for name, _, scipy_modules in lines:
+        assert scipy_modules == [], name
 
 
 def test_seed_precedence(tmp_path, monkeypatch):

@@ -133,7 +133,7 @@ def test_leaf_step_stats_are_pinned():
     # side whose bits moved would move these counts
     for n, nfev, steps in ((2, 2609, 137), (11, 10772, 562)):
         stats = trace_foliation(torus_for(n), (0.0, 0.0), auto_arclen(n)).step_stats
-        assert (stats["nfev"], stats["steps"]) == (nfev, steps), n
+        assert stats == {"nfev": nfev, "steps": steps}, n
 
 
 def test_trace_chords_nearly_horizontal():
