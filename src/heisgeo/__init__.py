@@ -26,7 +26,6 @@ from .curves import (
     lift_closed_defect,
     lift_horizontal,
     self_intersection_gap,
-    vertical_translate,
 )
 from .forms import (
     HorizontalForm,

@@ -235,8 +235,7 @@ def _stokes_scene(scene: str):
             return curve.position(np.asarray(tau)) + rim + jit
 
         return S, draw
-    big_r = math.sqrt(1.0 + 2.0 ** (2.0 / 3.0))
-    sigma = torus_characteristic_loop(big_r, 1.0)
+    sigma = torus_characteristic_loop(*_torus_radii(1.0, None, 2))
 
     def draw(rng, index):
         u = rng.uniform(0.0, 2.0 * math.pi)
@@ -366,8 +365,7 @@ def cmd_selftest(args) -> int:
     gap = self_intersection_gap(lifted)
     check("lift-gap", abs(gap - 2.0 / 3.0) <= 1e-6, f"vertical gap {gap:.9f}")
 
-    big_r = math.sqrt(1.0 + 2.0 ** (2.0 / 3.0))
-    torus = torus_surface(big_r, 1.0)
+    torus = torus_surface(*_torus_radii(1.0, None, 2))
     trace = trace_foliation(torus, (0.0, 0.0), 18.0)
     residual, windings = detect_period(trace, axis=0)
     check(

@@ -13,7 +13,7 @@ planar loop is equivalent to the loop enclosing zero signed area.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,7 +28,6 @@ __all__ = [
     "lift_horizontal",
     "lift_closed_defect",
     "horizontality_residual",
-    "vertical_translate",
     "self_intersection_gap",
 ]
 
@@ -145,12 +144,6 @@ def horizontality_residual(curve: HCurve) -> float:
     """max |theta(velocity)| over 1000 uniformly sampled parameters."""
     tau = np.linspace(curve.a, curve.b, 1000)
     return float(np.max(np.abs(contact(curve.position(tau), curve.velocity(tau)))))
-
-
-def vertical_translate(curve: HCurve, s: float) -> HCurve:
-    """Translate by the central element (0,0,s): adds s to t, velocity unchanged."""
-    off = np.array([0.0, 0.0, float(s)])
-    return replace(curve, position=lambda tau: curve.position(tau) + off)
 
 
 def self_intersection_gap(curve: HCurve, samples: int = 4096) -> float:

@@ -3,10 +3,10 @@
 A leaf is an integral curve of the parameter-space field
 (theta(S_v), -theta(S_u)) normalized by the ambient frame length of the
 corresponding tangent vector, so the independent variable of the ODE is
-frame arclength in the group.  One pairing helper, one characteristic
-margin and one direction helper make the leaf solver's right-hand side and
-its guard; they work on components, so single points run on Python floats
-and batches on arrays.  The trace keeps the periodic
+frame arclength in the group.  The surfaces' pairing helper, one
+characteristic margin and one direction helper make the leaf solver's
+right-hand side and its guard; they work on components, so single points
+run on Python floats and batches on arrays.  The trace keeps the periodic
 coordinates unwrapped.  Returns to the sections through the start point
 are events of the leaf solver itself, located on its dense output; winding
 numbers are read off by counting period multiples at those returns, never
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import frame_length, theta_of
-from .surfaces import ParamSurface
+from .surfaces import ParamSurface, _pairings
 
 __all__ = [
     "FoliationTrace",
@@ -67,19 +67,6 @@ class FoliationTrace:
 def _axis_period(S: ParamSurface, axis: int) -> float:
     dom = S.u_dom if axis == 0 else S.v_dom
     return dom[1] - dom[0]
-
-
-def _components(a):
-    """x, y, t components of a (..., 3) array; Python floats for a single point."""
-    return a.tolist() if a.ndim == 1 else (a[..., 0], a[..., 1], a[..., 2])
-
-
-def _pairings(S: ParamSurface, u, v):
-    """Position and tangents as components, and their theta pairings (theta(S_u), theta(S_v))."""
-    p = _components(S.position(u, v))
-    su = _components(S.tangent_u(u, v))
-    sv = _components(S.tangent_v(u, v))
-    return p, su, sv, theta_of(p[0], p[1], *su), theta_of(p[0], p[1], *sv)
 
 
 def _margin(p, su, sv, tu, tv):

@@ -134,15 +134,10 @@ def _check_truncation_edges(ball, S: ParamSurface) -> None:
     if ball is None or not math.isfinite(S.speed):
         raise ValueError("truncated surface needs a form with a support ball and a speed bound")
     for axis, value in S.truncation_edges:
-        def at(s, axis=axis, value=value):
-            return (np.full_like(s, value), s) if axis == 0 else (s, np.full_like(s, value))
-
-        tangent = S.tangent_v if axis == 0 else S.tangent_u
-        jet, lip, scale, _ = _ball_level(
-            lambda s: S.position(*at(s)), (lambda s: tangent(*at(s)),), S.speed, ball)
-        span = S.v_dom if axis == 0 else S.u_dom
-        roots, fault = support_roots(jet, lip, *span, scale)
-        if fault or len(roots) or not jet(np.array(span[0]), axes=())[0] < 0.0:
+        edge = S.edge(axis, value, S.speed)
+        jet, lip, scale, _ = _ball_level(edge.position, (edge.velocity,), edge.speed, ball)
+        roots, fault = support_roots(jet, lip, edge.a, edge.b, scale)
+        if fault or len(roots) or not jet(np.array(edge.a), axes=())[0] < 0.0:
             raise ValueError(
                 f"support ball reaches the truncation edge {'uv'[axis]} = {value:g}")
 

@@ -13,13 +13,13 @@ characteristic foliation (see `heisgeo.foliation`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .core import rotate_t_axis
-from .curves import HCurve, horizontality_residual, planar_radius, self_intersection_gap, vertical_translate
+from .core import rotate_t_axis, theta_of
+from .curves import HCurve, horizontality_residual, planar_radius, self_intersection_gap
 
 __all__ = [
     "ParamSurface",
@@ -69,6 +69,15 @@ class ParamSurface:
         if not (self.u_dom[1] > self.u_dom[0] and self.v_dom[1] > self.v_dom[0]):
             raise ValueError("parameter rectangle is empty")
 
+    def edge(self, axis: int, value: float, speed: float) -> HCurve:
+        """The parameter line u = value (axis 0, run along v) or v = value
+        (axis 1, run along u) as a curve; `speed` bounds its velocity."""
+        if axis == 0:
+            return HCurve(*self.v_dom, lambda s: self.position(value, s),
+                          lambda s: self.tangent_v(value, s), speed)
+        return HCurve(*self.u_dom, lambda s: self.position(s, value),
+                      lambda s: self.tangent_u(s, value), speed)
+
 
 def vertical_halfplane() -> ParamSurface:
     """Vertical half-plane {x = 0, t > 0}, truncated to |y| <= 3, t <= 3.
@@ -95,26 +104,16 @@ def vertical_halfplane() -> ParamSurface:
         out[..., 2] = 1.0
         return out
 
-    edge = HCurve(
-        y0,
-        y1,
-        lambda tau: np.stack(
-            [np.zeros_like(np.asarray(tau, float)), np.asarray(tau, float),
-             np.zeros_like(np.asarray(tau, float))], axis=-1),
-        lambda tau: np.broadcast_to(
-            np.array([0.0, 1.0, 0.0]), np.shape(np.asarray(tau, float)) + (3,)).copy(),
-        1.0,
-    )
-    return ParamSurface(
+    S = ParamSurface(
         u_dom=(y0, y1),
         v_dom=(0.0, t1),
         position=pos,
         tangent_u=tan_u,
         tangent_v=tan_v,
-        boundary=((edge, +1),),
         truncation_edges=((0, y0), (0, y1), (1, t1)),
         speed=math.sqrt(2.0),
     )
+    return replace(S, boundary=((S.edge(1, 0.0, 1.0), +1),))
 
 
 def _check_closed_horizontal(curve: HCurve) -> None:
@@ -134,8 +133,9 @@ def _check_closed_horizontal(curve: HCurve) -> None:
 def lift_cylinder(curve: HCurve, height: float) -> ParamSurface:
     """Vertical cylinder over a closed horizontal curve, ruling height `height`.
 
-    The bottom rim is the curve itself, the top its vertical translate; the
-    induced boundary orientations are opposite, bottom positive.
+    The bottom rim is the curve itself, the top the surface's edge v = height,
+    its vertical translate; the induced boundary orientations are opposite,
+    bottom positive.
     """
     if not height > 0:
         raise ValueError(f"height must be positive, got {height}")
@@ -158,17 +158,16 @@ def lift_cylinder(curve: HCurve, height: float) -> ParamSurface:
         out[..., 2] = 1.0
         return out
 
-    top = vertical_translate(curve, height)
-    return ParamSurface(
+    S = ParamSurface(
         u_dom=(curve.a, curve.b),
         v_dom=(0.0, float(height)),
         position=pos,
         tangent_u=tan_u,
         tangent_v=tan_v,
-        boundary=((curve, +1), (top, -1)),
         periodic=(True, False),
         speed=math.hypot(curve.speed, 1.0),
     )
+    return replace(S, boundary=((curve, +1), (S.edge(1, S.v_dom[1], curve.speed), -1)))
 
 
 def _on_angles(formula):
@@ -226,8 +225,9 @@ def revolve_curve(curve: HCurve, phi_max: float) -> ParamSurface:
 
     Rotation about the vertical axis is a group automorphism whose
     differential acts by the same planar rotation on tangent coordinates,
-    so both rims stay horizontal exactly.  Rim at angle 0 is positively
-    oriented, the rim at phi_max negatively.
+    so both rims stay horizontal exactly.  The rim at angle 0 is the curve,
+    positively oriented; the rim at phi_max is the surface's edge there,
+    negatively oriented.
     """
     phi_max = float(phi_max)
     if not 0.0 < phi_max <= 2.0 * math.pi + 1e-12:
@@ -246,25 +246,20 @@ def revolve_curve(curve: HCurve, phi_max: float) -> ParamSurface:
         p = pos(u, v)
         return np.stack([-p[..., 1], p[..., 0], np.zeros(p.shape[:-1])], axis=-1)
 
-    far = HCurve(
-        curve.a,
-        curve.b,
-        lambda tau: rotate_t_axis(phi_max, curve.position(tau)),
-        lambda tau: rotate_t_axis(phi_max, curve.velocity(tau)),
-        curve.speed,
-    )
     full_turn = abs(phi_max - 2.0 * math.pi) < 1e-12
-    return ParamSurface(
+    S = ParamSurface(
         u_dom=(curve.a, curve.b),
         v_dom=(0.0, phi_max),
         position=pos,
         tangent_u=tan_u,
         tangent_v=tan_v,
-        boundary=() if full_turn else ((curve, +1), (far, -1)),
         periodic=(True, full_turn),
         # |S_u| = |curve'| and |S_v| = |(x, y)|, since the rotation is isometric
         speed=math.hypot(curve.speed, planar_radius(curve)),
     )
+    if full_turn:
+        return S
+    return replace(S, boundary=((curve, +1), (S.edge(1, phi_max, curve.speed), -1)))
 
 
 def torus_characteristic_loop(R: float, r: float) -> HCurve:
@@ -310,13 +305,24 @@ def torus_characteristic_loop(R: float, r: float) -> HCurve:
     return HCurve(a, b, pos, vel, math.hypot(r, 2.0 * r / (R - r)))
 
 
+def _components(a):
+    """x, y, t components of a (..., 3) array; Python floats for a single point."""
+    return a.tolist() if a.ndim == 1 else (a[..., 0], a[..., 1], a[..., 2])
+
+
+def _pairings(S: ParamSurface, u, v):
+    """Position and tangents as components, and their theta pairings (theta(S_u), theta(S_v))."""
+    p = _components(S.position(u, v))
+    su = _components(S.tangent_u(u, v))
+    sv = _components(S.tangent_v(u, v))
+    return p, su, sv, theta_of(p[0], p[1], *su), theta_of(p[0], p[1], *sv)
+
+
 def characteristic_residual(S: ParamSurface, u, v):
     """Theta pairings (theta(S_u), theta(S_v)); (0,0) marks a characteristic point.
 
     A single point gives two floats, a batch two arrays.
     """
-    from .foliation import _pairings
-
     return _pairings(S, u, v)[3:]
 
 

@@ -355,6 +355,15 @@ def test_export_mesh_too_few_samples_exit_1(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_export_mesh_band_loop_not_closing_exit_2(tmp_path, capsys):
+    base = tmp_path / "band"
+    for radius in (("--n", "3"), ("--R", "2.5")):
+        code = run("export-mesh", "--scene", "band", *radius, "-o", str(base))
+        assert code == 2, radius
+        assert "does not close" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_selftest_passes(capsys):
     assert run("selftest") == 0
     out = capsys.readouterr().out.splitlines()

@@ -16,7 +16,6 @@ from heisgeo import (
     lift_horizontal,
     self_intersection_gap,
     torus_characteristic_loop,
-    vertical_translate,
 )
 from heisgeo.curves import CROSSING_TOL, NEWTON_ITERS
 
@@ -221,15 +220,3 @@ def test_curves_refuse_an_empty_or_reversed_interval(segment):
         for a, b in ((1.0, 0.0), (0.5, 0.5)):
             with pytest.raises(ValueError, match="b > a"):
                 cls(a, b, seg.position, seg.velocity)
-
-
-def test_vertical_translate():
-    lifted = lift_horizontal(lemniscate(), sign=1)
-    raised = vertical_translate(lifted, 0.4)
-    tau = np.linspace(0.0, 2 * np.pi, 64)
-    gap = raised.position(tau) - lifted.position(tau)
-    assert np.max(np.abs(gap[:, :2])) == 0.0
-    assert np.max(np.abs(gap[:, 2] - 0.4)) < 1e-15
-    # translation is vertical, so the curve stays horizontal
-    assert horizontality_residual(raised) <= 1e-10
-

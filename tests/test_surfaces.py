@@ -124,6 +124,28 @@ def test_lift_cylinder_rejects_open_curves():
                 raise AssertionError("NaN generator accepted")
 
 
+def test_each_rim_is_its_surfaces_edge():
+    # each rim is the surface restricted to an edge of its domain, the
+    # positive one at v0 and the negative one at v1, bit for bit
+    h = 1.0 / 3.0
+    cylinder = lift_cylinder(lift_horizontal(lemniscate(), sign=1), h)
+    band = revolve_curve(torus_characteristic_loop(R, 1.0), np.pi / 12.0)
+    for S in (vertical_halfplane(), cylinder, band):
+        for rim, orientation in S.boundary:
+            v_edge = S.v_dom[0] if orientation == 1 else S.v_dom[1]
+            tau = np.linspace(rim.a, rim.b, 257)
+            assert (rim.a, rim.b) == S.u_dom
+            assert rim.position(tau).tobytes() == S.position(tau, v_edge).tobytes()
+            assert rim.velocity(tau).tobytes() == S.tangent_u(tau, v_edge).tobytes()
+    (bottom, _), (top, _) = cylinder.boundary
+    tau = np.linspace(bottom.a, bottom.b, 257)
+    gap = top.position(tau) - bottom.position(tau)
+    assert np.max(np.abs(gap[:, :2])) == 0.0
+    assert np.max(np.abs(gap[:, 2] - h)) < 1e-15
+    # the top rim is a vertical translate, so it stays horizontal
+    assert horizontality_residual(top) <= 1e-10
+
+
 def test_cylinder_embedding_thresholds():
     sigma = lift_horizontal(lemniscate(), sign=1)
     for h in (0.1, 1.0 / 3.0, 0.6):
