@@ -22,7 +22,6 @@ import sys
 
 import numpy as np
 
-from .core import rotate_t_axis
 from .curves import lemniscate, lift_horizontal, horizontality_residual, self_intersection_gap
 from .foliation import detect_period, trace_foliation
 from .forms import bump_form
@@ -84,7 +83,7 @@ def _parse_sign(text: str) -> int:
 # scene defaults of the export-mesh keys; a key that some scene reads and the
 # chosen one does not is a configuration error, not a value to drop silently
 _SCENE_KEYS = {
-    "sigma-cylinder": {"grid": (256, 16), "h": SIGMA_HEIGHT, "sign": +1},
+    "sigma-cylinder": {"grid": (256, 16), "h": SIGMA_HEIGHT},
     "band": {"grid": (256, 24), "r": 1.0, "R": None, "n": 2, "phi_max": BAND_ANGLE},
     "torus": {"grid": (128, 64), "r": 1.0, "R": None, "n": 2},
 }
@@ -125,6 +124,30 @@ def _torus_radii(r: float, big_r, n):
     if not math.inf > big_r > r > 0:
         raise CliError(f"need finite R > r > 0, got R={big_r}, r={r}")
     return float(big_r), float(r)
+
+
+def _surface(scene: str, **keys):
+    """The surface of a scene; a scene key not given takes its `_SCENE_KEYS`
+    default, and a key the scene does not read is ignored.
+
+    `scene` is halfplane or an export-mesh scene; the half-plane reads no key.
+    """
+    if scene == "halfplane":
+        return vertical_halfplane()
+    keys = {**_SCENE_KEYS[scene], **keys}
+    if scene == "sigma-cylinder":
+        if not 0.0 < keys["h"] < math.inf:
+            raise CliError("h must be positive and finite")
+        return lift_cylinder(lift_horizontal(lemniscate(), sign=+1), keys["h"])
+    big_r, r = _torus_radii(keys["r"], keys["R"], keys["n"])
+    if scene == "torus":
+        return torus_surface(big_r, r)
+    if not 0.0 < keys["phi_max"] <= 2.0 * math.pi:
+        raise CliError("phi_max must lie in (0, 2*pi]")
+    sigma = torus_characteristic_loop(big_r, r)
+    if sigma.closure_defect() > 1e-8:
+        raise NumericalAbort("characteristic loop does not close at these radii")
+    return revolve_curve(sigma, keys["phi_max"])
 
 
 def cmd_lift(args) -> int:
@@ -214,35 +237,20 @@ def _stokes_scene(scene: str):
     """Surface plus a deterministic bump-center sampler hugging the boundary.
 
     `scene` is halfplane, sigma-cylinder or band; the parser admits no other.
+    A curved scene's centers lie near its rims, in turn.
     """
+    S = _surface(scene)
     if scene == "halfplane":
-        S = vertical_halfplane()
-
         def draw(rng, index):
             y = rng.uniform(-1.5, 1.5)
             dy, dt = rng.uniform(-0.15, 0.15, 2)
             return np.array([0.0, y + dy, dt])
-
-        return S, draw
-    if scene == "sigma-cylinder":
-        curve = lift_horizontal(lemniscate(), sign=+1)
-        S = lift_cylinder(curve, SIGMA_HEIGHT)
-
+    else:
         def draw(rng, index):
-            tau = rng.uniform(0.0, 2.0 * math.pi)
-            jit = rng.uniform(-0.15, 0.15, 3)
-            rim = np.array([0.0, 0.0, SIGMA_HEIGHT * (index % 2)])
-            return curve.position(np.asarray(tau)) + rim + jit
+            rim = S.boundary[index % 2][0]
+            return rim.position(rng.uniform(rim.a, rim.b)) + rng.uniform(-0.15, 0.15, 3)
 
-        return S, draw
-    sigma = torus_characteristic_loop(*_torus_radii(1.0, None, 2))
-
-    def draw(rng, index):
-        u = rng.uniform(0.0, 2.0 * math.pi)
-        jit = rng.uniform(-0.15, 0.15, 3)
-        return rotate_t_axis(BAND_ANGLE * (index % 2), sigma.position(np.asarray(u))) + jit
-
-    return revolve_curve(sigma, BAND_ANGLE), draw
+    return S, draw
 
 
 def cmd_stokes(args) -> int:
@@ -314,27 +322,11 @@ def cmd_export_mesh(args) -> int:
                      if key not in defaults and getattr(args, key) is not None})
     if unread:
         raise CliError(f"scene {args.scene!r} does not read {', '.join(unread)}")
-    for key, default in defaults.items():
-        if getattr(args, key) is None:
-            setattr(args, key, default)
-
-    if args.scene == "sigma-cylinder":
-        if not 0.0 < args.h < math.inf:
-            raise CliError("h must be positive and finite")
-        S = lift_cylinder(lift_horizontal(lemniscate(), sign=args.sign), args.h)
-    elif args.scene == "band":
-        big_r, r = _torus_radii(args.r, args.R, args.n)
-        if not 0.0 < args.phi_max <= 2.0 * math.pi:
-            raise CliError("phi_max must lie in (0, 2*pi]")
-        sigma = torus_characteristic_loop(big_r, r)
-        if sigma.closure_defect() > 1e-8:
-            raise NumericalAbort("characteristic loop does not close at these radii")
-        S = revolve_curve(sigma, args.phi_max)
-    else:
-        S = torus_surface(*_torus_radii(args.r, args.R, args.n))
+    keys = {key: getattr(args, key) for key in defaults if getattr(args, key) is not None}
+    S = _surface(args.scene, **keys)
 
     base = _out_base(args.output)
-    verts, faces = surface_mesh(S, *args.grid)
+    verts, faces = surface_mesh(S, *keys.get("grid", defaults["grid"]))
     write_obj(base + ".obj", verts, faces)
     tags = {1: "plus", -1: "minus"}
     for curve, orientation in S.boundary:
@@ -365,8 +357,7 @@ def cmd_selftest(args) -> int:
     gap = self_intersection_gap(lifted)
     check("lift-gap", abs(gap - 2.0 / 3.0) <= 1e-6, f"vertical gap {gap:.9f}")
 
-    torus = torus_surface(*_torus_radii(1.0, None, 2))
-    trace = trace_foliation(torus, (0.0, 0.0), 18.0)
+    trace = trace_foliation(_surface("torus"), (0.0, 0.0), 18.0)
     residual, windings = detect_period(trace, axis=0)
     check(
         "foliation-period",
@@ -434,7 +425,6 @@ def _build_parser() -> _Parser:
     # the scene keys stay None here, so that a key the scene does not read is seen
     p.add_argument("--grid", type=_parse_grid, help="mesh grid NUxNV (default per scene)")
     p.add_argument("--h", type=float, help="cylinder height (default 1/3)")
-    p.add_argument("--sign", type=_parse_sign, help="cylinder lift sign (default +1)")
     p.add_argument("--r", type=float, help="tube radius (default 1)")
     p.add_argument("--R", type=float, help="center radius (overrides --n)")
     p.add_argument("--n", type=int, help="sets R = sqrt(1 + n^(2/3)) (default 2)")

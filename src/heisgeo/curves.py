@@ -5,9 +5,10 @@ horizontal distribution by integrating the signed-area form: the contact form
 annihilates the lift's velocity exactly when t' = (x y' - y x')/2.  The `sign`
 argument of lift_horizontal selects t' = sign*(x y' - y x')/2; sign=+1 is the
 horizontal lift for the contact form used throughout this package, sign=-1
-(the default) produces its mirror image under (x, y, t) -> (x, -y, -t), which
-is the convention some references print.  Closure of the lift over a closed
-planar loop is equivalent to the loop enclosing zero signed area.
+(the default) is the +1 lift with t negated, its image under
+(x, y, t) -> (x, y, -t), which is the convention some references print and
+is not horizontal here.  Closure of the lift over a closed planar loop is
+equivalent to the loop enclosing zero signed area.
 """
 
 from __future__ import annotations

@@ -79,24 +79,19 @@ class ParamSurface:
                       lambda s: self.tangent_u(s, value), speed)
 
 
-def vertical_halfplane() -> ParamSurface:
-    """Vertical half-plane {x = 0, t > 0}, truncated to |y| <= 3, t <= 3.
-
-    The genuine boundary is the line {(0, y, 0)}, an integral curve of the
-    frame field Y; the three truncation edges y = -3, y = 3 and t = 3 are
-    not boundary components, so integrands must vanish near them.
-    """
-    y0, y1, t1 = -3.0, 3.0, 3.0
+def _vertical(curve: HCurve, height: float, **fields) -> ParamSurface:
+    """The vertical surface (x, y, t) = curve(u) + (0, 0, v) over
+    [a, b] x [0, height]; `fields` are the remaining `ParamSurface` fields."""
 
     def pos(u, v):
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        return np.stack([np.zeros_like(u), u, v], axis=-1)
+        out = curve.position(u).copy()
+        out[..., 2] += v
+        return out
 
     def tan_u(u, v):
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        out = np.zeros(u.shape + (3,))
-        out[..., 1] = 1.0
-        return out
+        return curve.velocity(u)
 
     def tan_v(u, v):
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
@@ -104,16 +99,35 @@ def vertical_halfplane() -> ParamSurface:
         out[..., 2] = 1.0
         return out
 
-    S = ParamSurface(
-        u_dom=(y0, y1),
-        v_dom=(0.0, t1),
+    return ParamSurface(
+        u_dom=(curve.a, curve.b),
+        v_dom=(0.0, float(height)),
         position=pos,
         tangent_u=tan_u,
         tangent_v=tan_v,
-        truncation_edges=((0, y0), (0, y1), (1, t1)),
-        speed=math.sqrt(2.0),
+        speed=math.hypot(curve.speed, 1.0),
+        **fields,
     )
-    return replace(S, boundary=((S.edge(1, 0.0, 1.0), +1),))
+
+
+def vertical_halfplane() -> ParamSurface:
+    """Vertical half-plane {x = 0, t > 0}, truncated to |y| <= 3, t <= 3.
+
+    It is the vertical surface over the y-axis (0, s, 0).  The genuine
+    boundary is that axis, an integral curve of the frame field Y; the three
+    truncation edges y = -3, y = 3 and t = 3 are not boundary components, so
+    integrands must vanish near them.
+    """
+    y0, y1, t1 = -3.0, 3.0, 3.0
+
+    def along_y(s):
+        out = np.zeros(np.shape(s) + (3,))
+        out[..., 1] = s
+        return out
+
+    y_axis = HCurve(y0, y1, along_y, lambda s: along_y(np.ones_like(s)), 1.0)
+    return _vertical(y_axis, t1, boundary=((y_axis, +1),),
+                     truncation_edges=((0, y0), (0, y1), (1, t1)))
 
 
 def _check_closed_horizontal(curve: HCurve) -> None:
@@ -140,33 +154,7 @@ def lift_cylinder(curve: HCurve, height: float) -> ParamSurface:
     if not height > 0:
         raise ValueError(f"height must be positive, got {height}")
     _check_closed_horizontal(curve)
-
-    def pos(u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        p = curve.position(u)
-        out = p.copy()
-        out[..., 2] += v
-        return out
-
-    def tan_u(u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        return curve.velocity(u)
-
-    def tan_v(u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        out = np.zeros(u.shape + (3,))
-        out[..., 2] = 1.0
-        return out
-
-    S = ParamSurface(
-        u_dom=(curve.a, curve.b),
-        v_dom=(0.0, float(height)),
-        position=pos,
-        tangent_u=tan_u,
-        tangent_v=tan_v,
-        periodic=(True, False),
-        speed=math.hypot(curve.speed, 1.0),
-    )
+    S = _vertical(curve, height, periodic=(True, False))
     return replace(S, boundary=((curve, +1), (S.edge(1, S.v_dom[1], curve.speed), -1)))
 
 

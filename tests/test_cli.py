@@ -10,8 +10,11 @@ from pathlib import Path
 import numpy as np
 
 import heisgeo.cli
-from heisgeo.cli import DEFAULT_SEED, main
+from heisgeo.cli import BAND_ANGLE, DEFAULT_SEED, SIGMA_HEIGHT, _stokes_scene, main
+from heisgeo.core import rotate_t_axis
+from heisgeo.curves import lemniscate, lift_horizontal
 from heisgeo.integrate import IntegralResult, StokesReport
+from heisgeo.surfaces import torus_characteristic_loop
 
 
 def run(*argv):
@@ -32,7 +35,7 @@ def test_lift_default_sign_outputs(tmp_path):
     meta = json.loads(base.with_suffix(".json").read_text())
     assert meta["sign"] == -1
     assert meta["closure_defect"] <= 1e-10
-    # the mirrored lift is not horizontal; its residual is order one
+    # the sign -1 lift (t negated) is not horizontal; its residual is order one
     assert meta["horizontality_residual"] > 0.5
     assert abs(meta["self_intersection_gap"] - 2.0 / 3.0) <= 1e-6
 
@@ -85,6 +88,8 @@ def test_flag_and_config_give_the_same_exit_code(tmp_path, capsys):
         ("export-mesh", {"scene": "torus", "R": "2.5", "n": "-1"}, 1, "n"),
         ("export-mesh", {"scene": "sigma-cylinder", "n": "-1", "R": "0.1", "phi_max": "-5"}, 1, "phi_max"),
         ("export-mesh", {"scene": "torus", "h": "-1", "sign": "-1"}, 1, "sign"),
+        # the cylinder is built on the horizontal +1 lift only; --sign is lift's
+        ("export-mesh", {"scene": "sigma-cylinder", "sign": "+1"}, 1, "sign"),
         ("stokes", {"scene": "halfplane", "forms": "1", "tolerance": "0"}, 3, "tolerance"),
         ("foliate", {"n": "2", "grid": "1x1"}, 1, "grid"),
         ("lift", {"sign": "2"}, 1, "sign"),
@@ -371,3 +376,42 @@ def test_selftest_passes(capsys):
     assert len(leaf) == 1 and int(leaf[0].rsplit("nfev ", 1)[1]) > 0
     stokes = [line for line in out if line.startswith("ok stokes-")]
     assert len(stokes) == 3 and all(" points " in line for line in stokes)
+
+
+def _reference_draw(scene):
+    # the bump-center draws with each rim built by hand, as they were
+    # written before the draws read the surface's own rims
+    if scene == "halfplane":
+        def draw(rng, index):
+            y = rng.uniform(-1.5, 1.5)
+            dy, dt = rng.uniform(-0.15, 0.15, 2)
+            return np.array([0.0, y + dy, dt])
+    elif scene == "sigma-cylinder":
+        curve = lift_horizontal(lemniscate(), sign=+1)
+
+        def draw(rng, index):
+            tau = rng.uniform(0.0, 2.0 * math.pi)
+            jit = rng.uniform(-0.15, 0.15, 3)
+            rim = np.array([0.0, 0.0, SIGMA_HEIGHT * (index % 2)])
+            return curve.position(np.asarray(tau)) + rim + jit
+    else:
+        sigma = torus_characteristic_loop(math.sqrt(1.0 + 2.0 ** (2.0 / 3.0)), 1.0)
+
+        def draw(rng, index):
+            u = rng.uniform(0.0, 2.0 * math.pi)
+            jit = rng.uniform(-0.15, 0.15, 3)
+            return rotate_t_axis(BAND_ANGLE * (index % 2), sigma.position(np.asarray(u))) + jit
+    return draw
+
+
+def test_draws_match_the_hand_built_rims():
+    # each center, and each radius drawn after it as cmd_stokes draws it,
+    # bit for bit over 200 forms at five seeds
+    for scene in ("halfplane", "sigma-cylinder", "band"):
+        draws = (_stokes_scene(scene)[1], _reference_draw(scene))
+        for seed in (DEFAULT_SEED, 1, 2, 3, 5000):
+            rngs = (np.random.default_rng(seed), np.random.default_rng(seed))
+            for index in range(200):
+                got, want = (draw(rng, index) for draw, rng in zip(draws, rngs))
+                assert got.tobytes() == want.tobytes(), (scene, seed, index)
+                assert rngs[0].uniform(0.2, 0.6) == rngs[1].uniform(0.2, 0.6)

@@ -68,8 +68,20 @@ def test_lift_sign_plus_is_theta_horizontal():
     tau = np.linspace(0.0, 2 * np.pi, 500)
     theta = contact(lifted.position(tau), lifted.velocity(tau))
     assert np.max(np.abs(theta)) <= 1e-10
-    # the mirror lift pairs to -2 times the area integrand, order one
+    # the t-negated lift pairs to -2 times the area integrand, order one
     assert horizontality_residual(lift_horizontal(lemniscate(), sign=-1)) > 0.5
+
+
+def test_negative_lift_is_the_positive_lift_with_t_negated():
+    # sign = -1 is (x, y, t) -> (x, y, -t) of the +1 lift, not a mirror
+    # image: (x, y, t) -> (x, -y, -t) maps the +1 lift onto itself, tau to -tau
+    gam = lemniscate()
+    plus, minus = lift_horizontal(gam, sign=1), lift_horizontal(gam, sign=-1)
+    tau = np.random.default_rng(7).uniform(gam.a, gam.b, 1000)
+    flipped = plus.position(tau) * np.array([1.0, 1.0, -1.0])
+    assert minus.position(tau).tobytes() == flipped.tobytes()
+    mirrored = plus.position(gam.b - tau) * np.array([1.0, -1.0, -1.0])
+    assert np.max(np.abs(mirrored - plus.position(tau))) <= 1e-14
 
 
 def _reference_refine(curve, t1, t2):
@@ -160,7 +172,7 @@ def newton_starts(curve, samples):
 
 
 def test_self_intersection_gap_is_two_thirds():
-    # the sign flip mirrors the lift, same gap; the node (tau = pi/2 and
+    # the sign flip negates t, same gap; the node (tau = pi/2 and
     # 3 pi/2) is a sample at both sizes, so its one pair is read unrefined
     for sign in (-1, 1):
         lifted = lift_horizontal(lemniscate(), sign=sign)

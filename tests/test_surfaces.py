@@ -1,5 +1,7 @@
 """Parametrized surfaces, their boundaries, and characteristic structure."""
 
+import math
+
 import numpy as np
 
 from heisgeo import (
@@ -82,6 +84,20 @@ def test_vertical_halfplane_structure():
     assert np.max(np.abs(pos[:, 0])) == 0.0
     assert np.max(np.abs(pos[:, 2])) == 0.0
     assert horizontality_residual(rim) <= 1e-12
+
+
+def test_halfplane_is_the_vertical_map_over_the_y_axis():
+    # the shared vertical map gives the half-plane's (0, u, v) and its unit
+    # tangents bit for bit: on a grid with the domain corners, and with a
+    # scalar u against an array v
+    hp = vertical_halfplane()
+    u, v = np.meshgrid(np.linspace(*hp.u_dom, 33), np.linspace(*hp.v_dom, 33), indexing="ij")
+    for uu, vv in ((u, v), (0.5, v[0])):
+        ub = np.broadcast_to(uu, vv.shape)
+        z, o = np.zeros(vv.shape), np.ones(vv.shape)
+        for f, want in ((hp.position, (z, ub, vv)), (hp.tangent_u, (z, o, z)), (hp.tangent_v, (z, z, o))):
+            assert f(uu, vv).tobytes() == np.stack(want, axis=-1).tobytes(), f
+    assert hp.speed == math.sqrt(2.0)
 
 
 def test_lift_cylinder_boundary_and_periodicity():
