@@ -253,6 +253,28 @@ def _stokes_scene(scene: str):
     return S, draw
 
 
+def _stokes_entry(S, draw, rng, index: int) -> dict:
+    """Report entry of stokes form `index`: a bump whose center and radius
+    come next from `rng`, and both sides of Stokes for it on S."""
+    center = draw(rng, index)
+    radius = rng.uniform(0.2, 0.6)
+    report = stokes_residual(S, bump_form(center, radius))
+    estimate = report.lhs.estimate + report.rhs.estimate
+    return {
+        "index": index,
+        "center": [float(c) for c in center],
+        "radius": float(radius),
+        "lhs": report.lhs.value,
+        "rhs": report.rhs.value,
+        "residual": report.residual,
+        "estimate": estimate,
+        # not-<= instead of > so a NaN estimate counts as untrusted
+        "flagged": not (estimate <= STOKES_BUDGET) or report.lhs.flagged or report.rhs.flagged,
+        "lhs_stats": dict(report.lhs.stats),
+        "rhs_stats": dict(report.rhs.stats),
+    }
+
+
 def cmd_stokes(args) -> int:
     scene, tolerance = args.scene, args.tolerance
     if scene is None:
@@ -265,25 +287,7 @@ def cmd_stokes(args) -> int:
 
     S, draw = _stokes_scene(scene)
     rng = np.random.default_rng(args.seed)
-    entries = []
-    for index in range(args.forms):
-        center = draw(rng, index)
-        radius = rng.uniform(0.2, 0.6)
-        report = stokes_residual(S, bump_form(center, radius))
-        estimate = report.lhs.estimate + report.rhs.estimate
-        entries.append({
-            "index": index,
-            "center": [float(c) for c in center],
-            "radius": float(radius),
-            "lhs": report.lhs.value,
-            "rhs": report.rhs.value,
-            "residual": report.residual,
-            "estimate": estimate,
-            # not-<= instead of > so a NaN estimate counts as untrusted
-            "flagged": not (estimate <= STOKES_BUDGET) or report.lhs.flagged or report.rhs.flagged,
-            "lhs_stats": dict(report.lhs.stats),
-            "rhs_stats": dict(report.rhs.stats),
-        })
+    entries = [_stokes_entry(S, draw, rng, index) for index in range(args.forms)]
 
     payload = {
         "scene": scene,
@@ -367,16 +371,12 @@ def cmd_selftest(args) -> int:
 
     rng = np.random.default_rng(DEFAULT_SEED)
     for scene in ("halfplane", "sigma-cylinder", "band"):
-        S, draw = _stokes_scene(scene)
-        center = draw(rng, 0)
-        radius = rng.uniform(0.2, 0.6)
-        report = stokes_residual(S, bump_form(center, radius))
-        estimate = report.lhs.estimate + report.rhs.estimate
+        entry = _stokes_entry(*_stokes_scene(scene), rng, 0)
         check(
             f"stokes-{scene}",
-            report.residual <= 1e-6 and estimate <= STOKES_BUDGET,
-            f"residual {report.residual:.3e}, estimate {estimate:.2e}, "
-            f"points {report.lhs.stats['points']} + {report.rhs.stats['points']}",
+            not entry["flagged"] and entry["residual"] <= 1e-6,
+            f"residual {entry['residual']:.3e}, estimate {entry['estimate']:.2e}, "
+            f"points {entry['lhs_stats']['points']} + {entry['rhs_stats']['points']}",
         )
 
     if failures:

@@ -22,7 +22,7 @@ from .forms import (
     middle_differential,
     vertical_correction,
 )
-from .quadrature import conforming_integrate_1d, conforming_integrate_2d, integrate_1d, support_roots
+from .quadrature import Level, conforming_integrate_1d, conforming_integrate_2d, integrate_1d, support_roots
 from .surfaces import ParamSurface
 
 __all__ = [
@@ -70,12 +70,11 @@ def _result(value: float, estimate: float, tol: float, stats=MappingProxyType({}
     return IntegralResult(float(value), float(estimate), flagged, MappingProxyType(dict(stats)))
 
 
-def _ball_level(position, tangents, speed, ball):
-    """(jet, lip, scale, noise) of the level r^2 - |p - c|^2 along a map.
-    jet(*x, axes) is the level and its derivatives along the tangents in
-    `axes` (default all); with axes=() only the position is evaluated.
-    Within h, |grad| <= 2 (|p - c| + speed h) speed; points rounded to
-    eps (|c| + r) are seen at the ball's scale r: noise = (|c| + r) / r."""
+def _ball_level(position, tangents, speed, ball) -> Level:
+    """The level r^2 - |p - c|^2 of a ball along a map with these tangents.
+    Within h, |grad| <= 2 (|p - c| + speed h) speed; the ball is r / speed
+    wide in parameters, and points rounded to eps (|c| + r) are seen at its
+    scale r: noise = (|c| + r) / r."""
     center, radius = np.asarray(ball[0], dtype=float), float(ball[1])
     r2 = radius * radius
 
@@ -87,17 +86,7 @@ def _ball_level(position, tangents, speed, ball):
     def lip(level, h):
         return 2.0 * (np.sqrt(np.maximum(r2 - level, 0.0)) + speed * h) * speed
 
-    return jet, lip, radius / speed, (np.linalg.norm(center) + radius) / radius
-
-
-def _rectangle_level(u_dom, v_dom):
-    """(jet, lip, scale, noise) of the level 1 on a whole rectangle, jet as
-    `_ball_level`'s: it has no roots, so the conforming rule makes one piece."""
-    def jet(u, v, axes=(0, 1)):
-        one = np.ones(np.broadcast(u, v).shape)
-        return (one, *(0.0 * one for _ in axes))
-
-    return jet, lambda level, h: 0.0, math.hypot(u_dom[1] - u_dom[0], v_dom[1] - v_dom[0]), 1.0
+    return Level(jet, lip, radius / speed, (np.linalg.norm(center) + radius) / radius)
 
 
 def integrate_curve(form, curve: HCurve, flag_tol: float = FLAG_TOL,
@@ -114,8 +103,8 @@ def integrate_curve(form, curve: HCurve, flag_tol: float = FLAG_TOL,
     if ball is None or not math.isfinite(curve.speed):
         res = integrate_1d(f, curve.a, curve.b)
     else:
-        jet, lip, scale, noise = _ball_level(curve.position, (curve.velocity,), curve.speed, ball)
-        res = conforming_integrate_1d(f, jet, lip, curve.a, curve.b, scale, noise)
+        level = _ball_level(curve.position, (curve.velocity,), curve.speed, ball)
+        res = conforming_integrate_1d(f, level, curve.a, curve.b)
     return _result(*res, flag_tol, res.stats)
 
 
@@ -131,13 +120,11 @@ def _check_truncation_edges(ball, S: ParamSurface) -> None:
     """Raise unless the support ball stays off every truncation edge: the
     ball's level has no root on the edge, solved for as in the rule, and is
     negative there."""
-    if ball is None or not math.isfinite(S.speed):
-        raise ValueError("truncated surface needs a form with a support ball and a speed bound")
     for axis, value in S.truncation_edges:
         edge = S.edge(axis, value, S.speed)
-        jet, lip, scale, _ = _ball_level(edge.position, (edge.velocity,), edge.speed, ball)
-        roots, fault = support_roots(jet, lip, edge.a, edge.b, scale)
-        if fault or len(roots) or not jet(np.array(edge.a), axes=())[0] < 0.0:
+        level = _ball_level(edge.position, (edge.velocity,), edge.speed, ball)
+        roots, fault = support_roots(level, edge.a, edge.b)
+        if fault or len(roots) or not level.jet(np.array(edge.a), axes=())[0] < 0.0:
             raise ValueError(
                 f"support ball reaches the truncation edge {'uv'[axis]} = {value:g}")
 
@@ -145,23 +132,17 @@ def _check_truncation_edges(ball, S: ParamSurface) -> None:
 def integrate_surface(form, S: ParamSurface, flag_tol: float = FLAG_TOL) -> IntegralResult:
     """Integral of a degree-2 form over a surface, tangent-pair pullback.
 
-    The conforming rule integrates a form with a support ball over the
-    ball's preimage only, and any other form over the whole rectangle as
-    one piece.  A support ball needs a finite speed bound of the surface,
-    without which the pieces are not certified, and on a truncated surface
-    it must stay off the truncation edges; else `ValueError`.
+    The conforming rule integrates over the preimage of the form's support
+    ball only.  Without a ball, or without a finite speed bound of the
+    surface to certify the pieces, or on a truncated surface with the ball
+    reaching a truncation edge, it raises `ValueError`.
     """
     ball = getattr(form, "support_ball", None)
-    if not S.compact:
-        _check_truncation_edges(ball, S)
-    if ball is None:
-        level = _rectangle_level(S.u_dom, S.v_dom)
-    elif math.isfinite(S.speed):
-        level = _ball_level(S.position, (S.tangent_u, S.tangent_v), S.speed, ball)
-    else:
-        raise ValueError("a form with a support ball needs a speed bound of the surface")
-    res = conforming_integrate_2d(_surface_integrand(form, S), *level[:2], S.u_dom, S.v_dom,
-                                  *level[2:], S.periodic[1])
+    if ball is None or not math.isfinite(S.speed):
+        raise ValueError("a surface integral needs a form with a support ball and a speed bound")
+    _check_truncation_edges(ball, S)
+    level = _ball_level(S.position, (S.tangent_u, S.tangent_v), S.speed, ball)
+    res = conforming_integrate_2d(_surface_integrand(form, S), level, S.u_dom, S.v_dom, S.periodic[1])
     return _result(*res, flag_tol, res.stats)
 
 

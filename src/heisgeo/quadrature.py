@@ -16,27 +16,25 @@ through `max`, so an estimate above it is the plain Richardson gap.
 The conforming rules integrate a function that vanishes outside P = {phi
 > 0} over P only, with every breakpoint on phi = 0: iterated Gauss-Legendre
 over the roots of phi (R. I. Saye, SIAM J. Sci. Comput. 37(2), 2015), the
-pair (n, 2n) giving the value and the floored gap.  Roots are solved for,
-never sampled.  lip(phi, h) bounds |grad phi| within h of a point where phi
-takes that value; a cell is dropped only when |phi| at its centre exceeds
-lip times its half-width, the rest are halved and Newton polishes the roots
-left in them.  The level jet takes the axes to differentiate along, so a
-query that reads phi alone evaluates phi alone.  An estimate is NaN when a
+pair (n, 2n) giving the value and the floored gap.  The `Level` carries
+phi.  Roots are solved for, never sampled: a cell is dropped only when
+|phi| at its centre exceeds lip times its half-width, the rest are halved
+and Newton polishes the roots left in them.  An estimate is NaN when a
 NaN or an unsettled solve turns up, when the root count changes inside a
 piece, when neighbouring intervals share a sign, or when a cell proved
-that P meets the rectangle and no outer node sees P.  Its rounding floor
-is multiplied by `noise`, the factor by which f's inputs are rounded worse
-than f's own scale.  A phi that is positive with no roots leaves one
-piece, the whole rectangle.
+that P meets the rectangle and no outer node sees P.  A phi that is
+positive with no roots leaves one piece, the whole rectangle.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "Level",
     "RuleResult",
     "ROUNDING_FLOOR",
     "integrate_1d",
@@ -70,6 +68,23 @@ class RuleResult(tuple):
         self = super().__new__(cls, (float(value), float(error)))
         self.stats = stats
         return self
+
+
+class Level(NamedTuple):
+    """The level phi whose positive set P = {phi > 0} holds an integrand's support.
+
+    `jet(*x, axes)` is phi and its partials along the listed parameter axes
+    (default all; axes=() evaluates phi alone).  `lip(phi, h)` bounds |grad
+    phi| within h of a point where phi takes that value.  `scale` is the size
+    of P in parameters, the widest cell a root search starts from.  `noise`,
+    the factor by which the integrand's inputs are rounded worse than its
+    own scale, multiplies the rounding floor.
+    """
+
+    jet: Callable
+    lip: Callable
+    scale: float
+    noise: float
 
 
 @functools.cache
@@ -168,12 +183,13 @@ def _line_roots(jet, lip, owner, a, b, floor):
     return owner[order], root[order], bool(np.isnan(np.concatenate((ga, gb, root))).any())
 
 
-def support_roots(jet, lip, a: float, b: float, scale: float):
-    """Roots of g on [a, b], jet(x, axes) as in `_line_roots`; (roots, fault).
-    Cells start at most `scale` (the size of {g > 0}) wide, end scale/64 wide."""
-    edges = np.linspace(a, b, int(np.ceil((b - a) / scale)) + 1)
-    _, roots, fault = _line_roots(lambda o, x, axes=(0,): jet(x, axes=axes), lip,
-                                  np.zeros(len(edges) - 1, dtype=int), edges[:-1], edges[1:], scale / 64.0)
+def support_roots(level: Level, a: float, b: float):
+    """Roots on [a, b] of a level along a line; (roots, fault).
+    Cells start at most `level.scale` wide and end scale/64 wide."""
+    edges = np.linspace(a, b, int(np.ceil((b - a) / level.scale)) + 1)
+    jet = lambda o, x, axes=(0,): level.jet(x, axes=axes)
+    _, roots, fault = _line_roots(jet, level.lip, np.zeros(len(edges) - 1, dtype=int),
+                                  edges[:-1], edges[1:], level.scale / 64.0)
     return roots, fault
 
 
@@ -190,43 +206,42 @@ def _positive_intervals(value, lo, hi, owner, roots):
     return o[pos], a[pos], b[pos], bool(np.any((o[1:] == o[:-1]) & (pos[1:] == pos[:-1])))
 
 
-def conforming_integrate_1d(f, jet, lip, a: float, b: float, scale: float, noise: float) -> RuleResult:
-    """Integral over [a, b] of f, which vanishes where g <= 0; jet as in `support_roots`.
+def conforming_integrate_1d(f, level: Level, a: float, b: float) -> RuleResult:
+    """Integral over [a, b] of f, which vanishes where the level is <= 0.
 
-    Each interval between roots where g > 0 gets the pair CURVE_PAIR.
+    Each interval between roots where the level is > 0 gets the pair CURVE_PAIR.
     """
-    roots, fault = support_roots(jet, lip, a, b, scale)
-    _, lo, hi, bad = _positive_intervals(lambda o, x: jet(x, axes=())[0], np.array([a]), np.array([b]),
+    roots, fault = support_roots(level, a, b)
+    _, lo, hi, bad = _positive_intervals(lambda o, x: level.jet(x, axes=())[0], np.array([a]), np.array([b]),
                                          np.zeros(len(roots), dtype=int), roots)
     rules = [((x,), w) for x, w in (_gauss(n, lo, hi) for n in CURVE_PAIR)]
-    return _pair(f, *rules, fault or bad, noise, rule="conforming", pieces=len(lo))
+    return _pair(f, *rules, fault or bad, level.noise, rule="conforming", pieces=len(lo))
 
 
-def conforming_integrate_2d(f, jet, lip, u_dom, v_dom, scale: float, noise: float,
-                            periodic_v: bool) -> RuleResult:
+def conforming_integrate_2d(f, level: Level, u_dom, v_dom, periodic_v: bool) -> RuleResult:
     """Integral over a rectangle of f, which vanishes outside P = {phi > 0}.
 
-    jet(u, v) = (phi, phi_u, phi_v); jet(u, v, axes) = phi and its partials
-    along the listed axes only.  The u-breakpoints are the roots of phi on
-    the v-edges (none when v is periodic) and the folds phi = phi_v = 0,
-    which lie in kept cells of the quadtree over phi.  The outer rule
-    runs through u = a + (b - a)(1 - cos(pi s))/2 (A. Sidi, 1993), which
-    smooths the square-root behaviour at folds; the inner roots at each
-    outer node lie in the kept cells of its column.
+    The level's jet(u, v) = (phi, phi_u, phi_v).  The u-breakpoints are the
+    roots of phi on the v-edges (none when v is periodic) and the folds
+    phi = phi_v = 0, which lie in kept cells of the quadtree over phi.  The
+    outer rule runs through u = a + (b - a)(1 - cos(pi s))/2 (A. Sidi,
+    1993), which smooths the square-root behaviour at folds; the inner
+    roots at each outer node lie in the kept cells of its column.
     """
+    jet, lip, scale = level.jet, level.lip, level.scale
     phi = lambda u, v: jet(u, v, axes=())[0]
     su, sv = u_dom[1] - u_dom[0], v_dom[1] - v_dom[0]
     nu, nv = int(np.ceil(su / min(su, sv))), int(np.ceil(sv / min(su, sv)))
     du, dv = su / nu, sv / nv
     iu, iv = (x.ravel() for x in np.meshgrid(np.arange(nu), np.arange(nv), indexing="ij"))
-    levels, inside = max(0, int(np.ceil(np.log2(16.0 * np.hypot(du, dv) / scale)))), False
-    for level in range(levels + 1):
+    depths, inside = max(0, int(np.ceil(np.log2(16.0 * np.hypot(du, dv) / scale)))), False
+    for depth in range(depths + 1):
         hd = 0.5 * np.hypot(du, dv)
         g = phi(u_dom[0] + (iu + 0.5) * du, v_dom[0] + (iv + 0.5) * dv)
         bound = lip(g, hd) * hd
         inside |= bool((g > bound).any())
         iu, iv = iu[~(np.abs(g) > bound)], iv[~(np.abs(g) > bound)]
-        if level < levels:
+        if depth < depths:
             iu, iv = (np.concatenate((2 * iu, 2 * iu + 1, 2 * iu, 2 * iu + 1)),
                       np.concatenate((2 * iv, 2 * iv, 2 * iv + 1, 2 * iv + 1)))
             du, dv = 0.5 * du, 0.5 * dv
@@ -251,8 +266,8 @@ def conforming_integrate_2d(f, jet, lip, u_dom, v_dom, scale: float, noise: floa
             & (u > u_dom[0]) & (u < u_dom[1]) & (v >= v_dom[0]) & (v <= v_dom[1]))
     breaks, fault = [np.array(u_dom), u[fold]], False
     for v_edge in () if periodic_v else v_dom:
-        roots, bad = support_roots(lambda u, axes=(0,), v_edge=v_edge: jet(u, np.full_like(u, v_edge), axes=axes),
-                                   lip, *u_dom, scale)
+        edge = lambda u, axes=(0,), v_edge=v_edge: jet(u, np.full_like(u, v_edge), axes=axes)
+        roots, bad = support_roots(level._replace(jet=edge), *u_dom)
         breaks, fault = breaks + [roots], fault or bad
     breaks = np.unique(np.clip(np.concatenate(breaks), *u_dom))
     breaks = breaks[np.concatenate(([True], np.diff(breaks) > 1e-12 * su))]
@@ -292,7 +307,7 @@ def conforming_integrate_2d(f, jet, lip, u_dom, v_dom, scale: float, noise: floa
         mine = rule[o] == k
         v, w = _gauss(n, va[mine], vb[mine])
         rules.append(((np.repeat(u[o[mine]], n), v), w * np.repeat(wu[o[mine]], n)))
-    return _pair(f, *rules, fault or bad, noise, rule="conforming", pieces=len(a))
+    return _pair(f, *rules, fault or bad, level.noise, rule="conforming", pieces=len(a))
 
 
 class PrefixIntegral:

@@ -47,8 +47,8 @@ class ParamSurface:
     axis 0 and v = value for axis 1, where the domain cuts an unbounded
     surface short; only the listed boundary components are genuine, and
     integrals over the surface require integrands supported away from those
-    edges.  A surface without truncation edges is `compact`.  `speed`
-    bounds sqrt(|S_u|^2 + |S_v|^2) over the rectangle; inf when unknown.
+    edges.  `speed` bounds sqrt(|S_u|^2 + |S_v|^2) over the rectangle; inf
+    when unknown.
     """
 
     u_dom: tuple[float, float]
@@ -60,10 +60,6 @@ class ParamSurface:
     periodic: tuple[bool, bool] = (False, False)
     truncation_edges: tuple[tuple[int, float], ...] = ()
     speed: float = math.inf
-
-    @property
-    def compact(self) -> bool:
-        return not self.truncation_edges
 
     def __post_init__(self):
         if not (self.u_dom[1] > self.u_dom[0] and self.v_dom[1] > self.v_dom[0]):

@@ -32,6 +32,11 @@ from heisgeo.forms import (
 from heisgeo.cli import DEFAULT_SEED, _stokes_scene
 from heisgeo.integrate import FLAG_TOL, _ball_level, _surface_integrand
 
+# a ball about the origin that holds the unit sheet and the sqrt(2) torus:
+# with center 0 its level's noise is exactly 1, and the conforming rule keeps
+# the whole rectangle as one piece
+HOLDS_ALL = (np.zeros(3), 10.0)
+
 
 def _unit_sheet(**kw):
     """The sheet (u, v, 0) over the unit square, with its exact tangents."""
@@ -146,8 +151,8 @@ def test_support_ball_argument_stands_in_for_the_forms_own():
 
 def test_surface_integral_closed_form_oracle(affine_field):
     # sheet (u, v, 0) over the unit square pairs theta^dx to u/2
-    sheet = _unit_sheet()
-    form = ThetaWedgeForm(affine_field(1.0), affine_field())
+    sheet = _unit_sheet(speed=math.sqrt(2.0))
+    form = ThetaWedgeForm(affine_field(1.0), affine_field(), support_ball=HOLDS_ALL)
     res = integrate_surface(form, sheet)
     assert abs(res.value - 0.25) < 1e-12
 
@@ -156,11 +161,11 @@ def test_closed_torus_stokes_oracle(affine_field):
     # the torus has no boundary, so the surface side of Stokes is exactly 0
     # for any horizontal form, here one whose D(omega) is far from 0
     torus = torus_surface(np.sqrt(2.0), 1.0)
-    form = middle_differential(HorizontalForm(affine_field(y=1.0), affine_field(t=1.0)))
+    form = middle_differential(HorizontalForm(affine_field(y=1.0), affine_field(t=1.0), support_ball=HOLDS_ALL))
     U, V = np.meshgrid(np.linspace(*torus.u_dom, 65), np.linspace(*torus.v_dom, 65))
     assert np.abs(_surface_integrand(form, torus)(U.ravel(), V.ravel())).max() > 1.0
     res = integrate_surface(form, torus)
-    # without a support ball the conforming rule takes the whole rectangle
+    # the ball holds the whole torus, so the conforming rule takes the whole rectangle
     assert res.stats["rule"] == "conforming" and res.stats["pieces"] == 1
     assert abs(res.value) <= res.estimate and not res.flagged
 
@@ -249,16 +254,17 @@ def test_untrusted_estimates_are_flagged(segment, affine_field):
 
 
 def test_budget_stop_and_nan_panels_are_flagged(affine_field):
-    sheet = _unit_sheet()
-    # a peak that the one whole-rectangle piece of a form without a support
-    # ball does not resolve must not pass as trusted
+    sheet = _unit_sheet(speed=math.sqrt(2.0))
+    # a peak that the one whole-rectangle piece of a ball holding the sheet
+    # does not resolve must not pass as trusted
     peak = lambda p, tu, tv: np.exp(-1000.0 * ((p[..., 0] - 0.3) ** 2 + (p[..., 1] - 0.7) ** 2))
+    peak.support_ball = HOLDS_ALL
     res = integrate_surface(peak, sheet)
     assert res.stats["pieces"] == 1 and res.flagged
     assert abs(res.value - np.pi / 1000.0) > FLAG_TOL
     # nor may NaN samples on half the domain
     half_nan = ScalarField(lambda p: np.where(p[..., 0] < 0.5, np.nan, 1.0))
-    form = ThetaWedgeForm(half_nan, affine_field())
+    form = ThetaWedgeForm(half_nan, affine_field(), support_ball=HOLDS_ALL)
     res = integrate_surface(form, sheet)
     assert res.flagged and np.isnan(res.value)
 

@@ -1,14 +1,17 @@
 """Composite Gauss-Legendre rules, prefix integrals, conforming rules."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate as sci
 
-from heisgeo import quadrature
-from heisgeo.integrate import _rectangle_level
+from heisgeo import HorizontalForm, integrate_surface, middle_differential, quadrature, torus_surface
+from heisgeo.integrate import _surface_integrand
 from heisgeo.quadrature import (
     CURVE_PANELS,
     ROUNDING_FLOOR,
+    Level,
     PrefixIntegral,
     _gauss,
     _panels,
@@ -71,10 +74,28 @@ def test_prefix_integral_matches_quad():
 
 
 def _whole_rectangle(f, u_dom, v_dom):
-    """The conforming rule under the level without roots that surfaces use
-    for forms without a support ball: one piece, the whole rectangle."""
-    jet, lip, scale, noise = _rectangle_level(u_dom, v_dom)
-    return conforming_integrate_2d(f, jet, lip, u_dom, v_dom, scale, noise, False)
+    """The conforming rule under the level 1, which has no roots: one
+    piece, the whole rectangle."""
+    def jet(u, v, axes=(0, 1)):
+        one = np.ones(np.broadcast(u, v).shape)
+        return (one, *(0.0 * one for _ in axes))
+
+    level = Level(jet, lambda phi, h: 0.0, math.hypot(u_dom[1] - u_dom[0], v_dom[1] - v_dom[0]), 1.0)
+    return conforming_integrate_2d(f, level, u_dom, v_dom, False)
+
+
+def test_a_ball_holding_the_surface_gives_the_whole_rectangle(affine_field):
+    # a surface integral needs a support ball; one about the origin that
+    # holds the whole torus gives the rootless level's result bit for bit
+    torus = torus_surface(np.sqrt(2.0), 1.0)
+    fields = (affine_field(y=1.0), affine_field(t=1.0))
+    form = middle_differential(HorizontalForm(*fields, support_ball=(np.zeros(3), 10.0)))
+    res = integrate_surface(form, torus)
+    ref = _whole_rectangle(_surface_integrand(form, torus), torus.u_dom, torus.v_dom)
+    assert [res.value.hex(), res.estimate.hex()] == [x.hex() for x in ref]
+    assert dict(res.stats) == ref.stats == {"rule": "conforming", "points": 2880, "pieces": 1}
+    with pytest.raises(ValueError, match="support ball"):
+        integrate_surface(middle_differential(HorizontalForm(*fields)), torus)
 
 
 def test_adaptive_smooth_matches_dblquad():
@@ -91,7 +112,8 @@ def test_adaptive_smooth_matches_dblquad():
 
 
 def _disc(c, r):
-    """Plateau bump of a disc, with the jet of its level and a Lipschitz bound."""
+    """Plateau bump of a disc, with its level: the jet, a Lipschitz bound,
+    and the disc's radius as the scale."""
     def f(u, v):
         q = 1.0 - ((u - c[0]) ** 2 + (v - c[1]) ** 2) / r**2
         return np.where(q > 0.0, q, 0.0) ** 4
@@ -100,16 +122,16 @@ def _disc(c, r):
     jet = lambda u, v, axes=(0, 1): (phi(u, v), *(-2.0 * ((u, v)[k] - c[k]) for k in axes))
     # |grad phi| = 2 |x - c| <= 2 (|x0 - c| + h) within h of x0
     lip = lambda level, h: 2.0 * (np.sqrt(np.maximum(r**2 - level, 0.0)) + h)
-    return f, jet, lip
+    return f, Level(jet, lip, r, 1.0)
 
 
 def test_conforming_compact_support_between_nodes():
     # a narrow plateau bump dropped between the nodes of any coarse grid;
     # the rule integrates over the disc only, with breakpoints on its rim
     c, r = np.array([0.1234, 0.2345]), 0.08
-    f, jet, lip = _disc(c, r)
+    f, level = _disc(c, r)
     truth = np.pi * r**2 / 5.0  # radial integral of (1 - s)^4 d(s r^2)/2
-    res = conforming_integrate_2d(f, jet, lip, (-3.0, 3.0), (0.0, 3.0), r, 1.0, False)
+    res = conforming_integrate_2d(f, level, (-3.0, 3.0), (0.0, 3.0), False)
     value, est = res
     assert abs(value - truth) < 5e-9
     assert est < 1e-7
@@ -120,7 +142,7 @@ def test_conforming_support_cut_by_domain_edge():
     # support circle sticking out below the rectangle: the kink runs along
     # the domain edge and the result must match exact-bounds nested 1d rules
     c, r = np.array([-0.15, 0.09]), 0.22
-    f, jet, lip = _disc(c, r)
+    f, level = _disc(c, r)
     def inner(v):
         w = np.sqrt(max(r**2 - (v - c[1]) ** 2, 0.0))
         if w == 0.0:
@@ -128,27 +150,27 @@ def test_conforming_support_cut_by_domain_edge():
         return sci.quad(lambda u: float(f(np.asarray(u), np.asarray(v))),
                         c[0] - w, c[0] + w, epsabs=1e-14)[0]
     truth = sci.quad(inner, 0.0, c[1] + r, epsabs=1e-13, limit=200)[0]
-    value, est = conforming_integrate_2d(f, jet, lip, (-3.0, 3.0), (0.0, 3.0), r, 1.0, False)
+    value, est = conforming_integrate_2d(f, level, (-3.0, 3.0), (0.0, 3.0), False)
     assert abs(value - truth) < 1e-7
     assert abs(value - truth) <= max(est, 1e-9)
 
 
 def test_conforming_rule_fails_loud():
     c, r = np.array([0.4, 0.5]), 0.2
-    f, jet, lip = _disc(c, r)
-    phi = lambda u, v: jet(u, v, axes=())[0]
+    f, level = _disc(c, r)
+    phi = lambda u, v: level.jet(u, v, axes=())[0]
     # a NaN inside the support reaches the value and the estimate
     nan_inside = lambda u, v: np.where(u > 0.45, np.nan, f(u, v))
-    value, est = conforming_integrate_2d(nan_inside, jet, lip, (0.0, 1.0), (0.0, 1.0), r, 1.0, False)
+    value, est = conforming_integrate_2d(nan_inside, level, (0.0, 1.0), (0.0, 1.0), False)
     assert np.isnan(value) and np.isnan(est)
     # a slope that hides the folds leaves one piece whose outer nodes see
     # zero or two roots; the count change flags it instead of integrating
-    blind = lambda u, v, axes=(0, 1): (phi(u, v), *(jet(u, v)[1] if k == 0 else np.full_like(u, 1e3)
+    blind = lambda u, v, axes=(0, 1): (phi(u, v), *(level.jet(u, v)[1] if k == 0 else np.full_like(u, 1e3)
                                                      for k in axes))
-    res = conforming_integrate_2d(f, blind, lip, (0.0, 1.0), (0.0, 1.0), r, 1.0, False)
+    res = conforming_integrate_2d(f, level._replace(jet=blind), (0.0, 1.0), (0.0, 1.0), False)
     assert res.stats["pieces"] == 1 and np.isnan(res[1])
     # a support that misses the rectangle gives exactly zero
-    assert conforming_integrate_2d(f, jet, lip, (2.0, 3.0), (0.0, 1.0), r, 1.0, False) == (0.0, 0.0)
+    assert conforming_integrate_2d(f, level, (2.0, 3.0), (0.0, 1.0), False) == (0.0, 0.0)
 
 
 def test_adaptive_nan_sample_propagates():

@@ -1,11 +1,13 @@
 """Property tests: a quadrature result is trustworthy or flagged, never silently wrong."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heisgeo.integrate import FLAG_TOL, _rectangle_level, _result
-from heisgeo.quadrature import conforming_integrate_2d, integrate_1d
+from heisgeo.integrate import FLAG_TOL, _result
+from heisgeo.quadrature import Level, conforming_integrate_2d, integrate_1d
 
 # fixed examples keep tier-1 repeatable; no example database is written
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -16,9 +18,13 @@ coefficients = st.lists(st.floats(-100.0, 100.0), min_size=4, max_size=4).filter
 
 
 def _whole_rectangle(f, u_dom, v_dom):
-    """The conforming rule under the level without roots: one piece."""
-    jet, lip, scale, noise = _rectangle_level(u_dom, v_dom)
-    return conforming_integrate_2d(f, jet, lip, u_dom, v_dom, scale, noise, False)
+    """The conforming rule under the level 1, which has no roots: one piece."""
+    def jet(u, v, axes=(0, 1)):
+        one = np.ones(np.broadcast(u, v).shape)
+        return (one, *(0.0 * one for _ in axes))
+
+    level = Level(jet, lambda phi, h: 0.0, math.hypot(u_dom[1] - u_dom[0], v_dom[1] - v_dom[0]), 1.0)
+    return conforming_integrate_2d(f, level, u_dom, v_dom, False)
 
 
 @PROPERTY

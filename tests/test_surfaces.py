@@ -76,7 +76,7 @@ def test_vertical_halfplane_structure():
     hp = vertical_halfplane()
     p = hp.position(np.array([0.5]), np.array([1.2]))[0]
     assert np.allclose(p, [0.0, 0.5, 1.2])
-    assert not hp.compact
+    assert hp.truncation_edges
     (rim, orientation), = hp.boundary
     assert orientation == 1
     tau = np.linspace(rim.a, rim.b, 33)
