@@ -61,19 +61,19 @@ def _fd4_field(func, axis: int) -> "ScalarField":
 class ScalarField:
     """Scalar function on the group with lazily built frame derivatives.
 
-    `func` maps points (..., 3) to values (...).  The optional dX, dY, dT
-    arguments are zero-argument callables producing the derivative fields;
-    they are invoked at most once.  X(), Y() and T() of a field built
-    without the matching rule raise `ValueError`.
+    `func` maps points (..., 3) to values (...).  The optional `rule(axis)`
+    builds the derivative field along X, Y or T for axis 0, 1 or 2; it runs
+    on the first X(), Y() or T() call and at most once per axis.  A field
+    built without a rule raises `ValueError` on differentiation.
     """
 
     # jet(p) -> (gradient, Hessian entries) for fields built from a jet; see
     # _jet_field.  Fields from the algebra below carry none.
     jet = None
 
-    def __init__(self, func, dX=None, dY=None, dT=None):
+    def __init__(self, func, rule=None):
         self._func = func
-        self._thunks = [dX, dY, dT]
+        self._rule = rule
         self._cache: dict = {}
 
     def __call__(self, p):
@@ -81,10 +81,9 @@ class ScalarField:
 
     def _derive(self, axis: int) -> "ScalarField":
         if axis not in self._cache:
-            thunk = self._thunks[axis]
-            if thunk is None:
+            if self._rule is None:
                 raise ValueError(f"field has no derivative rule for {'XYT'[axis]}")
-            self._cache[axis] = thunk()
+            self._cache[axis] = self._rule(axis)
         return self._cache[axis]
 
     def X(self) -> "ScalarField":
@@ -97,12 +96,8 @@ class ScalarField:
         return self._derive(2)
 
     def __add__(self, g: "ScalarField"):
-        return ScalarField(
-            lambda p: self(p) + g(p),
-            dX=lambda: self.X() + g.X(),
-            dY=lambda: self.Y() + g.Y(),
-            dT=lambda: self.T() + g.T(),
-        )
+        return ScalarField(lambda p: self(p) + g(p),
+                           lambda k: self._derive(k) + g._derive(k))
 
     def __neg__(self):
         return self * (-1.0)
@@ -112,12 +107,7 @@ class ScalarField:
 
     def __mul__(self, c: float):
         c = float(c)
-        return ScalarField(
-            lambda p: c * self(p),
-            dX=lambda: self.X() * c,
-            dY=lambda: self.Y() * c,
-            dT=lambda: self.T() * c,
-        )
+        return ScalarField(lambda p: c * self(p), lambda k: self._derive(k) * c)
 
     __rmul__ = __mul__
 
@@ -196,12 +186,7 @@ def _jet_field(value, jet) -> ScalarField:
         return fn
 
     def exact_second(fn):
-        return ScalarField(
-            fn,
-            dX=lambda: _fd4_field(fn, 0),
-            dY=lambda: _fd4_field(fn, 1),
-            dT=lambda: _fd4_field(fn, 2),
-        )
+        return ScalarField(fn, lambda k: _fd4_field(fn, k))
 
     # frame derivatives (X, Y, T) of Xf, Yf and Tf
     rows = (
@@ -214,20 +199,9 @@ def _jet_field(value, jet) -> ScalarField:
         def func(p):
             return _frame_first(p, *jet(p)[0])[i]
 
-        dx_, dy_, dt_ = rows[i]
-        return ScalarField(
-            func,
-            dX=lambda: exact_second(dx_),
-            dY=lambda: exact_second(dy_),
-            dT=lambda: exact_second(dt_),
-        )
+        return ScalarField(func, lambda k: exact_second(rows[i][k]))
 
-    field = ScalarField(
-        value,
-        dX=lambda: first(0),
-        dY=lambda: first(1),
-        dT=lambda: first(2),
-    )
+    field = ScalarField(value, first)
     field.jet = jet
     return field
 
@@ -319,27 +293,24 @@ class VerticalForm:
 class ThetaWedgeForm:
     """Two form a theta^dx + b theta^dy.
 
-    `coefficients(p) -> (a(p), b(p))`, when given, evaluates both
-    coefficients in one call and is what evaluating the form uses; it must
-    agree with the fields `a` and `b`, which the differential below still
-    reads.
+    `coefficients(p) -> (a(p), b(p))` evaluates both coefficients in one
+    call and is what evaluating the form uses; it defaults to calling the
+    fields `a` and `b`, and when given must agree with them, since the
+    differential below reads the fields.
     """
 
     def __init__(self, a: ScalarField, b: ScalarField, support_ball=None, coefficients=None):
         self.a = a
         self.b = b
         self.support_ball = support_ball
-        self._coefficients = coefficients
+        self._coefficients = coefficients or (lambda p: (a(p), b(p)))
 
     def __call__(self, base, v1, v2):
         v1 = np.asarray(v1, dtype=float)
         v2 = np.asarray(v2, dtype=float)
         th1 = contact(base, v1)
         th2 = contact(base, v2)
-        if self._coefficients is None:
-            a, b = self.a(base), self.b(base)
-        else:
-            a, b = self._coefficients(np.asarray(base, dtype=float))
+        a, b = self._coefficients(np.asarray(base, dtype=float))
         return (a * (th1 * v2[..., 0] - th2 * v1[..., 0])
                 + b * (th1 * v2[..., 1] - th2 * v1[..., 1]))
 

@@ -287,8 +287,9 @@ def conforming_integrate_2d(f, level: Level, u_dom, v_dom, periodic_v: bool) -> 
     order = np.argsort(iu, kind="stable")
     iu, iv = iu[order], iv[order]
     first, last = np.searchsorted(iu, np.ceil(col) - 1), np.searchsorted(iu, np.floor(col), side="right")
-    owner = np.repeat(np.arange(len(u)), last - first)
-    cells = iv[np.concatenate([np.arange(i, j) for i, j in zip(first, last)] + [[]]).astype(int)]
+    n = last - first
+    owner = np.repeat(np.arange(len(u)), n)
+    cells = iv[np.arange(len(owner)) + np.repeat(first - np.cumsum(n) + n, n)]
     rows = int(round(sv / dv))
     owner, cells = np.divmod(np.unique(owner * rows + cells), rows)
     r_owner, roots, bad = _line_roots(

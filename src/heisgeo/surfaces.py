@@ -261,8 +261,6 @@ def torus_characteristic_loop(R: float, r: float) -> HCurve:
     when that advance is a multiple of 2*pi, which happens at special radii.
     """
     R, r = float(R), float(r)
-    if not R > r > 0:
-        raise ValueError(f"need R > r > 0, got R={R}, r={r}")
     torus = torus_surface(R, r)
     a, b = 0.0, 2.0 * math.pi
     d = math.sqrt((R - r) * (R + r))

@@ -96,6 +96,38 @@ def test_field_algebra():
     p = random_points(rng, 50)
     assert np.max(np.abs((f + g)(p) - f(p) - g(p))) < 1e-14
     assert np.max(np.abs((2.5 * f)(p) - 2.5 * f(p))) < 1e-14
+    # derivatives of a combination are the same combination of the parts'
+    # derivatives, to the last bit, through third order
+    p = random_points(rng, 200)
+
+    def at(h, path):
+        for axis in path:
+            h = getattr(h, axis)()
+        return h(p)
+
+    combos = (
+        (f + g, lambda a, b: a + b, ("X", "XY", "XYT")),
+        (f - g, lambda a, b: a - b, ("T", "TX", "TXY")),
+        (2.5 * f, lambda a, b: 2.5 * a, ("Y", "YY", "YYX")),
+        (-f, lambda a, b: -a, ("XY", "XYT")),
+    )
+    for h, combine, paths in combos:
+        for path in paths:
+            assert np.array_equal(at(h, path), combine(at(f, path), at(g, path))), path
+    # a derivative rule runs once per axis, and the field is kept
+    calls = []
+
+    def rule(axis):
+        calls.append(axis)
+        return f
+
+    counted = ScalarField(f, rule)
+    assert counted.X() is counted.X() and calls == [0]
+    assert f.X() is f.X()
+    # without fused coefficients the wedge evaluates its fields
+    v1, v2 = rng.normal(size=(2, 200, 3))
+    wedge = ThetaWedgeForm(f, g)
+    assert np.array_equal(wedge(p, v1, v2), _wedge_from_thunks(wedge, p, v1, v2))
 
 
 def test_complex_first_identity_exact_fields():

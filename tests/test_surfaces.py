@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from heisgeo import (
     contact,
@@ -200,6 +201,10 @@ def test_characteristic_loop_is_horizontal_and_closed():
     assert np.max(np.abs(theta)) <= 1e-12
     ends = sigma.position(np.array([sigma.a, sigma.b]))
     assert np.max(np.abs(ends[1] - ends[0])) <= 1e-10
+    # the loop refuses the radii its torus refuses, NaN included
+    for big_r in (1.0, math.nan):
+        with pytest.raises(ValueError, match="need R > r > 0"):
+            torus_characteristic_loop(big_r, 1.0)
 
 
 def test_characteristic_loop_angle_is_the_integral_of_its_slope():
