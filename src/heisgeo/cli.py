@@ -34,6 +34,8 @@ __all__ = ["main"]
 DEFAULT_SEED = 0x5EED
 SIGMA_HEIGHT = 1.0 / 3.0
 BAND_ANGLE = math.pi / 12.0
+# theta residual up to which a lift counts as horizontal
+HORIZONTAL_TOL = 1e-8
 
 
 class CliError(Exception):
@@ -162,11 +164,13 @@ def cmd_lift(args) -> int:
     base = _out_base(args.output)
     write_csv(base + ".csv", ["tau", "x", "y", "t"], np.column_stack([tau, pts]))
     gap = self_intersection_gap(lifted)
+    residual = horizontality_residual(lifted)
     write_json(base + ".json", {
         "curve": args.curve,
         "sign": args.sign,
         "closure_defect": lifted.closure_defect(),
-        "horizontality_residual": horizontality_residual(lifted),
+        "horizontal": residual <= HORIZONTAL_TOL,
+        "horizontality_residual": residual,
         "self_intersection_gap": None if math.isinf(gap) else gap,
     })
     return 0
@@ -357,7 +361,7 @@ def cmd_selftest(args) -> int:
     defect = lifted.closure_defect()
     check("lift-closure", defect <= 1e-10, f"closure defect {defect:.3e}")
     resid = horizontality_residual(lifted)
-    check("lift-horizontality", resid <= 1e-8, f"theta residual {resid:.3e}")
+    check("lift-horizontality", resid <= HORIZONTAL_TOL, f"theta residual {resid:.3e}")
     gap = self_intersection_gap(lifted)
     check("lift-gap", abs(gap - 2.0 / 3.0) <= 1e-6, f"vertical gap {gap:.9f}")
 

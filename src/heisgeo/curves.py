@@ -92,26 +92,25 @@ def planar_radius(curve) -> float:
     return float(np.linalg.norm(xy, axis=-1).max()) + curve.speed * 0.5 * (tau[1] - tau[0])
 
 
-def _area_integrand(curve: PlanarCurve):
-    def f(tau):
-        xy = curve.position(tau)
-        dxy = curve.velocity(tau)
-        return 0.5 * (xy[..., 0] * dxy[..., 1] - xy[..., 1] * dxy[..., 0])
+def _area_rate(xy, dxy):
+    """Signed-area rate (x y' - y x')/2 of planar points and velocities."""
+    return 0.5 * (xy[..., 0] * dxy[..., 1] - xy[..., 1] * dxy[..., 0])
 
-    return f
+
+def _area_integrand(curve: PlanarCurve):
+    return lambda tau: _area_rate(curve.position(tau), curve.velocity(tau))
 
 
 def lift_horizontal(curve: PlanarCurve, sign: int = -1) -> HCurve:
     """Lift a planar curve to the group with t' = sign*(x y' - y x')/2.
 
-    The lift starts at (gamma(a), 0).  The t-component is accumulated by
-    composite Gauss-Legendre prefix quadrature, the velocity uses the closed
-    form, so the two are consistent to quadrature accuracy.
+    The lift starts at (gamma(a), 0).  The t-component is read from a
+    `PrefixIntegral` of the area rate, the velocity uses the closed form,
+    so the two are consistent to quadrature accuracy.
     """
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    area = _area_integrand(curve)
-    accum = PrefixIntegral(area, curve.a, curve.b)
+    accum = PrefixIntegral(_area_integrand(curve), curve.a, curve.b)
 
     def pos(tau):
         tau = np.asarray(tau, dtype=float)
@@ -123,7 +122,7 @@ def lift_horizontal(curve: PlanarCurve, sign: int = -1) -> HCurve:
     def vel(tau):
         tau = np.asarray(tau, dtype=float)
         dxy = curve.velocity(tau)
-        dt = sign * area(tau)
+        dt = sign * _area_rate(curve.position(tau), dxy)
         return np.concatenate([dxy, np.asarray(dt)[..., None]], axis=-1)
 
     # |t'| = |x y' - y x'| / 2 <= |(x, y)| |(x', y')| / 2

@@ -48,6 +48,8 @@ __all__ = [
 # of NODES-point Gauss-Legendre
 CURVE_PANELS = 256
 NODES = 8
+# PrefixIntegral tabulates each panel at this many Chebyshev-Lobatto points
+CHEB_POINTS = 13
 
 # multiple of eps * sum |w f| below which a Richardson gap is rounding noise
 ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
@@ -314,10 +316,13 @@ def conforming_integrate_2d(f, level: Level, u_dom, v_dom, periodic_v: bool) -> 
 class PrefixIntegral:
     """F(tau) = integral of f from a to tau, evaluable at arbitrary tau.
 
-    Panel prefix sums are precomputed once; an evaluation only integrates the
-    partial panel below each requested tau, so it stays cheap and vectorized.
-    Values of tau outside [a, b] are allowed and extrapolate the integral
-    (the integrand is evaluated there, so f must be defined).
+    Built once: the panel prefix sums, and for each panel the Chebyshev
+    coefficients of G = F - prefix from its values at CHEB_POINTS
+    Chebyshev-Lobatto points (the partial-panel rule inside, 0 and the
+    panel's sum at the ends).  A tau in [a, b] is read by Clenshaw's
+    recurrence with no call to f, a panel edge (b too) exactly as its prefix
+    sum.  A tau outside [a, b], or NaN, takes the partial-panel rule from
+    the nearest panel: it extrapolates (f must be defined there), NaN stays.
     """
 
     def __init__(self, f, a: float, b: float):
@@ -325,21 +330,42 @@ class PrefixIntegral:
             raise ValueError("need b > a")
         self.f = f
         self.a, self.b = float(a), float(b)
-        self.gx, self.gw = _legendre(NODES)
         self.edges = np.linspace(a, b, CURVE_PANELS + 1)
         pts, wts = _gauss(NODES, self.edges[:-1], self.edges[1:])
         panel_vals = (wts * np.asarray(f(pts), dtype=float)).reshape(CURVE_PANELS, NODES).sum(axis=1)
         self.prefix = np.concatenate([[0.0], np.cumsum(panel_vals)])
+        self.mid = 0.5 * (self.edges[1:] + self.edges[:-1])
+        self.half = 0.5 * (self.edges[1:] - self.edges[:-1])
+        # fitted where the rounded nodes and edges map back to, as a query maps
+        tau = self.mid[:, None] - self.half[:, None] * np.cos(np.linspace(0.0, np.pi, CHEB_POINTS))
+        tau[:, 0], tau[:, -1] = self.edges[:-1], self.edges[1:]
+        t = (tau - self.mid[:, None]) / self.half[:, None]
+        inner = self._partial(np.repeat(np.arange(CURVE_PANELS), CHEB_POINTS - 2), tau[:, 1:-1].ravel())
+        share = np.column_stack((np.zeros(CURVE_PANELS), inner.reshape(CURVE_PANELS, -1), panel_vals))
+        vander = np.polynomial.chebyshev.chebvander(t, CHEB_POINTS - 1)
+        self.coef = np.linalg.solve(vander, share[..., None])[..., 0].T
+
+    def _partial(self, idx, tau):
+        """Integral of f from the edge `idx` to tau by NODES-point Gauss-Legendre."""
+        (gx, gw), lo = _legendre(NODES), self.edges[idx]
+        mid, half = 0.5 * (lo + tau), 0.5 * (tau - lo)
+        vals = np.asarray(self.f((mid[:, None] + half[:, None] * gx).ravel()), dtype=float)
+        return half * (vals.reshape(len(tau), NODES) @ gw)
 
     def __call__(self, tau):
         tau = np.asarray(tau, dtype=float)
-        scalar = tau.ndim == 0
-        tau = np.atleast_1d(tau)
-        idx = np.clip(np.searchsorted(self.edges, tau, side="right") - 1, 0, len(self.edges) - 2)
-        lo = self.edges[idx]
-        mid = 0.5 * (lo + tau)
-        half = 0.5 * (tau - lo)
-        pts = mid[..., None] + half[..., None] * self.gx
-        vals = np.asarray(self.f(pts.ravel()), dtype=float).reshape(pts.shape)
-        out = self.prefix[idx] + half * (vals @ self.gw)
-        return float(out[0]) if scalar else out
+        flat = tau.ravel()
+        edge = np.searchsorted(self.edges, flat, side="right") - 1
+        out = np.empty_like(flat)
+        inside = (flat >= self.a) & (flat <= self.b)
+        e, x = edge[inside], flat[inside]
+        p = np.minimum(e, CURVE_PANELS - 1)
+        t = (x - self.mid[p]) / self.half[p]
+        t2, b1, b2 = 2.0 * t, 0.0, 0.0
+        for c in self.coef[:0:-1]:  # Clenshaw, from the highest coefficient down
+            b1, b2 = c[p] + t2 * b1 - b2, b1
+        out[inside] = np.where(x == self.edges[e], self.prefix[e], self.prefix[p] + (self.coef[0, p] + t * b1 - b2))
+        if not inside.all():
+            p = np.clip(edge[~inside], 0, CURVE_PANELS - 1)
+            out[~inside] = self.prefix[p] + self._partial(p, flat[~inside])
+        return float(out[0]) if tau.ndim == 0 else out.reshape(tau.shape)

@@ -35,8 +35,10 @@ def test_lift_default_sign_outputs(tmp_path):
     meta = json.loads(base.with_suffix(".json").read_text())
     assert meta["sign"] == -1
     assert meta["closure_defect"] <= 1e-10
-    # the sign -1 lift (t negated) is not horizontal; its residual is order one
+    # the sign -1 lift (t negated) is not horizontal; its residual is order
+    # one, the JSON says so, and the run still exits 0
     assert meta["horizontality_residual"] > 0.5
+    assert meta["horizontal"] is False
     assert abs(meta["self_intersection_gap"] - 2.0 / 3.0) <= 1e-6
 
 
@@ -45,6 +47,7 @@ def test_lift_positive_sign_is_horizontal(tmp_path):
     assert run("lift", "--sign", "+1", "-o", str(base)) == 0
     meta = json.loads(base.with_suffix(".json").read_text())
     assert meta["horizontality_residual"] <= 1e-8
+    assert meta["horizontal"] is True
 
 
 def test_configuration_errors_exit_1(tmp_path):

@@ -27,13 +27,13 @@ RUNS = {
 SCENES = ("halfplane", "sigma-cylinder", "band")
 
 SHA256 = {
-    "fig1.csv": "1745bfb9757c4a60e2ca567a7ee82ac69740e60990ee62ad2d29a27bf860e728",
-    "fig1.json": "7fdd1e983190c9d175a1b66451d3d4b02f0cd58b2541e801a4c904ff53778320",
-    "fig2.csv": "80c6b65611789538e15c1ab4f8c8d4cfd9bf4726cb36a25c808dff2b4f838e0c",
-    "fig2.json": "7fdd1e983190c9d175a1b66451d3d4b02f0cd58b2541e801a4c904ff53778320",
+    "fig1.csv": "69f02cdba67731df191b5d749efbd3c8bb070a217bfa90efc7d4fbce1236cc8d",
+    "fig1.json": "cf016c7fa73ffc4ae3a1e163ec8b6a3029f688eefe44c4d7329546a2384ff346",
+    "fig2.csv": "d3619c64fa3cd526c1a78997bcb075d7d069ffeba3b26feb44413855468afba9",
+    "fig2.json": "cf016c7fa73ffc4ae3a1e163ec8b6a3029f688eefe44c4d7329546a2384ff346",
     "fig3.obj": "cfa040e7ca4f469441953215f7c112cde6c45d6dd33a5a042315a819d026b57e",
-    "fig3_boundary_minus.csv": "60f92e509c26c020310543fc0adc30bd45a0bda3bcf475d006ce17373454b367",
-    "fig3_boundary_plus.csv": "002d07886293ebc99bf50ccdb4dc2890eaf028bff9afc1513e09de38fdb7e527",
+    "fig3_boundary_minus.csv": "3f0edeaeb1831c823ecb95480ff762ebd92ddf0e7de304497b3fed37f5a8d300",
+    "fig3_boundary_plus.csv": "c4f79bdf279a9d3fadfef8d92498968bd04613f25a26b7cc3458fd09da5adfd6",
     "fig4.csv": "8b3fce43c9c60f615faa0cedfcafaa4a594ba872d03bf5be46b89ffadcad3df6",
     "fig4.json": "3882f7a366d1b08509391e7e4a439d885827026a5fecf4f08e106f49f7a33dc0",
     "fig4.obj": "2f932b2523e875b1c25e60dfae0036df9ceed49502404e9b63b41b5c0c8048a3",
@@ -45,7 +45,7 @@ SHA256 = {
     "fig6.obj": "bfbd646e4abdc6e0af6cf1d657919fd5770e084cab13a3950e3e2f5ac8bbadc3",
     "stokes_band.json": "c2fb2f447d47e66bb69f0acf59fab7877f70eb6e43a620833bed98883bcc3471",
     "stokes_halfplane.json": "e05faf279edd1dfbbd2942e007a24b705b88e3dcd962d20b0bf64dfde3579fbd",
-    "stokes_sigma-cylinder.json": "6729a248e3c5443fcb968b9122b4ac5ba252298dad5554b5ba2768708bb765e5",
+    "stokes_sigma-cylinder.json": "8580441eabc8bbfc1b30cfa3b80467bb659332abbaaf8dd30d2c08c845a8e973",
 }
 
 
