@@ -59,6 +59,7 @@ from .surfaces import (
     lift_cylinder,
     revolve_curve,
     torus_characteristic_loop,
+    torus_leaf_angle,
     torus_surface,
     vertical_halfplane,
 )

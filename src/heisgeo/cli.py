@@ -8,8 +8,8 @@ from either source.  The order is defaults < config file < HEIS_SEED (the
 stokes seed) < flags.  Long flags must be spelled in full.  Exit codes: 0
 success, 1 configuration error, 2 numerical abort (characteristic guard or
 untrusted quadrature), 3 verification failure (a residual above tolerance,
-including a foliation leaf that does not close; its outputs are still
-written).
+including a foliation leaf that does not close or strays from its closed
+form; its outputs are still written).
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from .curves import lemniscate, lift_horizontal, horizontality_residual, self_in
 from .foliation import detect_period, trace_foliation
 from .forms import bump_form
 from .integrate import STOKES_BUDGET, stokes_residual
-from .surfaces import lift_cylinder, revolve_curve, torus_characteristic_loop, torus_surface, vertical_halfplane
+from .surfaces import (lift_cylinder, revolve_curve, torus_characteristic_loop, torus_leaf_angle, torus_surface,
+                       vertical_halfplane)
 from .export import surface_mesh, write_csv, write_json, write_obj
 
 __all__ = ["main"]
@@ -205,8 +206,11 @@ def cmd_foliate(args) -> int:
         residual, windings = detect_period(trace, axis=0, close_tol=tolerance)
     except ValueError as exc:
         raise NumericalAbort(f"period detection inconclusive: {exc}")
-    # a NaN residual compares false, so it counts as not closed
-    closed = bool(residual <= tolerance)
+    # the leaf's true error against its closed form v0 + V(u) - V(u0)
+    angle = torus_leaf_angle(big_r, r)
+    leaf_error = float(np.max(np.abs(trace.uv[:, 1] - start[1] - angle(trace.uv[:, 0]) + angle(start[0]))))
+    # a NaN residual or leaf error compares false, so it counts as not closed
+    closed = bool(residual <= tolerance and leaf_error <= tolerance)
 
     base = _out_base(args.output)
     write_csv(
@@ -221,18 +225,20 @@ def cmd_foliate(args) -> int:
         "start": list(start),
         "arclength": trace.arclength,
         "closure_residual": residual,
+        "leaf_error": leaf_error,
         "windings": [windings[0], windings[1]],
         "closed": closed,
         "truncated": trace.truncated,
         "nfev": trace.step_stats["nfev"],
         "steps": trace.step_stats["steps"],
+        "rejected": trace.step_stats["rejected"],
     })
     verts, faces = surface_mesh(torus, *args.grid)
     write_obj(base + ".obj", verts, faces)
     if not closed:
         raise VerificationFailure(
-            f"leaf did not close: closure residual {residual:.3e} > {tolerance:.3e}; "
-            f"windings {windings} are those of the best return"
+            f"leaf did not close: closure residual {residual:.3e} or leaf error {leaf_error:.3e} "
+            f"> {tolerance:.3e}; windings {windings} are those of the best return"
         )
     return 0
 

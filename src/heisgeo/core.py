@@ -19,6 +19,7 @@ Conventions (fixed once, everything else routes through them):
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -100,8 +101,10 @@ def theta_of(x, y, vx, vy, vt):
 
 
 def frame_length(vx, vy, th):
-    """Length of a vector in the (X, Y, T) frame from vx, vy and its theta pairing th."""
-    return np.sqrt(vx * vx + vy * vy + th * th)
+    """Length of a vector in the (X, Y, T) frame from vx, vy and its theta
+    pairing th; floats give a Python float, with the bits of `np.sqrt`."""
+    square = vx * vx + vy * vy + th * th
+    return math.sqrt(square) if isinstance(square, float) else np.sqrt(square)
 
 
 def contact(p, v) -> np.ndarray:

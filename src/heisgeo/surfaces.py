@@ -3,8 +3,8 @@
 A surface is a rectangle of parameters with a position map into the group,
 its two exact tangent callables, per axis periodicity flags, and a
 constructor supplied list of oriented boundary curves.  The torus maps take
-a single-point path on two floats (see `_on_angles`), which is how the leaf
-solver calls them.  The theta pairings of the two tangents drive
+a single-point path on two floats that returns three Python floats (see
+`_on_angles`), which is how the leaf solver calls them.  The theta pairings of the two tangents drive
 everything geometric here: a point is characteristic when both vanish, and
 the kernel direction of theta restricted to the tangent plane is the
 characteristic foliation (see `heisgeo.foliation`).
@@ -27,6 +27,7 @@ __all__ = [
     "lift_cylinder",
     "torus_surface",
     "revolve_curve",
+    "torus_leaf_angle",
     "torus_characteristic_loop",
     "characteristic_residual",
     "cylinder_embeds",
@@ -158,12 +159,13 @@ def _on_angles(formula):
     """Surface map (u, v) -> the three components formula(cos u, sin u, cos v, sin v).
 
     Two floats (np.float64 is one), as the leaf solver passes, take `math`
-    trig and give one (3,) array; anything else broadcasts with numpy.
+    trig and give three Python floats, bit for bit the row that numpy gives
+    on length-1 arrays; anything else broadcasts with numpy.
     """
 
     def f(u, v):
         if isinstance(u, float) and isinstance(v, float):
-            return np.array(formula(math.cos(u), math.sin(u), math.cos(v), math.sin(v)))
+            return formula(math.cos(u), math.sin(u), math.cos(v), math.sin(v))
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
         out = np.empty(u.shape + (3,))
         out[..., 0], out[..., 1], out[..., 2] = formula(np.cos(u), np.sin(u), np.cos(v), np.sin(v))
@@ -246,33 +248,46 @@ def revolve_curve(curve: HCurve, phi_max: float) -> ParamSurface:
     return replace(S, boundary=((curve, +1), (S.edge(1, phi_max, curve.speed), -1)))
 
 
-def torus_characteristic_loop(R: float, r: float) -> HCurve:
-    """Leaf through (0, 0) of the characteristic foliation on the torus, in closed form.
+def torus_leaf_angle(R: float, r: float):
+    """V(u), the angle of the characteristic leaf through (0, 0) of the torus (R, r).
 
     Along a leaf parametrized by u the angle obeys dv/du = 2 r cos u / W^2
-    with W = R + r cos u, whose antiderivative through v(0) = 0 is
+    with W = R + r cos u, whose antiderivative through V(0) = 0 is
 
-        v(u) = (2r/d^2) (R sin u / W - (r/d) (u - 2 atan(beta sin u / (1 + beta cos u))))
+        V(u) = (2r/d^2) (R sin u / W - (r/d) (u - 2 atan(beta sin u / (1 + beta cos u))))
 
-    with d = sqrt(R^2 - r^2) and beta = (R - d)/r < 1, so v is continuous for
-    every real u and advances by -4 pi r^2/d^3 per turn.  The curve is
-    horizontal exactly, because the theta pairings of the two torus
-    tangents cancel by construction.  It closes in the ambient group only
-    when that advance is a multiple of 2*pi, which happens at special radii.
+    with d = sqrt(R^2 - r^2) and beta = (R - d)/r < 1, so V is continuous for
+    every real u and advances by -4 pi r^2/d^3 per turn.  Rotation about
+    the t-axis is a contact automorphism, so every leaf is
+    v = v0 + V(u) - V(u0) in unwrapped coordinates.
     """
     R, r = float(R), float(r)
-    torus = torus_surface(R, r)
-    a, b = 0.0, 2.0 * math.pi
     d = math.sqrt((R - r) * (R + r))
     beta = r / (R + d)  # = (R - d)/r without the cancellation
-
-    def slope(u):
-        u = np.asarray(u, dtype=float)
-        return 2.0 * r * np.cos(u) / (R + r * np.cos(u)) ** 2
 
     def v_of(u):
         turn = u - 2.0 * np.arctan(beta * np.sin(u) / (1.0 + beta * np.cos(u)))
         return (2.0 * r / d**2) * (R * np.sin(u) / (R + r * np.cos(u)) - r * turn / d)
+
+    return v_of
+
+
+def torus_characteristic_loop(R: float, r: float) -> HCurve:
+    """Leaf through (0, 0) of the characteristic foliation on the torus, in closed form.
+
+    Its angle is v = `torus_leaf_angle(R, r)`(u).  The curve is horizontal
+    exactly, because the theta pairings of the two torus tangents cancel
+    by construction.  It closes in the ambient group only when the advance
+    of v per turn is a multiple of 2*pi, which happens at special radii.
+    """
+    R, r = float(R), float(r)
+    torus = torus_surface(R, r)
+    a, b = 0.0, 2.0 * math.pi
+    v_of = torus_leaf_angle(R, r)
+
+    def slope(u):
+        u = np.asarray(u, dtype=float)
+        return 2.0 * r * np.cos(u) / (R + r * np.cos(u)) ** 2
 
     def pos(tau):
         tau = np.asarray(tau, dtype=float)
@@ -288,7 +303,10 @@ def torus_characteristic_loop(R: float, r: float) -> HCurve:
 
 
 def _components(a):
-    """x, y, t components of a (..., 3) array; Python floats for a single point."""
+    """x, y, t components of a map's value: a single point's three floats
+    pass through, a (3,) array gives Python floats, a batch three arrays."""
+    if isinstance(a, tuple):
+        return a
     return a.tolist() if a.ndim == 1 else (a[..., 0], a[..., 1], a[..., 2])
 
 

@@ -154,8 +154,9 @@ def test_foliate_full_run(tmp_path):
     assert meta["closure_residual"] <= 1e-6
     assert meta["closed"] is True
     assert not meta["truncated"]
-    for key in ("nfev", "steps"):
+    for key in ("nfev", "steps", "rejected"):
         assert type(meta[key]) is int and meta[key] > 0, key
+    assert meta["leaf_error"] <= 1e-8
     rows = np.loadtxt(base.with_suffix(".csv"), delimiter=",", skiprows=1)
     assert rows.shape == (128, 5)
     assert base.with_suffix(".obj").exists()
@@ -182,6 +183,28 @@ def test_foliate_unclosed_leaf_exit_3(tmp_path):
     assert meta["closed"] is False
     assert meta["closure_residual"] > 1e-6
     assert base.with_suffix(".obj").exists()
+
+
+def test_foliate_leaf_error_is_bounded(tmp_path):
+    # every torus leaf is v = v0 + V(u) - V(u0) in closed form, so the JSON's
+    # leaf_error is the samples' true error
+    for n, start in ((1, (0, 0)), (2, (0, 0)), (3, (0, 0)), (11, (0, 0)), (5, (2, -1))):
+        base = tmp_path / f"leaf{n}"
+        code = run("foliate", "--n", str(n), "--start-u", str(start[0]), "--start-v", str(start[1]),
+                   "--grid", "8x4", "-o", str(base))
+        assert code == 0, n
+        meta = json.loads(base.with_suffix(".json").read_text())
+        assert 0.0 < meta["leaf_error"] <= 1e-8, (n, meta["leaf_error"])
+
+
+def test_foliate_leaf_error_above_tolerance_exit_3(tmp_path):
+    # at n = 2 the leaf returns to 1.4e-11 but its samples stray 9e-10 from
+    # the closed form: a tolerance between the two fails the leaf
+    base = tmp_path / "leaf"
+    assert run("foliate", "--n", "2", "--grid", "8x4", "--tolerance", "1e-10", "-o", str(base)) == 3
+    meta = json.loads(base.with_suffix(".json").read_text())
+    assert meta["closure_residual"] <= 1e-10 < meta["leaf_error"]
+    assert meta["closed"] is False
 
 
 def test_stokes_zero_tolerance_exit_3(tmp_path):

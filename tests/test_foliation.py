@@ -14,6 +14,7 @@ from heisgeo import (
     torus_surface,
     trace_foliation,
 )
+from heisgeo import foliation
 from heisgeo.foliation import _direction, _pairings
 from heisgeo.surfaces import ParamSurface
 
@@ -104,36 +105,75 @@ def test_trace_follows_foliation_direction():
     assert len(signs) == 1
 
 
+def spy_on_stepper(monkeypatch):
+    """Record the arguments of every call `trace_foliation` makes to its stepper."""
+    calls = []
+    stepper = foliation._dop853
+
+    def spy(*args):
+        calls.append(args)
+        return stepper(*args)
+
+    monkeypatch.setattr(foliation, "_dop853", spy)
+    return calls
+
+
 def test_solver_direction_is_the_batched_field_bit_for_bit(monkeypatch):
-    # the solver's right-hand side runs on Python floats, the direction field
+    # the stepper's right-hand side runs on Python floats, the direction field
     # on a batch on arrays; both must give the same bits, up to the per-trace sign
-    import scipy.integrate
-
-    seen = []
-    solve_ivp = scipy.integrate.solve_ivp
-
-    def spy(fun, *args, **kwargs):
-        seen.append(fun)
-        return solve_ivp(fun, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", spy)
+    calls = spy_on_stepper(monkeypatch)
     rng = np.random.default_rng(44)
     for n in (2, 11):
         torus = torus_for(n)
         trace_foliation(torus, (0.0, 0.0), 1.0)
+        rhs = calls[-1][0]
         uv = rng.uniform(-100.0, 100.0, (2000, 2))
-        solver = np.array([seen[-1](0.0, y) for y in uv])
+        values = [rhs(u, v) for u, v in uv.tolist()]
+        assert {type(x) for row in values for x in row} == {float}, n
+        solver = np.array(values)
         field = np.array(_direction(*_pairings(torus, uv[:, 0], uv[:, 1]))).T
         sign = np.sign(solver[0, 0] * field[0, 0])
         assert (sign * field).tobytes() == solver.tobytes(), n
 
 
+def test_stepper_agrees_with_scipy_dop853(monkeypatch):
+    # the same right-hand side and events through scipy's own `solve_ivp` with DOP853:
+    # the step control matches up to rounding, so the work, the polyline, the
+    # section returns and the verdict agree
+    from scipy.integrate import solve_ivp
+
+    calls = spy_on_stepper(monkeypatch)
+    for n, start in ((1, (0.0, 0.0)), (2, (0.0, 0.0)), (3, (0.0, 0.0)), (11, (0.0, 0.0)), (5, (2.0, -1.0))):
+        trace = trace_foliation(torus_for(n), start, auto_arclen(n))
+        rhs, u0, v0, s_end, guard, sections = calls[-1]
+        events = [lambda s, y, g=g: g(*y) for g in (guard, *sections)]
+        events[0].terminal = True
+        ref = solve_ivp(lambda s, y: rhs(*y), (0.0, s_end), (u0, v0), method="DOP853",
+                        rtol=foliation.RTOL, atol=foliation.ATOL, dense_output=True, events=events)
+        assert ref.status == 0 and trace.truncated is False, n
+        steps = ref.t.size - 1
+        assert abs(trace.step_stats["steps"] - steps) <= 0.01 * steps, (n, trace.step_stats, steps)
+        assert abs(trace.step_stats["nfev"] - ref.nfev) <= 0.03 * ref.nfev, (n, trace.step_stats, ref.nfev)
+        grid = np.linspace(0.0, s_end, trace.uv.shape[0])
+        assert trace.arclength == s_end
+        assert np.max(np.abs(trace.uv - ref.sol(grid).T)) <= 1e-8, n
+        returns = {axis: (ref.t_events[axis + 1], ref.y_events[axis + 1]) for axis in (0, 1)}
+        for axis in (0, 1):
+            assert trace.returns[axis][0].shape == returns[axis][0].shape, (n, axis)
+            assert np.max(np.abs(trace.returns[axis][0] - returns[axis][0])) <= 1e-9, (n, axis)
+            reference = dataclasses.replace(trace, returns=returns)
+            assert detect_period(trace, axis)[1] == detect_period(reference, axis)[1], (n, axis)
+
+
 def test_leaf_step_stats_are_pinned():
     # solver work on the fig4 (n = 2) and fig6 (n = 11) leaves; a right-hand
     # side whose bits moved would move these counts
-    for n, nfev, steps in ((2, 2609, 137), (11, 10772, 562)):
+    for n, nfev, steps, rejected in ((2, 2561, 137, 42), (11, 10775, 563, 194)):
         stats = trace_foliation(torus_for(n), (0.0, 0.0), auto_arclen(n)).step_stats
-        assert stats == {"nfev": nfev, "steps": steps}, n
+        assert stats == {"nfev": nfev, "steps": steps, "rejected": rejected}, n
+        # each attempt takes 12 RHS calls, each accepted step 3 more for its
+        # dense output, and the first step's choice 2
+        assert nfev == 12 * (steps + rejected) + 3 * steps + 2, n
 
 
 def test_trace_chords_nearly_horizontal():
@@ -224,17 +264,14 @@ def test_solver_section_events_match_a_grid_root_scan():
 
 
 def test_detect_period_reads_stored_returns_without_dense_calls():
+    # with every stored interpolant coefficient NaN, a verdict that read the
+    # dense output would turn NaN
     trace = trace_foliation(torus_for(2), (0.0, 0.0), auto_arclen(2))
-    calls = []
-
-    def counted(s):
-        calls.append(s)
-        return trace._dense(s)
-
-    spied = dataclasses.replace(trace, _dense=counted)
-    assert detect_period(spied, axis=0) == detect_period(trace, axis=0)
-    assert detect_period(spied, axis=1) == detect_period(trace, axis=1)
-    assert calls == []
+    poisoned = trace._dense._replace(coeffs=np.full_like(trace._dense.coeffs, np.nan))
+    blind = dataclasses.replace(trace, _dense=poisoned)
+    assert np.isnan(blind.at(1.0)).all()
+    assert detect_period(blind, axis=0) == detect_period(trace, axis=0)
+    assert detect_period(blind, axis=1) == detect_period(trace, axis=1)
 
 
 def test_surface_without_periodic_axis_has_no_section():

@@ -34,14 +34,14 @@ SHA256 = {
     "fig3.obj": "cfa040e7ca4f469441953215f7c112cde6c45d6dd33a5a042315a819d026b57e",
     "fig3_boundary_minus.csv": "3f0edeaeb1831c823ecb95480ff762ebd92ddf0e7de304497b3fed37f5a8d300",
     "fig3_boundary_plus.csv": "c4f79bdf279a9d3fadfef8d92498968bd04613f25a26b7cc3458fd09da5adfd6",
-    "fig4.csv": "8b3fce43c9c60f615faa0cedfcafaa4a594ba872d03bf5be46b89ffadcad3df6",
-    "fig4.json": "3882f7a366d1b08509391e7e4a439d885827026a5fecf4f08e106f49f7a33dc0",
+    "fig4.csv": "9926f5c3e22e0c396c0b2fd33748678291fe721b9a3539c5487854906f448382",
+    "fig4.json": "13cc914854c5238cd8acae7ea0af25ab04bfabec3b8cff2313b1a8c5d8792407",
     "fig4.obj": "2f932b2523e875b1c25e60dfae0036df9ceed49502404e9b63b41b5c0c8048a3",
     "fig5.obj": "0b4b7797fff43691cf925e1b99e32c5f0f41e374dde5c9b094089a181febfdf0",
     "fig5_boundary_minus.csv": "334f4393c7a79bb366bb5fd60a8a1a5659bebb971abc10ea82a16def82a6d544",
     "fig5_boundary_plus.csv": "9b9f90409f03823bf348f8e6f38092b6b3ffa2ee1ca6b6eb6966e7acf0656b94",
-    "fig6.csv": "ed88b05ce780cd90c1e9d63790d99321595845d4e9ff88f37a89bcce3809b27a",
-    "fig6.json": "b0d0664030f55e2bcf10d15f6d97f10d1147c8019314f601d45d3de4d9cf9447",
+    "fig6.csv": "f510a70331bb5a7ef29fbd4d59b852ca9c6a3ee22434341bd681e39e7113b26e",
+    "fig6.json": "4a97f4dc35ba8c2455ee1b7eb65aa290fc8bf1017ecef5e96ca9c2df42eed7d2",
     "fig6.obj": "bfbd646e4abdc6e0af6cf1d657919fd5770e084cab13a3950e3e2f5ac8bbadc3",
     "stokes_band.json": "c2fb2f447d47e66bb69f0acf59fab7877f70eb6e43a620833bed98883bcc3471",
     "stokes_halfplane.json": "e05faf279edd1dfbbd2942e007a24b705b88e3dcd962d20b0bf64dfde3579fbd",
