@@ -4,7 +4,9 @@ A surface is a rectangle of parameters with a position map into the group,
 its two exact tangent callables, per axis periodicity flags, and a
 constructor supplied list of oriented boundary curves.  The torus maps take
 a single-point path on two floats that returns three Python floats (see
-`_on_angles`), which is how the leaf solver calls them.  The theta pairings of the two tangents drive
+`_on_angles`), and the torus position carries `frame`, which gives all
+three maps at one point from one cos and sin of each angle; the leaf solver
+reads the torus through it.  The theta pairings of the two tangents drive
 everything geometric here: a point is characteristic when both vanish, and
 the kernel direction of theta restricted to the tangent plane is the
 characteristic foliation (see `heisgeo.foliation`).
@@ -19,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .core import rotate_t_axis, theta_of
-from .curves import HCurve, horizontality_residual, planar_radius, self_intersection_gap
+from .curves import HCurve, horizontality_residual, once_per_run, planar_radius, self_intersection_gap
 
 __all__ = [
     "ParamSurface",
@@ -158,9 +160,10 @@ def lift_cylinder(curve: HCurve, height: float) -> ParamSurface:
 def _on_angles(formula):
     """Surface map (u, v) -> the three components formula(cos u, sin u, cos v, sin v).
 
-    Two floats (np.float64 is one), as the leaf solver passes, take `math`
-    trig and give three Python floats, bit for bit the row that numpy gives
-    on length-1 arrays; anything else broadcasts with numpy.
+    Two floats (np.float64 is one), as the leaf solver passes to a map
+    without `frame`, take `math` trig and give three Python floats, bit for
+    bit the row that numpy gives on length-1 arrays; anything else
+    broadcasts with numpy.
     """
 
     def f(u, v):
@@ -180,26 +183,30 @@ def torus_surface(R: float, r: float) -> ParamSurface:
     if not R > r > 0:
         raise ValueError(f"need R > r > 0, got R={R}, r={r}")
 
-    @_on_angles
     def pos(cu, su, cv, sv):
         w = R + r * cu
         return w * cv, w * sv, r * su
 
-    @_on_angles
     def tan_u(cu, su, cv, sv):
         return -r * su * cv, -r * su * sv, r * cu
 
-    @_on_angles
     def tan_v(cu, su, cv, sv):
         w = R + r * cu
         return -w * sv, w * cv, 0.0
 
+    def frame(u, v):
+        """Position, S_u and S_v at two floats, three Python floats each."""
+        angles = math.cos(u), math.sin(u), math.cos(v), math.sin(v)
+        return pos(*angles), tan_u(*angles), tan_v(*angles)
+
+    position = _on_angles(pos)
+    position.frame = frame
     return ParamSurface(
         u_dom=(0.0, 2.0 * math.pi),
         v_dom=(0.0, 2.0 * math.pi),
-        position=pos,
-        tangent_u=tan_u,
-        tangent_v=tan_v,
+        position=position,
+        tangent_u=_on_angles(tan_u),
+        tangent_v=_on_angles(tan_v),
         boundary=(),
         periodic=(True, True),
         speed=math.hypot(r, R + r),
@@ -299,7 +306,7 @@ def torus_characteristic_loop(R: float, r: float) -> HCurve:
         return torus.tangent_u(tau, vv) + slope(tau)[..., None] * torus.tangent_v(tau, vv)
 
     # orthogonal tangents: |vel|^2 = r^2 + (2 r cos u / (R + r cos u))^2
-    return HCurve(a, b, pos, vel, math.hypot(r, 2.0 * r / (R - r)))
+    return HCurve(a, b, once_per_run(pos), once_per_run(vel), math.hypot(r, 2.0 * r / (R - r)))
 
 
 def _components(a):
@@ -311,10 +318,17 @@ def _components(a):
 
 
 def _pairings(S: ParamSurface, u, v):
-    """Position and tangents as components, and their theta pairings (theta(S_u), theta(S_v))."""
-    p = _components(S.position(u, v))
-    su = _components(S.tangent_u(u, v))
-    sv = _components(S.tangent_v(u, v))
+    """Position and tangents as components, and their theta pairings (theta(S_u), theta(S_v)).
+
+    Two floats read all three from the position's `frame` where it has one.
+    """
+    frame = getattr(S.position, "frame", None)
+    if frame is not None and isinstance(u, float) and isinstance(v, float):
+        p, su, sv = frame(u, v)
+    else:
+        p = _components(S.position(u, v))
+        su = _components(S.tangent_u(u, v))
+        sv = _components(S.tangent_v(u, v))
     return p, su, sv, theta_of(p[0], p[1], *su), theta_of(p[0], p[1], *sv)
 
 

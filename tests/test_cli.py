@@ -297,18 +297,21 @@ def test_module_entry_point(tmp_path):
     assert res.returncode == 1 and "--scene" in res.stderr
 
 
-def test_stokes_does_not_load_scipy(tmp_path):
-    # scipy.integrate alone costs most of a second of start-up; only leaf
-    # tracing needs it, so lift, Stokes and mesh-export runs must not import
-    # it.  One process runs each command in turn and lists the scipy modules
-    # loaded so far after each one.
+def test_no_command_loads_scipy(tmp_path):
+    # scipy.integrate alone costs most of a second of start-up, and nothing
+    # in heisgeo needs it: lift, Stokes, mesh-export, foliate and selftest
+    # runs must not import it.  One process runs each command in turn and
+    # lists the scipy modules loaded so far after each one.
     env = {k: v for k, v in os.environ.items() if k != "HEIS_SEED"}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    configs = Path(__file__).resolve().parents[1] / "configs"
     runs = [
         ["lift", "-o", str(tmp_path / "l")],
         ["stokes", "--scene", "halfplane", "--forms", "1", "-o", str(tmp_path / "s")],
         ["export-mesh", "--scene", "sigma-cylinder", "--grid", "8x4", "-o", str(tmp_path / "m")],
         ["export-mesh", "--scene", "band", "--grid", "8x4", "-o", str(tmp_path / "b")],
+        ["foliate", "--config", str(configs / "fig4.ini"), "-o", str(tmp_path / "f")],
+        ["selftest"],
     ]
     probe = (
         "import json, sys\n"

@@ -4,6 +4,7 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
 from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
@@ -174,6 +175,99 @@ def test_leaf_step_stats_are_pinned():
         # each attempt takes 12 RHS calls, each accepted step 3 more for its
         # dense output, and the first step's choice 2
         assert nfev == 12 * (steps + rejected) + 3 * steps + 2, n
+
+
+def test_guard_reuses_the_end_of_step_pairings(monkeypatch):
+    # the guard at a step's end reads the pairings of that step's stage 12,
+    # and at the start those of the first RHS call: every pairing is one RHS
+    # call's, apart from the start's direction sign
+    calls = []
+    pairings = foliation._pairings
+    monkeypatch.setattr(foliation, "_pairings", lambda *args: calls.append(args) or pairings(*args))
+    for n, count in ((2, 2561 + 1), (11, 10775 + 1)):
+        calls.clear()
+        stats = trace_foliation(torus_for(n), (0.0, 0.0), auto_arclen(n)).step_stats
+        assert len(calls) == count == stats["nfev"] + 1, (n, len(calls), stats)
+
+
+def test_tableau_literals_are_scipys_dop853():
+    # every nonzero entry of scipy's DOP853 rows at its position, and nothing else
+    from scipy.integrate import DOP853
+
+    def dense(rows, width):
+        out = np.zeros((len(rows), width))
+        for i, row in enumerate(rows):
+            for j, a in row:
+                assert out[i, j] == 0.0 and a != 0.0 and type(a) is float, (i, j)
+                out[i, j] = a
+        return out
+
+    stages = dense(foliation._STAGES, DOP853.n_stages)
+    assert stages.tobytes() == np.vstack([DOP853.A[1:], DOP853.B]).tobytes()
+    assert dense([foliation._E5, foliation._E3], DOP853.E5.size).tobytes() == np.vstack(
+        [DOP853.E5, DOP853.E3]).tobytes()
+    assert dense(foliation._EXTRA, DOP853.A_EXTRA.shape[1]).tobytes() == DOP853.A_EXTRA.tobytes()
+    assert dense(foliation._D, DOP853.D.shape[1]).tobytes() == DOP853.D.tobytes()
+
+
+def section_brackets(monkeypatch, n, count, rng):
+    """`count` seeded brackets (f, a, b) about the returns of the n-torus leaf:
+    f is a section event of the stepper on the trace's dense output."""
+    calls = spy_on_stepper(monkeypatch)
+    trace = trace_foliation(torus_for(n), (0.0, 0.0), auto_arclen(n))
+    sections = calls[-1][5]
+    brackets = []
+    for axis, section in enumerate(sections):
+        f = lambda s, section=section: section(*trace.at(s))
+        for s in rng.choice(trace.returns[axis][0][1:], count // 2).tolist():
+            a = max(0.0, s - rng.uniform(0.0, 0.5))
+            brackets.append((f, a, min(trace.arclength, s + rng.uniform(0.0, 0.5))))
+    return brackets
+
+
+def test_brentq_is_scipys_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(25)
+    brackets = [bracket for n in (2, 11) for bracket in section_brackets(monkeypatch, n, 600, rng)]
+    assert len(brackets) == 1200
+    for f, a, b in brackets:
+        expected = brentq(f, a, b, xtol=foliation.EVENT_XTOL, rtol=foliation.EVENT_XTOL)
+        root = foliation._brentq(f, a, b)
+        assert type(root) is float and root == expected, (a, b, root, expected)
+    # odd powers of x - r, steep or flat at the root, force bisections and
+    # rejected steps; on the flat ones both give up after 100 iterations
+    def outcome(solve, f, a, b):
+        try:
+            return solve(f, a, b)
+        except RuntimeError:
+            return RuntimeError
+
+    scipy_brentq = lambda f, a, b: brentq(f, a, b, xtol=foliation.EVENT_XTOL, rtol=foliation.EVENT_XTOL)
+    failures = 0
+    for p in (0.05, 0.3, 3.0, 9.0, 25.0):
+        for r, a, b in rng.uniform((-1.0, -3.0, 1.0), (1.0, -1.0, 3.0), (40, 3)).tolist():
+            f = lambda x, r=r, p=p: math.copysign(abs(x - r) ** p, x - r)
+            expected = outcome(scipy_brentq, f, a, b)
+            assert outcome(foliation._brentq, f, a, b) == expected, (p, r, a, b)
+            failures += expected is RuntimeError
+    assert 0 < failures < 200
+
+
+def test_brentq_ends_signs_nan_and_convergence():
+    brent = foliation._brentq
+    line = lambda x: x - 0.25
+    assert brent(line, 0.25, 1.0) == 0.25
+    assert brent(line, -1.0, 0.25) == 0.25
+    assert abs(brent(line, 0.0, 1.0) - 0.25) <= foliation.EVENT_XTOL
+    with pytest.raises(ValueError, match="signs"):
+        brent(line, 0.5, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        brent(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0)
+    # a jump, bisected from a bracket far too wide for BRENT_ITERATIONS halvings
+    jump = lambda x: 1.0 if x > 1.0 else -1.0
+    with pytest.raises(RuntimeError, match="converge"):
+        brent(jump, -1e300, 1e300)
+    with pytest.raises(RuntimeError):
+        brentq(jump, -1e300, 1e300, xtol=foliation.EVENT_XTOL, rtol=foliation.EVENT_XTOL)
 
 
 def test_trace_chords_nearly_horizontal():

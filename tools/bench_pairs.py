@@ -5,7 +5,8 @@ Run from anywhere, with two checkouts of the repository (the parent commit
 and the change):
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload stokes-curved \\
-        --pairs 10 --seconds 20 --out BENCH_23.json [--traced] [--probe SCRIPT]
+        --pairs 10 --seconds 20 --out BENCH_23.json [--traced] [--probe SCRIPT] \\
+        [--fresh "foliate --config configs/fig4.ini"]
 
 For each workload it runs `--pairs` alternating pairs of untraced
 
@@ -23,6 +24,13 @@ quartiles, and the number of pairs the change won (by the metric's
 recording every per-layer metric before and after, counts apart from
 timings.  `--probe SCRIPT` runs `python3 SCRIPT` once in each checkout and
 records the JSON object on its last line as deterministic counts.
+`--fresh ARGS` times `--pairs` alternating pairs of fresh processes
+
+    python3 -m heisgeo.cli ARGS -o TMP
+
+(PYTHONPATH the checkout's src, outputs to a temporary directory), in the
+same order as the untraced runs; the wall times, interpreter start and
+imports included, go to `probes.fresh_s`.
 
 An existing output file is updated: only the sections of the workloads and
 probes run this time (and `--description`, when given) are replaced, so one
@@ -33,9 +41,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 TRACED_SECONDS = 5
@@ -69,12 +80,18 @@ def _summary(parent: list, change: list, better: str) -> dict:
     }
 
 
+def _sides(seed: int, parent: Path, change: Path):
+    """The two checkouts in the order they run for `seed`: the change first on even seeds."""
+    if seed % 2 == 0:
+        return ("change", change), ("parent", parent)
+    return ("parent", parent), ("change", change)
+
+
 def untraced(parent: Path, change: Path, workload: str, pairs: int, seconds: float, metrics: dict) -> dict:
     runs = {"parent": [], "change": []}
     seeds = list(range(FIRST_SEED, FIRST_SEED + pairs))
     for seed in seeds:
-        order = (("change", change), ("parent", parent)) if seed % 2 == 0 else (("parent", parent), ("change", change))
-        for side, checkout in order:
+        for side, checkout in _sides(seed, parent, change):
             result = _run(checkout, workload, seed, seconds, 0)
             runs[side].append(result)
             print(f"{workload} seed {seed} {side}: " + ", ".join(
@@ -85,6 +102,21 @@ def untraced(parent: Path, change: Path, workload: str, pairs: int, seconds: flo
         section[name] = _summary(values["parent"], values["change"], better)
     section["failed"] = {side: sum(r["failed"] for r in runs[side]) for side in runs}
     return section
+
+
+def fresh(parent: Path, change: Path, args: str, pairs: int) -> dict:
+    """Wall seconds of fresh `heisgeo ARGS` processes, alternating between the checkouts."""
+    times = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in range(FIRST_SEED, FIRST_SEED + pairs):
+            for side, checkout in _sides(seed, parent, change):
+                env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+                argv = [sys.executable, "-m", "heisgeo.cli", *args.split(), "-o", str(Path(tmp) / side)]
+                start = time.perf_counter()
+                subprocess.run(argv, cwd=checkout, env=env, capture_output=True, check=True)
+                times[side].append(time.perf_counter() - start)
+                print(f"fresh {args!r} {side}: {times[side][-1]:.3f} s", file=sys.stderr)
+    return _summary(times["parent"], times["change"], "lower")
 
 
 def traced(parent: Path, change: Path, workload: str) -> dict:
@@ -113,6 +145,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--traced", action="store_true", help="add one traced round per side")
     parser.add_argument("--probe", action="append", default=[], help="count script to run in each checkout")
+    parser.add_argument("--fresh", action="append", default=[], help="heisgeo arguments to time in fresh processes")
     parser.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json to write or update")
     parser.add_argument("--description", help="what the change is and which metric it claims")
     args = parser.parse_args(argv)
@@ -129,6 +162,7 @@ def main(argv=None) -> int:
         "untraced": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0 (last stdout line; "
                     f"seeds {FIRST_SEED}, {FIRST_SEED + 1}, ...; the change runs first on even seeds)",
         "traced": f"python3 perfbench/run.py --workload W --seed 2 --seconds {TRACED_SECONDS} --trace 1",
+        "fresh": "PYTHONPATH=src python3 -m heisgeo.cli ARGS -o TMP (wall seconds; pairs in the untraced order)",
         "written_by": "tools/bench_pairs.py",
     }
     bench["src_lines"] = {"before": src_lines(parent), "after": src_lines(change)}
@@ -142,6 +176,8 @@ def main(argv=None) -> int:
         before, after = (_last_json([sys.executable, str(script)], checkout) for checkout in (parent, change))
         bench.setdefault("probes", {})[script.name] = {
             name: {"before": before.get(name), "after": after[name]} for name in after}
+    for command in args.fresh:
+        bench.setdefault("probes", {}).setdefault("fresh_s", {})[command] = fresh(parent, change, command, args.pairs)
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
     return 0
 

@@ -8,9 +8,10 @@ Run from the root of a checkout:
 It runs `heisgeo foliate --config configs/fig4.ini` and `fig6.ini` into a
 temporary directory and prints one JSON line with each leaf JSON's `nfev`,
 `steps`, `rejected` (on commits that write it) and `closure_residual`, as
-`fig4_nfev`, `fig4_steps`, and so on.  Every value is deterministic.  It
-reads only the leaf JSON, so it runs on any commit that has the two
-configs.
+`fig4_nfev`, `fig4_steps`, and so on, and `scipy_modules`, the number of
+scipy modules loaded once both leaves are traced.  Every value is
+deterministic.  It reads only the leaf JSON, so it runs on any commit that
+has the two configs.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ def main() -> int:
                 return code
             leaf = json.loads(Path(base + ".json").read_text())
             counts.update({f"{fig}_{key}": leaf[key] for key in KEYS if key in leaf})
+    counts["scipy_modules"] = sum(name.split(".")[0] == "scipy" for name in sys.modules)
     print(json.dumps(counts))
     return 0
 
