@@ -2,7 +2,12 @@
 
 A surface is a rectangle of parameters with a position map into the group,
 its two exact tangent callables, per axis periodicity flags, and a
-constructor supplied list of oriented boundary curves.  The torus maps take
+constructor supplied list of oriented boundary curves.  Every surface here
+is swept: a curve moved by a one-parameter group of contact automorphisms,
+S(u, v) = M_v(curve(u)) (`swept`).  The half-plane and the cylinder move
+their curve along t (`VERTICAL`), the band and the torus turn it about the
+t-axis (`ROTATE_T`), and an intrinsic graph moves its curve by left
+translation along Y (`LEFT_Y`).  The torus maps take
 a single-point path on two floats that returns three Python floats (see
 `_on_angles`), and the torus position carries `frame`, which gives all
 three maps at one point from one cos and sin of each angle; the leaf solver
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,6 +30,11 @@ from .curves import HCurve, horizontality_residual, once_per_run, planar_radius,
 
 __all__ = [
     "ParamSurface",
+    "Motion",
+    "VERTICAL",
+    "ROTATE_T",
+    "LEFT_Y",
+    "swept",
     "vertical_halfplane",
     "lift_cylinder",
     "torus_surface",
@@ -51,7 +61,9 @@ class ParamSurface:
     surface short; only the listed boundary components are genuine, and
     integrals over the surface require integrands supported away from those
     edges.  `speed` bounds sqrt(|S_u|^2 + |S_v|^2) over the rectangle; inf
-    when unknown.
+    when unknown.  `sweep` = (curve, motion) says that S(u, v) =
+    M_v(curve(u)) (see `swept`); the surface integrals need it.  `kinks`
+    lists the u-values where the map is not smooth.
     """
 
     u_dom: tuple[float, float]
@@ -63,6 +75,8 @@ class ParamSurface:
     periodic: tuple[bool, bool] = (False, False)
     truncation_edges: tuple[tuple[int, float], ...] = ()
     speed: float = math.inf
+    sweep: tuple | None = None
+    kinks: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not (self.u_dom[1] > self.u_dom[0] and self.v_dom[1] > self.v_dom[0]):
@@ -78,35 +92,85 @@ class ParamSurface:
                       lambda s: self.tangent_u(s, value), speed)
 
 
-def _vertical(curve: HCurve, height: float, **fields) -> ParamSurface:
-    """The vertical surface (x, y, t) = curve(u) + (0, 0, v) over
-    [a, b] x [0, height]; `fields` are the remaining `ParamSurface` fields."""
+class Motion(NamedTuple):
+    """A one-parameter group v -> M_v of contact automorphisms of the group.
+
+    `move(p, v)` is M_v(p) and `push(w, v)` its differential applied to w,
+    which does not depend on the point; `generator(curve, u, v)` is S_v =
+    d/dv M_v(curve(u)); `speed(curve, v_dom)` bounds the swept surface's
+    sqrt(|S_u|^2 + |S_v|^2).  Every argument broadcasts.
+    """
+
+    move: Callable
+    push: Callable
+    generator: Callable
+    speed: Callable
+
+
+def _shifted(p, axis, v):
+    out = p.copy()
+    out[..., axis] += v
+    return out
+
+
+def _up(curve, u, v):
+    out = np.zeros(u.shape + (3,))
+    out[..., 2] = 1.0
+    return out
+
+
+def _spun(curve, u, v):
+    p = rotate_t_axis(v, curve.position(u))
+    return np.stack([-p[..., 1], p[..., 0], np.zeros(p.shape[:-1])], axis=-1)
+
+
+def _sheared(w, v):
+    """(0, v, 0) * w - (0, v, 0) on a point or a vector: t gains -v w_x / 2."""
+    return _shifted(w, 2, -0.5 * v * w[..., 0])
+
+
+def _along_y(curve, u, v):
+    out = np.zeros(u.shape + (3,))
+    out[..., 1], out[..., 2] = 1.0, -0.5 * curve.position(u)[..., 0]
+    return out
+
+
+def _left_y_speed(curve, v_dom):
+    # |S_u| <= |curve'| (1 + |v|/2), |S_v| = |(0, 1, -x/2)|
+    stretch = 1.0 + 0.5 * max(abs(v_dom[0]), abs(v_dom[1]))
+    return math.hypot(curve.speed * stretch, math.hypot(1.0, 0.5 * planar_radius(curve)))
+
+
+# p + (0, 0, v), the flow of T
+VERTICAL = Motion(lambda p, v: _shifted(p, 2, v), lambda w, v: w, _up,
+                  lambda curve, v_dom: math.hypot(curve.speed, 1.0))
+# rotation by v about the t-axis; |S_v| = |(x, y)|, since the rotation is isometric
+ROTATE_T = Motion(lambda p, v: rotate_t_axis(v, p), lambda w, v: rotate_t_axis(v, w), _spun,
+                  lambda curve, v_dom: math.hypot(curve.speed, planar_radius(curve)))
+# left translation by (0, v, 0): (x, y + v, t - v x / 2)
+LEFT_Y = Motion(lambda p, v: _shifted(_sheared(p, v), 1, v), _sheared, _along_y, _left_y_speed)
+
+
+def swept(curve: HCurve, motion: Motion, v_dom, **fields) -> ParamSurface:
+    """The surface S(u, v) = M_v(curve(u)) over [a, b] x v_dom, with its
+    exact tangents S_u = dM_v(curve'(u)) and S_v, the motion's generator;
+    `fields` are the remaining `ParamSurface` fields."""
 
     def pos(u, v):
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        out = curve.position(u).copy()
-        out[..., 2] += v
-        return out
+        return motion.move(curve.position(u), v)
 
     def tan_u(u, v):
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        return curve.velocity(u)
+        return motion.push(curve.velocity(u), v)
 
     def tan_v(u, v):
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        out = np.zeros(u.shape + (3,))
-        out[..., 2] = 1.0
-        return out
+        return motion.generator(curve, u, v)
 
-    return ParamSurface(
-        u_dom=(curve.a, curve.b),
-        v_dom=(0.0, float(height)),
-        position=pos,
-        tangent_u=tan_u,
-        tangent_v=tan_v,
-        speed=math.hypot(curve.speed, 1.0),
-        **fields,
-    )
+    v_dom = (float(v_dom[0]), float(v_dom[1]))
+    return ParamSurface((curve.a, curve.b), v_dom, pos, tan_u, tan_v, speed=motion.speed(curve, v_dom),
+                        sweep=(curve, motion), **fields)
 
 
 def vertical_halfplane() -> ParamSurface:
@@ -125,8 +189,8 @@ def vertical_halfplane() -> ParamSurface:
         return out
 
     y_axis = HCurve(y0, y1, along_y, lambda s: along_y(np.ones_like(s)), 1.0)
-    return _vertical(y_axis, t1, boundary=((y_axis, +1),),
-                     truncation_edges=((0, y0), (0, y1), (1, t1)))
+    return swept(y_axis, VERTICAL, (0.0, t1), boundary=((y_axis, +1),),
+                 truncation_edges=((0, y0), (0, y1), (1, t1)))
 
 
 def _check_closed_horizontal(curve: HCurve) -> None:
@@ -153,7 +217,7 @@ def lift_cylinder(curve: HCurve, height: float) -> ParamSurface:
     if not height > 0:
         raise ValueError(f"height must be positive, got {height}")
     _check_closed_horizontal(curve)
-    S = _vertical(curve, height, periodic=(True, False))
+    S = swept(curve, VERTICAL, (0.0, height), periodic=(True, False))
     return replace(S, boundary=((curve, +1), (S.edge(1, S.v_dom[1], curve.speed), -1)))
 
 
@@ -201,7 +265,7 @@ def torus_surface(R: float, r: float) -> ParamSurface:
 
     position = _on_angles(pos)
     position.frame = frame
-    return ParamSurface(
+    S = ParamSurface(
         u_dom=(0.0, 2.0 * math.pi),
         v_dom=(0.0, 2.0 * math.pi),
         position=position,
@@ -211,6 +275,8 @@ def torus_surface(R: float, r: float) -> ParamSurface:
         periodic=(True, True),
         speed=math.hypot(r, R + r),
     )
+    # the torus is its meridian v = 0 (|S_u| = r there) turned about the t-axis
+    return replace(S, sweep=(S.edge(1, 0.0, r), ROTATE_T))
 
 
 def revolve_curve(curve: HCurve, phi_max: float) -> ParamSurface:
@@ -227,29 +293,8 @@ def revolve_curve(curve: HCurve, phi_max: float) -> ParamSurface:
         raise ValueError(f"need 0 < phi_max <= 2*pi, got {phi_max}")
     _check_closed_horizontal(curve)
 
-    def pos(u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        return rotate_t_axis(v, curve.position(u))
-
-    def tan_u(u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        return rotate_t_axis(v, curve.velocity(u))
-
-    def tan_v(u, v):
-        p = pos(u, v)
-        return np.stack([-p[..., 1], p[..., 0], np.zeros(p.shape[:-1])], axis=-1)
-
     full_turn = abs(phi_max - 2.0 * math.pi) < 1e-12
-    S = ParamSurface(
-        u_dom=(curve.a, curve.b),
-        v_dom=(0.0, phi_max),
-        position=pos,
-        tangent_u=tan_u,
-        tangent_v=tan_v,
-        periodic=(True, full_turn),
-        # |S_u| = |curve'| and |S_v| = |(x, y)|, since the rotation is isometric
-        speed=math.hypot(curve.speed, planar_radius(curve)),
-    )
+    S = swept(curve, ROTATE_T, (0.0, phi_max), periodic=(True, full_turn))
     if full_turn:
         return S
     return replace(S, boundary=((curve, +1), (S.edge(1, phi_max, curve.speed), -1)))

@@ -36,3 +36,19 @@ def segment():
         )
 
     return make
+
+
+@pytest.fixture
+def intrinsic_curve():
+    """Factory of gamma(s) = (s^3, 0, s|s|^3) on [a, b] within [-1, 1]: swept
+    by left translation along Y, it is the intrinsic graph of sgn(t)|t|^(3/4)."""
+    def pos(s):
+        s = np.asarray(s, dtype=float)
+        return np.stack([s**3, np.zeros_like(s), s * np.abs(s) ** 3], axis=-1)
+
+    def vel(s):
+        s = np.asarray(s, dtype=float)
+        return np.stack([3.0 * s**2, np.zeros_like(s), 4.0 * np.abs(s) ** 3], axis=-1)
+
+    # |gamma'|^2 = 9 s^4 + 16 s^6 <= 25 on [-1, 1]
+    return lambda a, b: HCurve(a, b, pos, vel, 5.0)
