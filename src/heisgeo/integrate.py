@@ -22,7 +22,7 @@ from .forms import (
     middle_differential,
     vertical_correction,
 )
-from .quadrature import Level, conforming_integrate_1d, conforming_integrate_2d, integrate_1d, support_roots
+from .quadrature import Level, Sweep, conforming_integrate_1d, conforming_integrate_2d, integrate_1d, support_roots
 from .surfaces import ParamSurface
 
 __all__ = [
@@ -70,18 +70,17 @@ def _result(value: float, estimate: float, tol: float, stats=MappingProxyType({}
     return IntegralResult(float(value), float(estimate), flagged, MappingProxyType(dict(stats)))
 
 
-def _ball_level(position, tangents, speed, ball) -> Level:
-    """The level r^2 - |p - c|^2 of a ball along a map with these tangents.
-    Within h, |grad| <= 2 (|p - c| + speed h) speed; the ball is r / speed
+def _ball_level(position, velocity, speed, ball) -> Level:
+    """The level r^2 - |p - c|^2 of a ball along a curve with this velocity.
+    Within h, |level'| <= 2 (|p - c| + speed h) speed; the ball is r / speed
     wide in parameters, and points rounded to eps (|c| + r) are seen at its
     scale r: noise = (|c| + r) / r."""
     center, radius = np.asarray(ball[0], dtype=float), float(ball[1])
     r2 = radius * radius
 
-    def jet(*x, axes=tuple(range(len(tangents)))):
-        d = position(*x) - center
-        return (r2 - (d * d).sum(axis=-1),
-                *(-2.0 * (d * tangents[k](*x)).sum(axis=-1) for k in axes))
+    def jet(x, axes=(0,)):
+        d = position(x) - center
+        return (r2 - (d * d).sum(axis=-1), *(-2.0 * (d * velocity(x)).sum(axis=-1) for _ in axes))
 
     def lip(level, h):
         return 2.0 * (np.sqrt(np.maximum(r2 - level, 0.0)) + speed * h) * speed
@@ -103,7 +102,7 @@ def integrate_curve(form, curve: HCurve, flag_tol: float = FLAG_TOL,
     if ball is None or not math.isfinite(curve.speed):
         res = integrate_1d(f, curve.a, curve.b)
     else:
-        level = _ball_level(curve.position, (curve.velocity,), curve.speed, ball)
+        level = _ball_level(curve.position, curve.velocity, curve.speed, ball)
         res = conforming_integrate_1d(f, level, curve.a, curve.b)
     return _result(*res, flag_tol, res.stats)
 
@@ -122,27 +121,96 @@ def _check_truncation_edges(ball, S: ParamSurface) -> None:
     negative there."""
     for axis, value in S.truncation_edges:
         edge = S.edge(axis, value, S.speed)
-        level = _ball_level(edge.position, (edge.velocity,), edge.speed, ball)
+        level = _ball_level(edge.position, edge.velocity, edge.speed, ball)
         roots, fault = support_roots(level, edge.a, edge.b)
         if fault or len(roots) or not level.jet(np.array(edge.a), axes=())[0] < 0.0:
             raise ValueError(
                 f"support ball reaches the truncation edge {'uv'[axis]} = {value:g}")
 
 
+def _orbit_intervals(mid, half, v_dom, period, periodic):
+    """(owner, a, b) of the sets |v - mid| < half within v_dom, one set per
+    orbit.  A line clips its set to v_dom.  A circle's whole orbit is
+    v_dom; a shorter arc stays as it is when v is periodic, and is wrapped
+    into [v0, v0 + period) and clipped otherwise, which can split it."""
+    (v0, v1), n = v_dom, len(mid)
+    owner = np.arange(n)
+    if period is None:
+        lo, hi = np.maximum(mid - half, v0), np.minimum(mid + half, v1)
+    elif periodic:
+        whole = 2.0 * half >= period
+        lo, hi = np.where(whole, v0, mid - half), np.where(whole, v1, mid + half)
+    else:
+        # a whole orbit gives (v0, v1) and an empty second interval
+        whole = 2.0 * half >= period
+        start = np.where(whole, v1, v0 + np.mod(mid - half - v0, period))
+        end = np.where(whole, v1 + period, start + 2.0 * half)
+        owner, lo = np.repeat(owner, 2), np.stack((np.full(n, v0), start), axis=-1).ravel()
+        hi = np.minimum(np.stack((end - period, end), axis=-1).ravel(), v1)
+    keep = lo < hi
+    return owner[keep], lo[keep], hi[keep]
+
+
+def _sweep(S: ParamSurface, ball) -> Sweep:
+    """The ball's level on a swept surface, S(u, v) = M_v(curve(u)).
+
+    The fold levels are the ball levels of S(u, v(u)), with S_u(u, v(u)) as
+    velocity, where v(u) is the point of v_dom nearest the orbit's top
+    (its largest level) and, on a circle, also the one nearest its bottom.
+    So the first is the level's maximum over the orbit within v_dom; since
+    the level is stationary in v there or held at an edge, S_u is the fold
+    level's derivative (the envelope theorem), and the distance to either
+    point moves at most by max |S_u| <= speed (1 + stretch max |v|).
+    """
+    curve, motion = S.sweep
+    (v0, v1), period = S.v_dom, motion.period
+    center, radius = np.asarray(ball[0], dtype=float), float(ball[1])
+
+    def fold(shift):
+        def v(u):
+            mid = motion.orbit(curve.position(u), center, radius)[0]
+            if period is None:
+                return np.clip(mid, v0, v1)
+            # mid + shift lies at v0 + ahead; past v1 the nearer end is taken
+            ahead = np.mod(mid + shift - v0, period)
+            return np.where(ahead <= v1 - v0, v0 + ahead, np.where(ahead - (v1 - v0) < period - ahead, v1, v0))
+
+        return _ball_level(lambda u: motion.move(curve.position(u), v(u)),
+                           lambda u: motion.push(curve.velocity(u), v(u)),
+                           curve.speed * (1.0 + motion.stretch * max(abs(v0), abs(v1))), ball)
+
+    def edge(v):
+        e = S.edge(1, v, curve.speed * (1.0 + motion.stretch * abs(v)))
+        return _ball_level(e.position, e.velocity, e.speed, ball)
+
+    def inner(u):
+        return _orbit_intervals(*motion.orbit(curve.position(u), center, radius), S.v_dom, period, S.periodic[1])
+
+    folds = (fold(0.0),) + ((fold(0.5 * period),) if period else ())
+    edges = () if S.periodic[1] else (edge(v0), edge(v1))
+    return Sweep(folds, edges, inner, S.kinks, folds[0].noise)
+
+
 def integrate_surface(form, S: ParamSurface, flag_tol: float = FLAG_TOL) -> IntegralResult:
     """Integral of a degree-2 form over a surface, tangent-pair pullback.
 
     The conforming rule integrates over the preimage of the form's support
-    ball only.  Without a ball, or without a finite speed bound of the
-    surface to certify the pieces, or on a truncated surface with the ball
-    reaching a truncation edge, it raises `ValueError`.
+    ball only, orbit by orbit of the surface's sweep.  Without a ball, on a
+    surface without a sweep or a finite speed bound, or on a truncated
+    surface with the ball reaching a truncation edge, it raises
+    `ValueError`.
     """
     ball = getattr(form, "support_ball", None)
-    if ball is None or not math.isfinite(S.speed):
-        raise ValueError("a surface integral needs a form with a support ball and a speed bound")
+    if ball is None or S.sweep is None or not math.isfinite(S.speed):
+        raise ValueError("a surface integral needs a form with a support ball, and a swept surface "
+                         "with a speed bound")
+    # the rule reads the sweep, the integrand the maps: they must agree
+    (curve, motion), u, v = S.sweep, np.array([sum(S.u_dom) / 2]), np.array([sum(S.v_dom) / 2])
+    p = S.position(u, v)
+    if not np.abs(p - motion.move(curve.position(u), v)).max() <= 1e-12 * (1.0 + np.abs(p).max()):
+        raise ValueError("the surface's maps are not its sweep's")
     _check_truncation_edges(ball, S)
-    level = _ball_level(S.position, (S.tangent_u, S.tangent_v), S.speed, ball)
-    res = conforming_integrate_2d(_surface_integrand(form, S), level, S.u_dom, S.v_dom, S.periodic[1])
+    res = conforming_integrate_2d(_surface_integrand(form, S), _sweep(S, ball), S.u_dom)
     return _result(*res, flag_tol, res.stats)
 
 
@@ -158,14 +226,21 @@ def boundary_integral(form, S: ParamSurface, flag_tol: float = FLAG_TOL,
     estimate = 0.0
     flagged = False
     stats = {}
-    for curve, orientation in S.boundary:
-        part = integrate_curve(form, curve, flag_tol, support_ball)
+    parts = [integrate_curve(form, curve, flag_tol, support_ball) for curve, _ in S.boundary]
+    for part, (_, orientation) in zip(parts, S.boundary):
         total += orientation * part.value
         estimate += part.estimate
         flagged |= part.flagged
-        for key, count in part.stats.items():
-            stats[key] = stats.get(key, 0) + count if key != "rule" else (
-                count if stats.get(key, count) == count else "mixed")
+        for key, value in part.stats.items():
+            if key == "rule":
+                stats[key] = value if stats.get(key, value) == value else "mixed"
+            elif key == "faults":
+                stats[key] = sorted(set(stats.get(key, ())) | set(value))
+            elif key != "miss":
+                stats[key] = stats.get(key, 0) + value
+    # the sum is a proved miss only when every part is
+    if parts and all(part.stats.get("miss") for part in parts):
+        stats["miss"] = "proved"
     return IntegralResult(float(total), float(estimate), flagged, MappingProxyType(stats))
 
 

@@ -16,14 +16,17 @@ through `max`, so an estimate above it is the plain Richardson gap.
 The conforming rules integrate a function that vanishes outside P = {phi
 > 0} over P only, with every breakpoint on phi = 0: iterated Gauss-Legendre
 over the roots of phi (R. I. Saye, SIAM J. Sci. Comput. 37(2), 2015), the
-pair (n, 2n) giving the value and the floored gap.  The `Level` carries
-phi.  Roots are solved for, never sampled: a cell is dropped only when
-|phi| at its centre exceeds lip times its half-width, the rest are halved
-and Newton polishes the roots left in them.  An estimate is NaN when a
-NaN or an unsettled solve turns up, when the root count changes inside a
-piece, when neighbouring intervals share a sign, or when a cell proved
-that P meets the rectangle and no outer node sees P.  A phi that is
-positive with no roots leaves one piece, the whole rectangle.
+pair (n, 2n) giving the value and the floored gap.  On a curve the `Level`
+carries phi, and its roots are solved for, never sampled: a cell is dropped
+only when |phi| at its centre exceeds lip times its half-width, the rest
+are halved and Newton polishes the roots left in them.  On a surface whose
+lines u = const are orbits of a motion (a `Sweep`), phi's positive set on
+each line is known in closed form, so the only searches are those for the
+u-breakpoints, along curves.  The checks that fire are named in the stats'
+`faults` and make the estimate NaN: `nan`, `unsettled` (a root solve),
+`root_count` (a change inside a piece), `sign_pattern` (neighbouring
+intervals of one sign) and `missed_support` (no piece sees P, and nothing
+proves it misses).  A miss that is proved reads `miss: "proved"`.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import numpy as np
 
 __all__ = [
     "Level",
+    "Sweep",
     "RuleResult",
     "ROUNDING_FLOOR",
     "integrate_1d",
@@ -75,17 +79,36 @@ class RuleResult(tuple):
 class Level(NamedTuple):
     """The level phi whose positive set P = {phi > 0} holds an integrand's support.
 
-    `jet(*x, axes)` is phi and its partials along the listed parameter axes
-    (default all; axes=() evaluates phi alone).  `lip(phi, h)` bounds |grad
-    phi| within h of a point where phi takes that value.  `scale` is the size
-    of P in parameters, the widest cell a root search starts from.  `noise`,
-    the factor by which the integrand's inputs are rounded worse than its
-    own scale, multiplies the rounding floor.
+    `jet(x, axes)` is phi along a line of parameters x and, unless axes=(),
+    its derivative.  `lip(phi, h)` bounds |phi'| within h of a point where
+    phi takes that value.  `scale` is the size of P in parameters, the
+    widest cell a root search starts from.  `noise`, the factor by which the
+    integrand's inputs are rounded worse than its own scale, multiplies the
+    rounding floor.
     """
 
     jet: Callable
     lip: Callable
     scale: float
+    noise: float
+
+
+class Sweep(NamedTuple):
+    """A level phi(u, v) on a rectangle whose lines u = const are orbits.
+
+    `folds` are Levels in u whose roots bound pieces; the first is phi's
+    maximum on each line within the rectangle, so when every fold level is
+    negative with no root, P misses the rectangle.  `edges` are the Levels
+    of phi along the v-edges (none when v is periodic).  `inner(u)` gives
+    phi's positive intervals of v at each u in closed form, as (owner, a,
+    b) with owner the index into u.  `kinks` are u-values where f is not
+    smooth, and `noise` is as a Level's.
+    """
+
+    folds: tuple
+    edges: tuple
+    inner: Callable
+    kinks: tuple
     noise: float
 
 
@@ -104,15 +127,18 @@ def _gauss(n, lo, hi):
     return ((0.5 * (lo + hi))[:, None] + half * x).ravel(), (half * w).ravel()
 
 
-def _pair(f, coarse, fine, fault, noise, **stats):
+def _pair(f, coarse, fine, faults, noise, **stats):
     """Result of a rule pair, each (args, weights): the fine value and the
-    gap floored at `noise` times the rounding floor, NaN on a fault; f is
-    evaluated once on both rules' nodes.  `stats` name the rule."""
+    gap floored at `noise` times the rounding floor; f is evaluated once on
+    both rules' nodes.  `faults` name the checks that fired, `nan` added
+    for a NaN sample; any fault makes the estimate NaN and is listed in the
+    stats, after those that name the rule."""
     vals = np.asarray(f(*(np.concatenate((c, d)) for c, d in zip(coarse[0], fine[0]))), dtype=float)
     c, d = coarse[1] * vals[:len(coarse[1])], fine[1] * vals[len(coarse[1]):]
+    faults = faults | ({"nan"} if np.isnan(vals).any() else set())
     floor = ROUNDING_FLOOR * (noise * float(np.abs(d).sum()))
-    error = np.nan if fault else float(max(abs(d.sum() - c.sum()), floor))
-    return RuleResult(d.sum(), error, points=len(vals), **stats)
+    error = np.nan if faults else float(max(abs(d.sum() - c.sum()), floor))
+    return RuleResult(d.sum(), error, points=len(vals), **stats, **({"faults": sorted(faults)} if faults else {}))
 
 
 def _panels(a: float, b: float, panels: int):
@@ -125,15 +151,15 @@ def integrate_1d(f, a: float, b: float) -> RuleResult:
     """Integral of the vectorized scalar f over [a, b] by CURVE_PANELS panels,
     the estimate from the same rule at half as many."""
     rules = [((x,), w) for x, w in (_panels(a, b, p) for p in (CURVE_PANELS // 2, CURVE_PANELS))]
-    return _pair(f, *rules, False, 1.0, rule="uniform", panels=CURVE_PANELS)
+    return _pair(f, *rules, set(), 1.0, rule="uniform", panels=CURVE_PANELS)
 
 
-def _solve(jet, owner, lo, hi):
+def _solve(jet, lo, hi):
     """Root of g in each sign bracket [lo, hi] by Newton, bisecting where a
     step would leave the bracket; NaN where it has not settled to 1e-9 of it."""
-    settle, g_lo, x = 1e-9 * (hi - lo), jet(owner, lo)[0], 0.5 * (lo + hi)
+    settle, g_lo, x = 1e-9 * (hi - lo), jet(lo)[0], 0.5 * (lo + hi)
     for _ in range(NEWTON_STEPS):
-        g, d = jet(owner, x)
+        g, d = jet(x)
         right = (g > 0.0) == (g_lo > 0.0)
         lo, hi = np.where(right, x, lo), np.where(right, hi, x)
         x_new = x - g / d
@@ -144,135 +170,87 @@ def _solve(jet, owner, lo, hi):
     return np.where(done, x, np.nan)
 
 
-def _line_roots(jet, lip, owner, a, b, floor):
-    """Roots of g in the cells [a, b] of each line; (owner, root, fault).
+def support_roots(level: Level, a: float, b: float):
+    """Roots on [a, b] of a level along a line; (roots, faults).
 
-    jet(owner, x) = (g, g'), or (g,) with axes=().  Surviving cells of width `floor`
-    merge into clusters; ends of differing sign bracket a root, ends of equal sign
-    with differing slopes an extremum, and two roots if g crosses zero there.
+    Cells start at most `level.scale` wide; one is dropped when |phi| at its
+    centre exceeds lip times its half-width, the rest are halved down to
+    scale/64 and merge into clusters.  Ends of differing sign bracket a
+    root, ends of equal sign with differing slopes an extremum, and two
+    roots if phi crosses zero there.  The faults are `nan` for a NaN level
+    at a cluster's end and `unsettled` for a root whose solve has not settled.
     """
-    done = [(owner, a, b)] if not len(a) else []
+    jet = level.jet
+    edges = np.linspace(a, b, int(np.ceil((b - a) / level.scale)) + 1)
+    a, b, done = edges[:-1], edges[1:], [(edges[:0], edges[:0])]
     while len(a):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        g = jet(owner, mid, axes=())[0]
-        live = ~(np.abs(g) > lip(g, half) * half)
-        owner, a, b, mid = owner[live], a[live], b[live], mid[live]
-        fine = b - a <= floor
-        done.append((owner[fine], a[fine], b[fine]))
-        owner, a, b, mid = np.tile(owner[~fine], 2), a[~fine], b[~fine], mid[~fine]
-        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
-    owner, a, b = (np.concatenate(x) for x in zip(*done))
-    if not len(owner):
-        return owner, a, False
-    order = np.lexsort((a, owner))
-    owner, a, b = owner[order], a[order], b[order]
-    first = np.flatnonzero(np.concatenate(([True], (owner[1:] != owner[:-1]) | (a[1:] != b[:-1]))))
-    owner, a, b = owner[first], a[first], b[np.append(first[1:], len(b)) - 1]
-    (ga, da), (gb, db) = jet(owner, a), jet(owner, b)
+        g = jet(mid, axes=())[0]
+        live = ~(np.abs(g) > level.lip(g, half) * half)
+        a, b, mid = a[live], b[live], mid[live]
+        fine = b - a <= level.scale / 64.0
+        done.append((a[fine], b[fine]))
+        a, b = np.concatenate((a[~fine], mid[~fine])), np.concatenate((mid[~fine], b[~fine]))
+    a, b = (np.sort(np.concatenate(x)) for x in zip(*done))
+    if not len(a):
+        return a, set()
+    first = np.flatnonzero(np.concatenate(([True], a[1:] != b[:-1])))
+    a, b = a[first], b[np.append(first[1:], len(b)) - 1]
+    (ga, da), (gb, db) = jet(a), jet(b)
     cross = (ga > 0.0) != (gb > 0.0)
-    found = [(owner[cross], _solve(jet, owner[cross], a[cross], b[cross]))]
+    found = [_solve(jet, a[cross], b[cross])]
     turn = ~cross & ((da > 0.0) != (db > 0.0))
     if turn.any():
-        o, lo, hi = owner[turn], a[turn], b[turn]
+        lo, hi = a[turn], b[turn]
         h = 1e-4 * (hi - lo)
-        x = _solve(lambda o, x: (jet(o, x)[1], (jet(o, x + h)[1] - jet(o, x - h)[1]) / (2.0 * h)),
-                   o, lo, hi)
-        two = (jet(o, x, axes=())[0] > 0.0) != (ga[turn] > 0.0)
-        o, lo, x, hi = o[two], lo[two], x[two], hi[two]
-        found += [(o, _solve(jet, o, lo, x)), (o, _solve(jet, o, x, hi))]
-    owner, root = (np.concatenate(x) for x in zip(*found))
-    order = np.lexsort((root, owner))
-    return owner[order], root[order], bool(np.isnan(np.concatenate((ga, gb, root))).any())
-
-
-def support_roots(level: Level, a: float, b: float):
-    """Roots on [a, b] of a level along a line; (roots, fault).
-    Cells start at most `level.scale` wide and end scale/64 wide."""
-    edges = np.linspace(a, b, int(np.ceil((b - a) / level.scale)) + 1)
-    jet = lambda o, x, axes=(0,): level.jet(x, axes=axes)
-    _, roots, fault = _line_roots(jet, level.lip, np.zeros(len(edges) - 1, dtype=int),
-                                  edges[:-1], edges[1:], level.scale / 64.0)
-    return roots, fault
-
-
-def _positive_intervals(value, lo, hi, owner, roots):
-    """(line, a, b) of the intervals between roots where value(line, x) > 0,
-    and a fault when neighbours share a sign, which simple roots forbid."""
-    lines = np.arange(len(lo))
-    cuts, own = np.concatenate((lo, roots, hi)), np.concatenate((lines, owner, lines))
-    order = np.lexsort((cuts, own))
-    cuts, own = cuts[order], own[order]
-    keep = (own[1:] == own[:-1]) & (cuts[1:] > cuts[:-1])
-    o, a, b = own[:-1][keep], cuts[:-1][keep], cuts[1:][keep]
-    pos = value(o, 0.5 * (a + b)) > 0.0
-    return o[pos], a[pos], b[pos], bool(np.any((o[1:] == o[:-1]) & (pos[1:] == pos[:-1])))
+        x = _solve(lambda x: (jet(x)[1], (jet(x + h)[1] - jet(x - h)[1]) / (2.0 * h)), lo, hi)
+        two = (jet(x, axes=())[0] > 0.0) != (ga[turn] > 0.0)
+        lo, x, hi = lo[two], x[two], hi[two]
+        found += [_solve(jet, lo, x), _solve(jet, x, hi)]
+    roots = np.sort(np.concatenate(found))
+    faults = {"nan"} if np.isnan(np.concatenate((ga, gb))).any() else set()
+    return roots, faults | ({"unsettled"} if np.isnan(roots).any() else set())
 
 
 def conforming_integrate_1d(f, level: Level, a: float, b: float) -> RuleResult:
     """Integral over [a, b] of f, which vanishes where the level is <= 0.
 
-    Each interval between roots where the level is > 0 gets the pair CURVE_PAIR.
+    Each interval between roots where the level is > 0 gets the pair
+    CURVE_PAIR; neighbouring intervals share a sign only past a missed or
+    spurious root.  A level with no root that is negative at both ends and
+    between is a proved miss.
     """
-    roots, fault = support_roots(level, a, b)
-    _, lo, hi, bad = _positive_intervals(lambda o, x: level.jet(x, axes=())[0], np.array([a]), np.array([b]),
-                                         np.zeros(len(roots), dtype=int), roots)
+    roots, faults = support_roots(level, a, b)
+    cuts = np.sort(np.concatenate(([a], roots, [b])))
+    lo, hi = cuts[:-1][cuts[1:] > cuts[:-1]], cuts[1:][cuts[1:] > cuts[:-1]]
+    pos = level.jet(0.5 * (lo + hi), axes=())[0] > 0.0
+    faults |= {"sign_pattern"} if np.any(pos[1:] == pos[:-1]) else set()
+    miss = not len(roots) and not faults and bool((level.jet(np.array([a, b]), axes=())[0] < 0.0).all())
+    lo, hi = lo[pos], hi[pos]
+    faults |= {"missed_support"} if not len(lo) and not miss else set()
     rules = [((x,), w) for x, w in (_gauss(n, lo, hi) for n in CURVE_PAIR)]
-    return _pair(f, *rules, fault or bad, level.noise, rule="conforming", pieces=len(lo))
+    return _pair(f, *rules, faults, level.noise, rule="conforming", pieces=len(lo),
+                 **({"miss": "proved"} if miss else {}))
 
 
-def conforming_integrate_2d(f, level: Level, u_dom, v_dom, periodic_v: bool) -> RuleResult:
+def conforming_integrate_2d(f, sweep: Sweep, u_dom) -> RuleResult:
     """Integral over a rectangle of f, which vanishes outside P = {phi > 0}.
 
-    The level's jet(u, v) = (phi, phi_u, phi_v).  The u-breakpoints are the
-    roots of phi on the v-edges (none when v is periodic) and the folds
-    phi = phi_v = 0, which lie in kept cells of the quadtree over phi.  The
-    outer rule runs through u = a + (b - a)(1 - cos(pi s))/2 (A. Sidi,
-    1993), which smooths the square-root behaviour at folds; the inner
-    roots at each outer node lie in the kept cells of its column.
+    The u-breakpoints are the ends, the kinks, and the roots of the fold
+    and edge levels, so that the number of positive intervals on a line is
+    the same all through a piece.  The outer rule runs through u = a + (b -
+    a)(1 - cos(pi s))/2 (A. Sidi, 1993), which smooths the square-root
+    behaviour at folds; the inner intervals at each outer node come from
+    `sweep.inner`.
     """
-    jet, lip, scale = level.jet, level.lip, level.scale
-    phi = lambda u, v: jet(u, v, axes=())[0]
-    su, sv = u_dom[1] - u_dom[0], v_dom[1] - v_dom[0]
-    nu, nv = int(np.ceil(su / min(su, sv))), int(np.ceil(sv / min(su, sv)))
-    du, dv = su / nu, sv / nv
-    iu, iv = (x.ravel() for x in np.meshgrid(np.arange(nu), np.arange(nv), indexing="ij"))
-    depths, inside = max(0, int(np.ceil(np.log2(16.0 * np.hypot(du, dv) / scale)))), False
-    for depth in range(depths + 1):
-        hd = 0.5 * np.hypot(du, dv)
-        g = phi(u_dom[0] + (iu + 0.5) * du, v_dom[0] + (iv + 0.5) * dv)
-        bound = lip(g, hd) * hd
-        inside |= bool((g > bound).any())
-        iu, iv = iu[~(np.abs(g) > bound)], iv[~(np.abs(g) > bound)]
-        if depth < depths:
-            iu, iv = (np.concatenate((2 * iu, 2 * iu + 1, 2 * iu, 2 * iu + 1)),
-                      np.concatenate((2 * iv, 2 * iv, 2 * iv + 1, 2 * iv + 1)))
-            du, dv = 0.5 * du, 0.5 * dv
-    if not len(iu) and not inside:
-        return RuleResult(0.0, 0.0, rule="conforming", points=0, pieces=0)
-
-    u, v = u_dom[0] + (iu + 0.5) * du, v_dom[0] + (iv + 0.5) * dv
-    _, pu, pv = jet(u, v)
-    u, v = u[np.abs(pv) <= 0.25 * np.abs(pu)], v[np.abs(pv) <= 0.25 * np.abs(pu)]
-    hu, hv, n = 1e-3 * du, 1e-3 * dv, len(u)
-    step_u = step_v = np.full(n, np.inf)
-    for _ in range(8 if n else 0):
-        p, pu, pv = jet(np.concatenate((u, u + hu, u - hu, u, u)), np.concatenate((v, v, v, v + hv, v - hv)))
-        pv, pv_u1, pv_u0, pv_v1, pv_v0 = np.split(pv, 5)
-        puv, pvv = (pv_u1 - pv_u0) / (2.0 * hu), (pv_v1 - pv_v0) / (2.0 * hv)
-        det = pu[:n] * pvv - pv * puv
-        step_u, step_v = (p[:n] * pvv - pv * pv) / det, (pu[:n] * pv - puv * p[:n]) / det
-        u, v = u - step_u, v - step_v
-    # 8 Newton steps on phi = phi_v = 0 from the kept cells whose gradient
-    # is within 14 degrees of the u-axis, phi_v differenced centrally
-    fold = ((np.hypot(step_u, step_v) <= 1e-8 * scale)
-            & (u > u_dom[0]) & (u < u_dom[1]) & (v >= v_dom[0]) & (v <= v_dom[1]))
-    breaks, fault = [np.array(u_dom), u[fold]], False
-    for v_edge in () if periodic_v else v_dom:
-        edge = lambda u, axes=(0,), v_edge=v_edge: jet(u, np.full_like(u, v_edge), axes=axes)
-        roots, bad = support_roots(level._replace(jet=edge), *u_dom)
-        breaks, fault = breaks + [roots], fault or bad
-    breaks = np.unique(np.clip(np.concatenate(breaks), *u_dom))
-    breaks = breaks[np.concatenate(([True], np.diff(breaks) > 1e-12 * su))]
+    found = [(level, *support_roots(level, *u_dom)) for level in sweep.folds]
+    if found and all(not len(roots) and not bad and (level.jet(np.array(u_dom), axes=())[0] < 0.0).all()
+                     for level, roots, bad in found):
+        return RuleResult(0.0, 0.0, rule="conforming", points=0, pieces=0, miss="proved")
+    found += [(level, *support_roots(level, *u_dom)) for level in sweep.edges]
+    faults = set().union(*(bad for _, _, bad in found))
+    breaks = np.unique(np.clip(np.concatenate([u_dom, sweep.kinks] + [roots for _, roots, _ in found]), *u_dom))
+    breaks = breaks[np.concatenate(([True], np.diff(breaks) > 1e-12 * (u_dom[1] - u_dom[0])))]
     a, b = breaks[:-1], np.append(breaks[1:-1], u_dom[1])
 
     # outer nodes u with weights wu, piece and rule (0 or 1) of both rules
@@ -283,34 +261,19 @@ def conforming_integrate_2d(f, level: Level, u_dom, v_dom, periodic_v: bool) -> 
         nodes.append((np.ravel(a[:, None] + (b - a)[:, None] * x), np.ravel((b - a)[:, None] * dx),
                       np.repeat(np.arange(len(a)), n), np.full(len(a) * n, rule)))
     u, wu, piece, rule = (np.concatenate(x) for x in zip(*nodes))
-
-    # the roots of phi(u, .) lie in the kept cells whose closed column holds u
-    col = (u - u_dom[0]) / du
-    order = np.argsort(iu, kind="stable")
-    iu, iv = iu[order], iv[order]
-    first, last = np.searchsorted(iu, np.ceil(col) - 1), np.searchsorted(iu, np.floor(col), side="right")
-    n = last - first
-    owner = np.repeat(np.arange(len(u)), n)
-    cells = iv[np.arange(len(owner)) + np.repeat(first - np.cumsum(n) + n, n)]
-    rows = int(round(sv / dv))
-    owner, cells = np.divmod(np.unique(owner * rows + cells), rows)
-    r_owner, roots, bad = _line_roots(
-        lambda o, v, axes=(0,): jet(u[o], v, axes=(1,) * len(axes)), lip, owner,
-        np.clip(v_dom[0] + cells * dv, *v_dom), np.clip(v_dom[0] + (cells + 1) * dv, *v_dom), 0.25 * dv)
-    count = np.bincount(r_owner, minlength=len(u))
-    # every node of a piece must see as many roots as the piece's first node
-    fault |= bad or bool(np.any(count != count[piece * CONFORMING_PAIR[0]]))
-    o, va, vb, bad = _positive_intervals(lambda o, v: phi(u[o], v), np.full(len(u), v_dom[0]),
-                                         np.full(len(u), v_dom[1]), r_owner, roots)
-    # a cell with phi above its bound proved that P meets the rectangle, so
-    # outer nodes that see no positive interval have missed the support
-    bad |= inside and not len(o)
+    o, va, vb = sweep.inner(u)
+    # every node of a piece must see as many intervals as the piece's first node
+    count = np.bincount(o, minlength=len(u))
+    if np.any(count != count[piece * CONFORMING_PAIR[0]]):
+        faults.add("root_count")
+    if not len(o):
+        faults.add("missed_support")
     rules = []
     for k, n in enumerate(CONFORMING_PAIR):
         mine = rule[o] == k
         v, w = _gauss(n, va[mine], vb[mine])
         rules.append(((np.repeat(u[o[mine]], n), v), w * np.repeat(wu[o[mine]], n)))
-    return _pair(f, *rules, fault or bad, level.noise, rule="conforming", pieces=len(a))
+    return _pair(f, *rules, faults, sweep.noise, rule="conforming", pieces=len(a))
 
 
 class PrefixIntegral:

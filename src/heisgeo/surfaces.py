@@ -96,15 +96,22 @@ class Motion(NamedTuple):
     """A one-parameter group v -> M_v of contact automorphisms of the group.
 
     `move(p, v)` is M_v(p) and `push(w, v)` its differential applied to w,
-    which does not depend on the point; `generator(curve, u, v)` is S_v =
-    d/dv M_v(curve(u)); `speed(curve, v_dom)` bounds the swept surface's
-    sqrt(|S_u|^2 + |S_v|^2).  Every argument broadcasts.
+    the same at every point; `field(q)` is the generator d/dv M_v at the
+    point q reached.  |dM_v| <= 1 + stretch |v|, and `speed(curve, v_dom)`
+    bounds a swept surface's sqrt(|S_u|^2 + |S_v|^2).  `orbit(p, c, r)` is
+    (mid, half): the ball level r^2 - |M_v(p) - c|^2 is positive exactly
+    where |v - mid| < half, and largest at mid; on a motion with a
+    `period`, half = period / 2 is the whole orbit and the level is
+    smallest at mid + period / 2.  Every argument broadcasts.
     """
 
     move: Callable
     push: Callable
-    generator: Callable
+    field: Callable
     speed: Callable
+    stretch: float
+    orbit: Callable
+    period: float | None = None
 
 
 def _shifted(p, axis, v):
@@ -113,64 +120,73 @@ def _shifted(p, axis, v):
     return out
 
 
-def _up(curve, u, v):
-    out = np.zeros(u.shape + (3,))
-    out[..., 2] = 1.0
-    return out
+def _line_orbit(field):
+    """`orbit` of a translation M_v(p) = p + v e, e = field(p) constant on
+    the orbit and |e| >= 1: the level is r^2 - |p + mid e - c|^2 - |e|^2 (v - mid)^2."""
+
+    def orbit(p, c, r):
+        e = field(p)
+        ee = (e * e).sum(axis=-1)
+        mid = -((p - c) * e).sum(axis=-1) / ee
+        d = p + mid[..., None] * e - c
+        return mid, np.sqrt(np.maximum(r * r - (d * d).sum(axis=-1), 0.0) / ee)
+
+    return orbit
 
 
-def _spun(curve, u, v):
-    p = rotate_t_axis(v, curve.position(u))
-    return np.stack([-p[..., 1], p[..., 0], np.zeros(p.shape[:-1])], axis=-1)
+def _circle_orbit(p, c, r):
+    """`orbit` of the rotation: on the circle through p the level is
+    A + rho cos(v - psi), and with near = A + rho and far = A - rho (the
+    ball levels of the meridian (|p_xy|, p_t) about (+-|c_xy|, c_t)) it is
+    positive within 2 atan(sqrt(near / -far)) of psi."""
+    p_r, c_r, dt2 = np.hypot(p[..., 0], p[..., 1]), math.hypot(c[0], c[1]), (p[..., 2] - c[2]) ** 2
+    near, far = r * r - (p_r - c_r) ** 2 - dt2, r * r - (p_r + c_r) ** 2 - dt2
+    psi = np.arctan2(p[..., 0] * c[1] - p[..., 1] * c[0], p[..., 0] * c[0] + p[..., 1] * c[1])
+    return psi, 2.0 * np.arctan2(np.sqrt(np.maximum(near, 0.0)), np.sqrt(np.maximum(-far, 0.0)))
+
+
+def _t_field(q):
+    return _shifted(np.zeros(q.shape), 2, 1.0)
+
+
+def _y_field(q):
+    """(0, 1, -x/2), the right-invariant field whose flow is left translation along Y."""
+    return np.stack([np.zeros(q.shape[:-1]), np.ones(q.shape[:-1]), -0.5 * q[..., 0]], axis=-1)
 
 
 def _sheared(w, v):
-    """(0, v, 0) * w - (0, v, 0) on a point or a vector: t gains -v w_x / 2."""
+    """Left translation by (0, v, 0) less the shift: t gains -v w_x / 2."""
     return _shifted(w, 2, -0.5 * v * w[..., 0])
 
 
-def _along_y(curve, u, v):
-    out = np.zeros(u.shape + (3,))
-    out[..., 1], out[..., 2] = 1.0, -0.5 * curve.position(u)[..., 0]
-    return out
-
-
-def _left_y_speed(curve, v_dom):
-    # |S_u| <= |curve'| (1 + |v|/2), |S_v| = |(0, 1, -x/2)|
-    stretch = 1.0 + 0.5 * max(abs(v_dom[0]), abs(v_dom[1]))
-    return math.hypot(curve.speed * stretch, math.hypot(1.0, 0.5 * planar_radius(curve)))
-
-
 # p + (0, 0, v), the flow of T
-VERTICAL = Motion(lambda p, v: _shifted(p, 2, v), lambda w, v: w, _up,
-                  lambda curve, v_dom: math.hypot(curve.speed, 1.0))
-# rotation by v about the t-axis; |S_v| = |(x, y)|, since the rotation is isometric
-ROTATE_T = Motion(lambda p, v: rotate_t_axis(v, p), lambda w, v: rotate_t_axis(v, w), _spun,
-                  lambda curve, v_dom: math.hypot(curve.speed, planar_radius(curve)))
-# left translation by (0, v, 0): (x, y + v, t - v x / 2)
-LEFT_Y = Motion(lambda p, v: _shifted(_sheared(p, v), 1, v), _sheared, _along_y, _left_y_speed)
+VERTICAL = Motion(lambda p, v: _shifted(p, 2, v), lambda w, v: w, _t_field,
+                  lambda curve, v_dom: math.hypot(curve.speed, 1.0), 0.0, _line_orbit(_t_field))
+# rotation by v about the t-axis, an isometry: |S_v| = |(x, y)|
+ROTATE_T = Motion(lambda p, v: rotate_t_axis(v, p), lambda w, v: rotate_t_axis(v, w),
+                  lambda q: np.stack([-q[..., 1], q[..., 0], np.zeros(q.shape[:-1])], axis=-1),
+                  lambda curve, v_dom: math.hypot(curve.speed, planar_radius(curve)), 0.0,
+                  _circle_orbit, 2.0 * math.pi)
+# (0, v, 0) * p = (x, y + v, t - v x / 2): |S_u| <= |curve'| (1 + |v|/2), |S_v| = |(0, 1, -x/2)|
+LEFT_Y = Motion(lambda p, v: _shifted(_sheared(p, v), 1, v), _sheared, _y_field,
+                lambda curve, v_dom: math.hypot(curve.speed * (1.0 + 0.5 * max(map(abs, v_dom))),
+                                                math.hypot(1.0, 0.5 * planar_radius(curve))),
+                0.5, _line_orbit(_y_field))
 
 
 def swept(curve: HCurve, motion: Motion, v_dom, **fields) -> ParamSurface:
     """The surface S(u, v) = M_v(curve(u)) over [a, b] x v_dom, with its
-    exact tangents S_u = dM_v(curve'(u)) and S_v, the motion's generator;
+    exact tangents S_u = dM_v(curve'(u)) and S_v, the motion's field;
     `fields` are the remaining `ParamSurface` fields."""
 
-    def pos(u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        return motion.move(curve.position(u), v)
+    def on_pairs(f):
+        return lambda u, v: f(*np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float)))
 
-    def tan_u(u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        return motion.push(curve.velocity(u), v)
-
-    def tan_v(u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        return motion.generator(curve, u, v)
-
+    pos = on_pairs(lambda u, v: motion.move(curve.position(u), v))
+    tan_u = on_pairs(lambda u, v: motion.push(curve.velocity(u), v))
     v_dom = (float(v_dom[0]), float(v_dom[1]))
-    return ParamSurface((curve.a, curve.b), v_dom, pos, tan_u, tan_v, speed=motion.speed(curve, v_dom),
-                        sweep=(curve, motion), **fields)
+    return ParamSurface((curve.a, curve.b), v_dom, pos, tan_u, lambda u, v: motion.field(pos(u, v)),
+                        speed=motion.speed(curve, v_dom), sweep=(curve, motion), **fields)
 
 
 def vertical_halfplane() -> ParamSurface:

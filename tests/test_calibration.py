@@ -4,6 +4,7 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -67,10 +68,11 @@ def test_thin_pieces_of_the_first_sigma_cylinder_form_are_found():
 
 
 def test_reparametrized_halfplane_does_not_return_a_silent_zero():
-    # the half-plane with t = 1.5 + 1.5 w^3: the cell search proves that a
-    # small ball at t = 1.5 meets the rectangle, while every outer u-node of
-    # the one piece misses it; the value must match the original
-    # parametrization's within its estimate, or be flagged
+    # the half-plane with t = 1.5 + 1.5 w^3 is no orbit of a motion in w, so
+    # the swept rule has no closed form for it.  With its maps replaced and
+    # the half-plane's sweep kept, the two disagree; without a sweep there
+    # is none: both are refused rather than integrated (the empty result
+    # that a lost orbit would give is `test_a_miss_the_orbits_do_not_see_is_flagged`)
     plane = vertical_halfplane()
 
     def position(u, w):
@@ -88,5 +90,17 @@ def test_reparametrized_halfplane_does_not_return_a_silent_zero():
         form = ThetaWedgeForm(b, b, support_ball=(np.array(center), radius))
         oracle = integrate_surface(form, plane)
         assert not oracle.flagged and abs(oracle.value) > 1e-3, (center, radius, oracle)
-        result = integrate_surface(form, cubic)
-        assert result.flagged or abs(result.value - oracle.value) <= result.estimate, (center, radius, result)
+        for S in (cubic, dataclasses.replace(cubic, sweep=None)):
+            with pytest.raises(ValueError, match="sweep|swept"):
+                integrate_surface(form, S)
+
+
+def test_a_ball_that_misses_the_band_is_a_proved_miss():
+    # the calibration sweep's band form 78 misses the band by 1.4e-3: its fold
+    # level over the band's angles is negative with no root, which proves it
+    S, draw = SCENES["band"]
+    rng = np.random.default_rng(5078)
+    center = draw(rng, 0)
+    report = stokes_residual(S, bump_form(center, rng.uniform(0.05, 1.0)))
+    for side in (report.lhs, report.rhs):
+        assert (side.value, side.estimate) == (0.0, 0.0) and side.stats["miss"] == "proved" and not side.flagged

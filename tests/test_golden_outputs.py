@@ -43,9 +43,9 @@ SHA256 = {
     "fig6.csv": "f510a70331bb5a7ef29fbd4d59b852ca9c6a3ee22434341bd681e39e7113b26e",
     "fig6.json": "4a97f4dc35ba8c2455ee1b7eb65aa290fc8bf1017ecef5e96ca9c2df42eed7d2",
     "fig6.obj": "bfbd646e4abdc6e0af6cf1d657919fd5770e084cab13a3950e3e2f5ac8bbadc3",
-    "stokes_band.json": "c2fb2f447d47e66bb69f0acf59fab7877f70eb6e43a620833bed98883bcc3471",
-    "stokes_halfplane.json": "e05faf279edd1dfbbd2942e007a24b705b88e3dcd962d20b0bf64dfde3579fbd",
-    "stokes_sigma-cylinder.json": "8580441eabc8bbfc1b30cfa3b80467bb659332abbaaf8dd30d2c08c845a8e973",
+    "stokes_band.json": "2032e13f9c52e31d846c4f9e5fcaf43d0d224cbd3fdbe8c91232189aa9a6fa7c",
+    "stokes_halfplane.json": "d72ac07170dc3406528f0d562ad836eba0731da763dfbbb21f18c811743bf30b",
+    "stokes_sigma-cylinder.json": "44899d1ea93a73a7e2d8ca03dde9026b40e65578de0d976ad67b343fae3dd457",
 }
 
 

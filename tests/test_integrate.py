@@ -7,7 +7,6 @@ import numpy as np
 
 from heisgeo import (
     HCurve,
-    ParamSurface,
     boundary_integral,
     bump_form,
     horizontal_differential,
@@ -31,6 +30,7 @@ from heisgeo.forms import (
 )
 from heisgeo.cli import DEFAULT_SEED, _stokes_scene
 from heisgeo.integrate import FLAG_TOL, _ball_level, _surface_integrand
+from heisgeo.surfaces import LEFT_Y, swept
 
 # a ball about the origin that holds the unit sheet and the sqrt(2) torus:
 # with center 0 its level's noise is exactly 1, and the conforming rule keeps
@@ -39,17 +39,14 @@ HOLDS_ALL = (np.zeros(3), 10.0)
 
 
 def _unit_sheet(**kw):
-    """The sheet (u, v, 0) over the unit square, with its exact tangents."""
-    def pos(u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        return np.stack([u, v, np.zeros_like(u)], axis=-1)
+    """The sheet (u, v, -uv/2) over the unit square: the x-axis segment
+    swept by left translation along Y, with its exact tangents."""
+    def along_x(s):
+        s = np.asarray(s, float)
+        return np.stack([s, np.zeros_like(s), np.zeros_like(s)], axis=-1)
 
-    def constant(vec):
-        return lambda u, v: np.broadcast_to(vec, np.broadcast(u, v).shape + (3,)).copy()
-
-    return ParamSurface(u_dom=(0.0, 1.0), v_dom=(0.0, 1.0), position=pos,
-                        tangent_u=constant([1.0, 0.0, 0.0]),
-                        tangent_v=constant([0.0, 1.0, 0.0]), **kw)
+    x_axis = HCurve(0.0, 1.0, along_x, lambda s: along_x(np.ones_like(s)), 1.0)
+    return swept(x_axis, LEFT_Y, (0.0, 1.0), **kw)
 
 
 def test_curve_integral_polynomial_oracle(segment, affine_field):
@@ -150,11 +147,12 @@ def test_support_ball_argument_stands_in_for_the_forms_own():
 
 
 def test_surface_integral_closed_form_oracle(affine_field):
-    # sheet (u, v, 0) over the unit square pairs theta^dx to u/2
-    sheet = _unit_sheet(speed=math.sqrt(2.0))
+    # theta(S_u) = 0 and theta(S_v) = -u on the sheet (u, v, -uv/2), so
+    # theta^dx pairs to u over the unit square
+    sheet = _unit_sheet()
     form = ThetaWedgeForm(affine_field(1.0), affine_field(), support_ball=HOLDS_ALL)
     res = integrate_surface(form, sheet)
-    assert abs(res.value - 0.25) < 1e-12
+    assert abs(res.value - 0.5) < 1e-12
 
 
 def test_closed_torus_stokes_oracle(affine_field):
@@ -254,7 +252,7 @@ def test_untrusted_estimates_are_flagged(segment, affine_field):
 
 
 def test_budget_stop_and_nan_panels_are_flagged(affine_field):
-    sheet = _unit_sheet(speed=math.sqrt(2.0))
+    sheet = _unit_sheet()
     # a peak that the one whole-rectangle piece of a ball holding the sheet
     # does not resolve must not pass as trusted
     peak = lambda p, tu, tv: np.exp(-1000.0 * ((p[..., 0] - 0.3) ** 2 + (p[..., 1] - 0.7) ** 2))
@@ -315,11 +313,18 @@ def test_level_queries_evaluate_only_the_tangents_they_read():
     res = integrate_surface(ThetaWedgeForm(b, b, support_ball=(c, r)), counted_S)
     assert (res.value, res.estimate) == (-0.025132741228718135, 2.3717505786458495e-15)
     assert res.stats["points"] == 2880 and res.stats["pieces"] == 3
-    # the cell search, root bracketing and sign tests read the level alone;
-    # the v-lines read phi_v, the v-edges phi_u, the fold Newton both
-    assert calls == {"position": 67, "tangent_u": 10, "tangent_v": 44}
-    jet = _ball_level(S.position, (S.tangent_u, S.tangent_v), S.speed, (c, r))[0]
-    u, v = np.linspace(-0.3, 0.3, 7), np.linspace(1.2, 1.8, 7)
-    alone, full = jet(u, v, axes=()), jet(u, v)
-    assert len(alone) == 1 and len(full) == 3
-    assert alone[0].tobytes() == full[0].tobytes()
+    # the three truncation edges and the two v-edges miss the ball at their
+    # first cell, so they read the level alone (6 and 2 position calls); the
+    # fold level and the inner intervals read the swept curve, not these
+    # maps; the integrand reads each map once, and the check that the maps
+    # are the sweep reads one position
+    assert calls == {"position": 10, "tangent_u": 1, "tangent_v": 1}
+    # a level asked for phi alone reads no velocity, and gives phi's bits
+    edge = S.edge(1, 1.5, 1.0)
+    read = []
+    jet = _ball_level(edge.position, lambda u: read.append(u) or edge.velocity(u), 1.0, (c, r))[0]
+    u = np.linspace(-0.3, 0.3, 7)
+    alone = jet(u, axes=())
+    assert len(alone) == 1 and not read
+    full = jet(u)
+    assert len(full) == 2 and len(read) == 1 and alone[0].tobytes() == full[0].tobytes()

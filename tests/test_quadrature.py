@@ -15,8 +15,10 @@ from heisgeo.quadrature import (
     ROUNDING_FLOOR,
     Level,
     PrefixIntegral,
+    Sweep,
     _gauss,
     _panels,
+    conforming_integrate_1d,
     conforming_integrate_2d,
     integrate_1d,
 )
@@ -134,15 +136,22 @@ def test_prefix_table_costs_no_integrand_call_in_range():
     assert points == [2 * NODES]
 
 
-def _whole_rectangle(f, u_dom, v_dom):
-    """The conforming rule under the level 1, which has no roots: one
-    piece, the whole rectangle."""
-    def jet(u, v, axes=(0, 1)):
-        one = np.ones(np.broadcast(u, v).shape)
-        return (one, *(0.0 * one for _ in axes))
+def _constant_level(value, scale):
+    """A level in one parameter that is `value` everywhere, with no roots."""
+    def jet(x, axes=(0,)):
+        one = np.ones(np.shape(x))
+        return (value * one, *(0.0 * one for _ in axes))
 
-    level = Level(jet, lambda phi, h: 0.0, math.hypot(u_dom[1] - u_dom[0], v_dom[1] - v_dom[0]), 1.0)
-    return conforming_integrate_2d(f, level, u_dom, v_dom, False)
+    return Level(jet, lambda phi, h: 0.0, scale, 1.0)
+
+
+def _whole_rectangle(f, u_dom, v_dom):
+    """The conforming rule when every orbit lies in P: the level 1, which
+    has no roots, and the whole v-range at every u, so one piece, the
+    whole rectangle."""
+    one = _constant_level(1.0, math.hypot(u_dom[1] - u_dom[0], v_dom[1] - v_dom[0]))
+    whole = lambda u: (np.arange(len(u)), np.full(len(u), float(v_dom[0])), np.full(len(u), float(v_dom[1])))
+    return conforming_integrate_2d(f, Sweep((one,), (one, one), whole, (), 1.0), u_dom)
 
 
 def test_a_ball_holding_the_surface_gives_the_whole_rectangle(affine_field):
@@ -172,27 +181,34 @@ def test_adaptive_smooth_matches_dblquad():
     assert est < 1e-8
 
 
-def _disc(c, r):
-    """Plateau bump of a disc, with its level: the jet, a Lipschitz bound,
-    and the disc's radius as the scale."""
+def _disc(c, r, v_dom):
+    """Plateau bump of a disc, swept by the lines u = const: its fold level
+    D(u) = r^2 - (u - c_u)^2, the disc level along each v-edge, and the
+    chord c_v +- sqrt(D) of each line clipped to v_dom."""
     def f(u, v):
         q = 1.0 - ((u - c[0]) ** 2 + (v - c[1]) ** 2) / r**2
         return np.where(q > 0.0, q, 0.0) ** 4
-    phi = lambda u, v: r**2 - (u - c[0]) ** 2 - (v - c[1]) ** 2
-    # the level and its derivatives along the listed axes, as the rule asks
-    jet = lambda u, v, axes=(0, 1): (phi(u, v), *(-2.0 * ((u, v)[k] - c[k]) for k in axes))
-    # |grad phi| = 2 |x - c| <= 2 (|x0 - c| + h) within h of x0
-    lip = lambda level, h: 2.0 * (np.sqrt(np.maximum(r**2 - level, 0.0)) + h)
-    return f, Level(jet, lip, r, 1.0)
+
+    def level(dv):
+        # |phi'| = 2 |u - c_u| <= 2 (|u0 - c_u| + h) within h of u0, |u0 - c_u| <= sqrt(r^2 + dv^2 - phi)
+        jet = lambda u, axes=(0,): (r**2 - dv**2 - (u - c[0]) ** 2, *(-2.0 * (u - c[0]) for _ in axes))
+        return Level(jet, lambda phi, h: 2.0 * (np.sqrt(np.maximum(r**2 - dv**2 - phi, 0.0)) + h), r, 1.0)
+
+    def inner(u):
+        half = np.sqrt(np.maximum(r**2 - (u - c[0]) ** 2, 0.0))
+        lo, hi = np.maximum(c[1] - half, v_dom[0]), np.minimum(c[1] + half, v_dom[1])
+        return np.flatnonzero(lo < hi), lo[lo < hi], hi[lo < hi]
+
+    return f, Sweep((level(0.0),), tuple(level(v - c[1]) for v in v_dom), inner, (), 1.0)
 
 
 def test_conforming_compact_support_between_nodes():
     # a narrow plateau bump dropped between the nodes of any coarse grid;
     # the rule integrates over the disc only, with breakpoints on its rim
     c, r = np.array([0.1234, 0.2345]), 0.08
-    f, level = _disc(c, r)
+    f, sweep = _disc(c, r, (0.0, 3.0))
     truth = np.pi * r**2 / 5.0  # radial integral of (1 - s)^4 d(s r^2)/2
-    res = conforming_integrate_2d(f, level, (-3.0, 3.0), (0.0, 3.0), False)
+    res = conforming_integrate_2d(f, sweep, (-3.0, 3.0))
     value, est = res
     assert abs(value - truth) < 5e-9
     assert est < 1e-7
@@ -203,7 +219,7 @@ def test_conforming_support_cut_by_domain_edge():
     # support circle sticking out below the rectangle: the kink runs along
     # the domain edge and the result must match exact-bounds nested 1d rules
     c, r = np.array([-0.15, 0.09]), 0.22
-    f, level = _disc(c, r)
+    f, sweep = _disc(c, r, (0.0, 3.0))
     def inner(v):
         w = np.sqrt(max(r**2 - (v - c[1]) ** 2, 0.0))
         if w == 0.0:
@@ -211,27 +227,50 @@ def test_conforming_support_cut_by_domain_edge():
         return sci.quad(lambda u: float(f(np.asarray(u), np.asarray(v))),
                         c[0] - w, c[0] + w, epsabs=1e-14)[0]
     truth = sci.quad(inner, 0.0, c[1] + r, epsabs=1e-13, limit=200)[0]
-    value, est = conforming_integrate_2d(f, level, (-3.0, 3.0), (0.0, 3.0), False)
+    value, est = conforming_integrate_2d(f, sweep, (-3.0, 3.0))
     assert abs(value - truth) < 1e-7
     assert abs(value - truth) <= max(est, 1e-9)
 
 
 def test_conforming_rule_fails_loud():
     c, r = np.array([0.4, 0.5]), 0.2
-    f, level = _disc(c, r)
-    phi = lambda u, v: level.jet(u, v, axes=())[0]
+    f, sweep = _disc(c, r, (0.0, 1.0))
     # a NaN inside the support reaches the value and the estimate
     nan_inside = lambda u, v: np.where(u > 0.45, np.nan, f(u, v))
-    value, est = conforming_integrate_2d(nan_inside, level, (0.0, 1.0), (0.0, 1.0), False)
-    assert np.isnan(value) and np.isnan(est)
-    # a slope that hides the folds leaves one piece whose outer nodes see
-    # zero or two roots; the count change flags it instead of integrating
-    blind = lambda u, v, axes=(0, 1): (phi(u, v), *(level.jet(u, v)[1] if k == 0 else np.full_like(u, 1e3)
-                                                     for k in axes))
-    res = conforming_integrate_2d(f, level._replace(jet=blind), (0.0, 1.0), (0.0, 1.0), False)
-    assert res.stats["pieces"] == 1 and np.isnan(res[1])
-    # a support that misses the rectangle gives exactly zero
-    assert conforming_integrate_2d(f, level, (2.0, 3.0), (0.0, 1.0), False) == (0.0, 0.0)
+    res = conforming_integrate_2d(nan_inside, sweep, (0.0, 1.0))
+    assert np.isnan(res[0]) and np.isnan(res[1]) and res.stats["faults"] == ["nan"]
+    # a fold level that hides the folds leaves one piece whose outer nodes
+    # see zero or one interval; the count change flags it instead of integrating
+    blind = sweep._replace(folds=(_constant_level(1.0, r),))
+    res = conforming_integrate_2d(f, blind, (0.0, 1.0))
+    assert res.stats["pieces"] == 1 and np.isnan(res[1]) and res.stats["faults"] == ["root_count"]
+    # a support that misses the rectangle gives exactly zero, proved by the
+    # fold level: negative with no root, so no line meets the disc
+    res = conforming_integrate_2d(f, sweep, (2.0, 3.0))
+    assert res == (0.0, 0.0) and res.stats == {"rule": "conforming", "points": 0, "pieces": 0, "miss": "proved"}
+
+
+def test_each_one_dimensional_fault_is_named():
+    # every check that fires is listed in the stats and makes the estimate
+    # NaN; (the 2-d rule's `nan` and `root_count` are in the test above)
+    f = np.ones_like
+    cases = {
+        # a slope 1e7 times too steep: Newton creeps, and the root never settles
+        "unsettled": lambda x, axes=(0,): (x - 0.3, *(np.full_like(x, 1e7) for _ in axes)),
+        # a level that is positive at the middle of [0, 0.5], below its root
+        "sign_pattern": lambda x, axes=(0,): (np.where(x == 0.25, 1.0, x - 0.5), *(np.ones_like(x) for _ in axes)),
+        # |x - 0.5| touches 0 at the middle of [0.1, 0.9], where the one
+        # rootless interval is tested: no interval, and no proof of a miss
+        "missed_support": lambda x, axes=(0,): (np.abs(x - 0.5), *(np.sign(x - 0.5) for _ in axes)),
+    }
+    for name, jet in cases.items():
+        a, b = (0.1, 0.9) if name == "missed_support" else (0.0, 1.0)
+        res = conforming_integrate_1d(f, Level(jet, lambda g, h: 1.0, 0.5, 1.0), a, b)
+        assert np.isnan(res[1]) and res.stats["faults"] == [name], (name, res.stats)
+    # a negative level with no root is a proved miss, with no fault
+    negative = lambda x, axes=(0,): (x - 2.0, *(np.ones_like(x) for _ in axes))
+    res = conforming_integrate_1d(f, Level(negative, lambda g, h: 1.0, 0.5, 1.0), 0.0, 1.0)
+    assert res == (0.0, 0.0) and res.stats == {"rule": "conforming", "points": 0, "pieces": 0, "miss": "proved"}
 
 
 def test_adaptive_nan_sample_propagates():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heisgeo.integrate import FLAG_TOL, _result
-from heisgeo.quadrature import Level, conforming_integrate_2d, integrate_1d
+from heisgeo.quadrature import Level, Sweep, conforming_integrate_2d, integrate_1d
 
 # fixed examples keep tier-1 repeatable; no example database is written
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -18,13 +18,15 @@ coefficients = st.lists(st.floats(-100.0, 100.0), min_size=4, max_size=4).filter
 
 
 def _whole_rectangle(f, u_dom, v_dom):
-    """The conforming rule under the level 1, which has no roots: one piece."""
-    def jet(u, v, axes=(0, 1)):
-        one = np.ones(np.broadcast(u, v).shape)
+    """The conforming rule when every orbit lies in P: a fold level 1 with
+    no roots and the whole v-range at every u, so one piece."""
+    def jet(x, axes=(0,)):
+        one = np.ones(np.shape(x))
         return (one, *(0.0 * one for _ in axes))
 
-    level = Level(jet, lambda phi, h: 0.0, math.hypot(u_dom[1] - u_dom[0], v_dom[1] - v_dom[0]), 1.0)
-    return conforming_integrate_2d(f, level, u_dom, v_dom, False)
+    one = Level(jet, lambda phi, h: 0.0, math.hypot(u_dom[1] - u_dom[0], v_dom[1] - v_dom[0]), 1.0)
+    whole = lambda u: (np.arange(len(u)), np.full(len(u), float(v_dom[0])), np.full(len(u), float(v_dom[1])))
+    return conforming_integrate_2d(f, Sweep((one,), (one, one), whole, (), 1.0), u_dom)
 
 
 @PROPERTY

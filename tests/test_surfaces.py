@@ -18,10 +18,10 @@ from heisgeo import (
     torus_surface,
     vertical_halfplane,
 )
-from heisgeo.core import frame_length, multiply
+from heisgeo.core import frame_length
 from heisgeo.foliation import _direction, _pairings
 from heisgeo.quadrature import PrefixIntegral
-from heisgeo.surfaces import LEFT_Y, ROTATE_T, VERTICAL, characteristic_residual, swept
+from heisgeo.surfaces import characteristic_residual
 
 R2, R = 1.0, np.sqrt(1.0 + 2.0 ** (2.0 / 3.0))
 
@@ -166,49 +166,6 @@ def test_each_rim_is_its_surfaces_edge():
     assert np.max(np.abs(gap[:, 2] - h)) < 1e-15
     # the top rim is a vertical translate, so it stays horizontal
     assert horizontality_residual(top) <= 1e-10
-
-
-def _swept_examples(intrinsic_curve):
-    """One swept surface per motion: the cylinder over the lift, the band
-    and the intrinsic patch."""
-    sigma = lift_horizontal(lemniscate(), sign=1)
-    return {
-        "vertical": swept(sigma, VERTICAL, (0.0, 1.0 / 3.0)),
-        "rotate_t": swept(torus_characteristic_loop(R, 1.0), ROTATE_T, (0.0, np.pi / 12.0)),
-        "left_y": swept(intrinsic_curve(-1.0, 1.0), LEFT_Y, (-1.0, 1.0)),
-    }
-
-
-def test_swept_tangents_are_the_maps_derivatives(intrinsic_curve):
-    # S_u and the generator S_v against central differences of the map, at
-    # seeded random parameters; and every tangent within the speed bound
-    rng = np.random.default_rng(41)
-    for name, S in _swept_examples(intrinsic_curve).items():
-        u = rng.uniform(S.u_dom[0] + 1e-3, S.u_dom[1] - 1e-3, 200)
-        v = rng.uniform(*S.v_dom, 200)
-        h = 1e-5
-        for tangent, du, dv in ((S.tangent_u, h, 0.0), (S.tangent_v, 0.0, h)):
-            diff = (S.position(u + du, v + dv) - S.position(u - du, v - dv)) / (2.0 * h)
-            assert np.max(np.abs(tangent(u, v) - diff)) <= 1e-7, name
-        grid = np.meshgrid(np.linspace(*S.u_dom, 129), np.linspace(*S.v_dom, 129))
-        norms = np.hypot(np.linalg.norm(S.tangent_u(*grid), axis=-1), np.linalg.norm(S.tangent_v(*grid), axis=-1))
-        assert norms.max() <= S.speed, name
-        assert S.sweep[1] == {"vertical": VERTICAL, "rotate_t": ROTATE_T, "left_y": LEFT_Y}[name]
-    # the torus keeps its own maps and is its meridian turned about the t-axis
-    torus = torus_surface(R, 1.0)
-    curve, motion = torus.sweep
-    u, v = rng.uniform(0.0, 2.0 * np.pi, (2, 200))
-    assert motion == ROTATE_T and np.max(np.abs(motion.move(curve.position(u), v) - torus.position(u, v))) <= 1e-15
-
-
-def test_left_y_is_the_left_translation_along_y(intrinsic_curve):
-    # M_v(p) = (0, v, 0) * p, which is gamma(s) + v (0, 1, -gamma_x / 2)
-    S = swept(intrinsic_curve(-1.0, 1.0), LEFT_Y, (-1.0, 1.0))
-    s, y = np.meshgrid(np.linspace(-1.0, 1.0, 17), np.linspace(-1.0, 1.0, 9))
-    gamma = S.sweep[0].position(s)
-    left = np.stack([np.zeros_like(y), y, np.zeros_like(y)], axis=-1)
-    assert np.max(np.abs(S.position(s, y) - multiply(left, gamma))) <= 1e-15
-    assert np.array_equal(S.position(s, y), np.stack([s**3, y, s * np.abs(s) ** 3 - y * s**3 / 2], axis=-1))
 
 
 def test_cylinder_embedding_thresholds():

@@ -14,30 +14,33 @@ It runs four sets of cases, each a `stokes_residual` of a bump form:
 * `grazing`: the ball of radius 0.3 centred 0.3 below the sigma cylinder's
   bottom rim at tau = 1.1.
 * `band_78`: sweep form 78 on the band, whose ball misses the band.
-* `half_patch`: the intrinsic patch (y, s) -> (s^3, y, s|s|^3 - y s^3/2)
-  cut at s = 0.  Its upper half is s in [0, 1], its lower half s in
+* `half_patch`: the intrinsic patch (s, y) -> (s^3, y, s|s|^3 - y s^3/2),
+  the curve gamma(s) = (s^3, 0, s|s|^3) swept by left translation along
+  Y, cut at s = 0.  Its upper half is s in [0, 1], its lower half s in
   [-1, 0], and the rim of both is the y-axis, a horizontal curve, so the
-  line integral is an oracle for the surface side.  Forty balls from
-  default_rng(1): y, s ~ U(-0.5, 0.5), c = S(y, s) + N(0, 0.05)^3,
-  r ~ U(0.03, 0.3), each on both halves.
+  line integral is an oracle for the surface side.  The parameter order
+  (s, y) makes the rim the edge s = 0, oriented -1 on the upper half and
+  +1 on the lower.  Forty balls from default_rng(1): y, s ~ U(-0.5, 0.5),
+  c = S(s, y) + N(0, 0.05)^3, r ~ U(0.03, 0.3), each on both halves.
 
 A case is flagged when either side is flagged or their combined estimate
 exceeds STOKES_BUDGET (as `heisgeo stokes` decides), and uncovered when it
 is not flagged and its residual exceeds the combined estimate: a silently
-wrong value.  Each set reports the flagged ids, the uncovered cases with
-their balls, the sides whose estimate is exactly 0.0, the median and p90 of
-estimate / residual over the unflagged cases with a nonzero residual, and
-the median and max of the surface side's integrand points.
+wrong value.  Each set reports the flagged ids, grouped by the faults that
+the sides' stats name (`budget` when none is named), the uncovered cases
+with their balls, the sides whose estimate is exactly 0.0 and how many of
+them are proved misses, the median and p90 of estimate / residual over the
+unflagged cases with a nonzero residual, and the median and max of the
+surface side's integrand points.
 
 The one JSON line printed holds the deterministic fields first and the
 wall times last.  It uses only the package's public names and
-`cli._stokes_scene`, so the same file runs on any commit that has them.
+`cli._stokes_scene`.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import sys
 import time
 from dataclasses import replace
@@ -47,9 +50,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from heisgeo import ParamSurface, bump_form, stokes_residual  # noqa: E402
+from heisgeo import HCurve, bump_form, stokes_residual  # noqa: E402
 from heisgeo.cli import _stokes_scene  # noqa: E402
 from heisgeo.integrate import STOKES_BUDGET  # noqa: E402
+from heisgeo.surfaces import LEFT_Y, swept  # noqa: E402
 
 
 def _case(S, center, radius):
@@ -70,16 +74,24 @@ def _summary(cases: dict) -> dict:
     trusted = {key: c for key, c in cases.items() if not c["flagged"]}
     ratios = [c["estimate"] / c["report"].residual for c in trusted.values() if c["report"].residual > 0.0]
     points = [c["report"].lhs.stats.get("points", 0) for c in cases.values()]
+    faults = {}
+    for key, c in cases.items():
+        named = {f for side in (c["report"].lhs, c["report"].rhs) for f in side.stats.get("faults", ())}
+        for name in sorted(named) or ["budget"] if c["flagged"] else ():
+            faults.setdefault(name, []).append(key)
+    sides = [getattr(c["report"], side) for c in cases.values() for side in ("lhs", "rhs")]
     return {
         "cases": len(cases),
         "right": sum(c["report"].residual <= c["estimate"] for c in trusted.values()),
         "flagged": [key for key, c in cases.items() if c["flagged"]],
+        "flagged_by_fault": faults,
         "uncovered": {
             key: {"center": c["center"], "radius": c["radius"],
                   "residual": c["report"].residual, "estimate": c["estimate"]}
             for key, c in trusted.items() if c["report"].residual > c["estimate"]},
         "zero_estimate": [f"{key}/{side}" for key, c in cases.items()
                           for side in ("lhs", "rhs") if getattr(c["report"], side).estimate == 0.0],
+        "proved_miss": sum(side.stats.get("miss") == "proved" for side in sides),
         "estimate_over_residual": {"median": float(np.median(ratios)) if ratios else None,
                                    "p90": float(np.percentile(ratios, 90)) if ratios else None},
         "points": {"median": float(np.median(points)), "max": int(max(points))},
@@ -110,34 +122,27 @@ def grazing() -> dict:
     return _sides(_case(S, center, 0.3))
 
 
-def _half_patch_map(y, s):
-    y, s = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(s, dtype=float))
-    s3 = s**3
-    return np.stack([s3, y, s * np.abs(s) ** 3 - y * s3 / 2], axis=-1)
+def _gamma(s):
+    s = np.asarray(s, dtype=float)
+    return np.stack([s**3, np.zeros_like(s), s * np.abs(s) ** 3], axis=-1)
 
 
-def _half_patch_tangent_y(y, s):
-    y, s = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(s, dtype=float))
-    return np.stack([np.zeros_like(s), np.ones_like(s), -0.5 * s**3], axis=-1)
-
-
-def _half_patch_tangent_s(y, s):
-    y, s = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(s, dtype=float))
-    return np.stack([3.0 * s**2, np.zeros_like(s), 4.0 * np.abs(s) ** 3 - 1.5 * y * s**2], axis=-1)
+def _gamma_velocity(s):
+    s = np.asarray(s, dtype=float)
+    return np.stack([3.0 * s**2, np.zeros_like(s), 4.0 * np.abs(s) ** 3], axis=-1)
 
 
 def half_patch() -> dict:
-    # |S_y|^2 + |S_s|^2 <= 1 + 1/4 + 9 + (4 + 3/2)^2 = 40.5 on |y|, |s| <= 1
-    upper = ParamSurface((-1.0, 1.0), (0.0, 1.0), _half_patch_map, _half_patch_tangent_y,
-                         _half_patch_tangent_s, speed=math.sqrt(40.5))
-    rim = upper.edge(1, 0.0, 1.0)  # the y-axis (0, y, 0)
-    halves = {"upper": replace(upper, boundary=((rim, 1),)),
-              "lower": replace(upper, v_dom=(-1.0, 0.0), boundary=((rim, -1),))}
+    # |gamma'|^2 = 9 s^4 + 16 s^6 <= 25 on |s| <= 1
+    upper, lower = (swept(HCurve(a, b, _gamma, _gamma_velocity, 5.0), LEFT_Y, (-1.0, 1.0))
+                    for a, b in ((0.0, 1.0), (-1.0, 0.0)))
+    rim = upper.edge(0, 0.0, 1.0)  # the y-axis (0, y, 0)
+    halves = {"upper": replace(upper, boundary=((rim, -1),)), "lower": replace(lower, boundary=((rim, 1),))}
     rng = np.random.default_rng(1)
     cases = {}
     for k in range(40):
         y, s = rng.uniform(-0.5, 0.5, 2)
-        center = _half_patch_map(y, s) + rng.normal(0.0, 0.05, 3)
+        center = upper.position(s, y) + rng.normal(0.0, 0.05, 3)
         radius = rng.uniform(0.03, 0.3)
         for name, S in halves.items():
             cases[f"{name}-{k}"] = _case(S, center, radius)
