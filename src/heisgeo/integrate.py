@@ -115,19 +115,6 @@ def _surface_integrand(form, S: ParamSurface):
     return f
 
 
-def _check_truncation_edges(ball, S: ParamSurface) -> None:
-    """Raise unless the support ball stays off every truncation edge: the
-    ball's level has no root on the edge, solved for as in the rule, and is
-    negative there."""
-    for axis, value in S.truncation_edges:
-        edge = S.edge(axis, value, S.speed)
-        level = _ball_level(edge.position, edge.velocity, edge.speed, ball)
-        roots, fault = support_roots(level, edge.a, edge.b)
-        if fault or len(roots) or not level.jet(np.array(edge.a), axes=())[0] < 0.0:
-            raise ValueError(
-                f"support ball reaches the truncation edge {'uv'[axis]} = {value:g}")
-
-
 def _orbit_intervals(mid, half, v_dom, period, periodic):
     """(owner, a, b) of the sets |v - mid| < half within v_dom, one set per
     orbit.  A line clips its set to v_dom.  A circle's whole orbit is
@@ -160,13 +147,23 @@ def _sweep(S: ParamSurface, ball) -> Sweep:
     So the first is the level's maximum over the orbit within v_dom; since
     the level is stationary in v there or held at an edge, S_u is the fold
     level's derivative (the envelope theorem), and the distance to either
-    point moves at most by max |S_u| <= speed (1 + stretch max |v|).
+    point moves at most by the motion's bound on |S_u|.  The edge levels
+    take v(u) constant.  It raises `ValueError` unless the ball stays off
+    every truncation edge: an orbit u = value has no positive interval, and
+    on a line v = value the level has no root and is negative.
     """
     curve, motion = S.sweep
     (v0, v1), period = S.v_dom, motion.period
     center, radius = np.asarray(ball[0], dtype=float), float(ball[1])
 
-    def fold(shift):
+    def level(v, v_dom):
+        return _ball_level(lambda u: motion.move(curve.position(u), v(u)),
+                           lambda u: motion.push(curve.velocity(u), v(u)), motion.push_bound(curve, v_dom), ball)
+
+    def edge(v):
+        return level(lambda u: np.broadcast_to(v, np.shape(u)), (v,))
+
+    def top(shift):
         def v(u):
             mid = motion.orbit(curve.position(u), center, radius)[0]
             if period is None:
@@ -175,20 +172,22 @@ def _sweep(S: ParamSurface, ball) -> Sweep:
             ahead = np.mod(mid + shift - v0, period)
             return np.where(ahead <= v1 - v0, v0 + ahead, np.where(ahead - (v1 - v0) < period - ahead, v1, v0))
 
-        return _ball_level(lambda u: motion.move(curve.position(u), v(u)),
-                           lambda u: motion.push(curve.velocity(u), v(u)),
-                           curve.speed * (1.0 + motion.stretch * max(abs(v0), abs(v1))), ball)
-
-    def edge(v):
-        e = S.edge(1, v, curve.speed * (1.0 + motion.stretch * abs(v)))
-        return _ball_level(e.position, e.velocity, e.speed, ball)
+        return level(v, S.v_dom)
 
     def inner(u):
         return _orbit_intervals(*motion.orbit(curve.position(u), center, radius), S.v_dom, period, S.periodic[1])
 
-    folds = (fold(0.0),) + ((fold(0.5 * period),) if period else ())
-    edges = () if S.periodic[1] else (edge(v0), edge(v1))
-    return Sweep(folds, edges, inner, S.kinks, folds[0].noise)
+    for axis, value in S.truncation_edges:
+        if axis == 0:
+            reaches = len(inner(np.array([float(value)]))[0])
+        else:
+            line = edge(value)
+            roots, fault = support_roots(line, *S.u_dom)
+            reaches = fault or len(roots) or not line.jet(np.array(S.u_dom[0]), axes=())[0] < 0.0
+        if reaches:
+            raise ValueError(f"support ball reaches the truncation edge {'uv'[axis]} = {value:g}")
+    folds = (top(0.0),) + ((top(0.5 * period),) if period else ())
+    return Sweep(folds, () if S.periodic[1] else tuple(map(edge, S.v_dom)), inner)
 
 
 def integrate_surface(form, S: ParamSurface, flag_tol: float = FLAG_TOL) -> IntegralResult:
@@ -204,12 +203,15 @@ def integrate_surface(form, S: ParamSurface, flag_tol: float = FLAG_TOL) -> Inte
     if ball is None or S.sweep is None or not math.isfinite(S.speed):
         raise ValueError("a surface integral needs a form with a support ball, and a swept surface "
                          "with a speed bound")
-    # the rule reads the sweep, the integrand the maps: they must agree
-    (curve, motion), u, v = S.sweep, np.array([sum(S.u_dom) / 2]), np.array([sum(S.v_dom) / 2])
-    p = S.position(u, v)
-    if not np.abs(p - motion.move(curve.position(u), v)).max() <= 1e-12 * (1.0 + np.abs(p).max()):
+    # the rule reads the sweep, the integrand the maps: they must agree at
+    # the corners and the centre
+    (curve, motion), (u0, u1), (v0, v1) = S.sweep, S.u_dom, S.v_dom
+    u, v = np.array([u0, u1, u0, u1, (u0 + u1) / 2]), np.array([v0, v0, v1, v1, (v0 + v1) / 2])
+    p = motion.move(curve.position(u), v)
+    gap = np.stack((S.position(u, v), S.tangent_u(u, v), S.tangent_v(u, v))) - (
+        p, motion.push(curve.velocity(u), v), motion.field(p))
+    if not np.abs(gap).max() <= 1e-12 * (1.0 + np.abs(p).max()):
         raise ValueError("the surface's maps are not its sweep's")
-    _check_truncation_edges(ball, S)
     res = conforming_integrate_2d(_surface_integrand(form, S), _sweep(S, ball), S.u_dom)
     return _result(*res, flag_tol, res.stats)
 

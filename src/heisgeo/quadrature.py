@@ -101,15 +101,12 @@ class Sweep(NamedTuple):
     negative with no root, P misses the rectangle.  `edges` are the Levels
     of phi along the v-edges (none when v is periodic).  `inner(u)` gives
     phi's positive intervals of v at each u in closed form, as (owner, a,
-    b) with owner the index into u.  `kinks` are u-values where f is not
-    smooth, and `noise` is as a Level's.
+    b) with owner the index into u.  The first fold's `noise` is the rule's.
     """
 
     folds: tuple
     edges: tuple
     inner: Callable
-    kinks: tuple
-    noise: float
 
 
 @functools.cache
@@ -225,8 +222,8 @@ def conforming_integrate_1d(f, level: Level, a: float, b: float) -> RuleResult:
     lo, hi = cuts[:-1][cuts[1:] > cuts[:-1]], cuts[1:][cuts[1:] > cuts[:-1]]
     pos = level.jet(0.5 * (lo + hi), axes=())[0] > 0.0
     faults |= {"sign_pattern"} if np.any(pos[1:] == pos[:-1]) else set()
-    miss = not len(roots) and not faults and bool((level.jet(np.array([a, b]), axes=())[0] < 0.0).all())
     lo, hi = lo[pos], hi[pos]
+    miss = not (len(roots) or len(lo) or faults) and bool((level.jet(np.array([a, b]), axes=())[0] < 0.0).all())
     faults |= {"missed_support"} if not len(lo) and not miss else set()
     rules = [((x,), w) for x, w in (_gauss(n, lo, hi) for n in CURVE_PAIR)]
     return _pair(f, *rules, faults, level.noise, rule="conforming", pieces=len(lo),
@@ -236,20 +233,20 @@ def conforming_integrate_1d(f, level: Level, a: float, b: float) -> RuleResult:
 def conforming_integrate_2d(f, sweep: Sweep, u_dom) -> RuleResult:
     """Integral over a rectangle of f, which vanishes outside P = {phi > 0}.
 
-    The u-breakpoints are the ends, the kinks, and the roots of the fold
-    and edge levels, so that the number of positive intervals on a line is
-    the same all through a piece.  The outer rule runs through u = a + (b -
-    a)(1 - cos(pi s))/2 (A. Sidi, 1993), which smooths the square-root
-    behaviour at folds; the inner intervals at each outer node come from
+    The u-breakpoints are the ends and the roots of the fold and edge
+    levels, so that the number of positive intervals on a line is the same
+    all through a piece.  The outer rule runs through u = a + (b - a)(1 -
+    cos(pi s))/2 (A. Sidi, 1993), which smooths the square-root behaviour
+    at folds; the inner intervals at each outer node come from
     `sweep.inner`.
     """
     found = [(level, *support_roots(level, *u_dom)) for level in sweep.folds]
-    if found and all(not len(roots) and not bad and (level.jet(np.array(u_dom), axes=())[0] < 0.0).all()
-                     for level, roots, bad in found):
+    if all(not len(roots) and not bad and (level.jet(np.array(u_dom), axes=())[0] < 0.0).all()
+           for level, roots, bad in found):
         return RuleResult(0.0, 0.0, rule="conforming", points=0, pieces=0, miss="proved")
     found += [(level, *support_roots(level, *u_dom)) for level in sweep.edges]
     faults = set().union(*(bad for _, _, bad in found))
-    breaks = np.unique(np.clip(np.concatenate([u_dom, sweep.kinks] + [roots for _, roots, _ in found]), *u_dom))
+    breaks = np.unique(np.clip(np.concatenate([u_dom] + [roots for _, roots, _ in found]), *u_dom))
     breaks = breaks[np.concatenate(([True], np.diff(breaks) > 1e-12 * (u_dom[1] - u_dom[0])))]
     a, b = breaks[:-1], np.append(breaks[1:-1], u_dom[1])
 
@@ -273,7 +270,7 @@ def conforming_integrate_2d(f, sweep: Sweep, u_dom) -> RuleResult:
         mine = rule[o] == k
         v, w = _gauss(n, va[mine], vb[mine])
         rules.append(((np.repeat(u[o[mine]], n), v), w * np.repeat(wu[o[mine]], n)))
-    return _pair(f, *rules, faults, sweep.noise, rule="conforming", pieces=len(a))
+    return _pair(f, *rules, faults, sweep.folds[0].noise, rule="conforming", pieces=len(a))
 
 
 class PrefixIntegral:

@@ -62,8 +62,8 @@ class ParamSurface:
     integrals over the surface require integrands supported away from those
     edges.  `speed` bounds sqrt(|S_u|^2 + |S_v|^2) over the rectangle; inf
     when unknown.  `sweep` = (curve, motion) says that S(u, v) =
-    M_v(curve(u)) (see `swept`); the surface integrals need it.  `kinks`
-    lists the u-values where the map is not smooth.
+    M_v(curve(u)) (see `swept`); the surface integrals need it, and a
+    curve that is only piecewise smooth is swept piece by piece.
     """
 
     u_dom: tuple[float, float]
@@ -76,7 +76,6 @@ class ParamSurface:
     truncation_edges: tuple[tuple[int, float], ...] = ()
     speed: float = math.inf
     sweep: tuple | None = None
-    kinks: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not (self.u_dom[1] > self.u_dom[0] and self.v_dom[1] > self.v_dom[0]):
@@ -97,8 +96,8 @@ class Motion(NamedTuple):
 
     `move(p, v)` is M_v(p) and `push(w, v)` its differential applied to w,
     the same at every point; `field(q)` is the generator d/dv M_v at the
-    point q reached.  |dM_v| <= 1 + stretch |v|, and `speed(curve, v_dom)`
-    bounds a swept surface's sqrt(|S_u|^2 + |S_v|^2).  `orbit(p, c, r)` is
+    point q reached, and `field_bound(curve)` bounds |field| on the orbits
+    of the curve's points.  |dM_v| <= 1 + stretch |v|.  `orbit(p, c, r)` is
     (mid, half): the ball level r^2 - |M_v(p) - c|^2 is positive exactly
     where |v - mid| < half, and largest at mid; on a motion with a
     `period`, half = period / 2 is the whole orbit and the level is
@@ -108,10 +107,14 @@ class Motion(NamedTuple):
     move: Callable
     push: Callable
     field: Callable
-    speed: Callable
+    field_bound: Callable
     stretch: float
     orbit: Callable
     period: float | None = None
+
+    def push_bound(self, curve: HCurve, v_dom) -> float:
+        """Bound of |S_u| = |dM_v(curve')| over v in v_dom."""
+        return curve.speed * (1.0 + self.stretch * max(map(abs, v_dom)))
 
 
 def _shifted(p, axis, v):
@@ -160,18 +163,15 @@ def _sheared(w, v):
 
 
 # p + (0, 0, v), the flow of T
-VERTICAL = Motion(lambda p, v: _shifted(p, 2, v), lambda w, v: w, _t_field,
-                  lambda curve, v_dom: math.hypot(curve.speed, 1.0), 0.0, _line_orbit(_t_field))
+VERTICAL = Motion(lambda p, v: _shifted(p, 2, v), lambda w, v: w, _t_field, lambda curve: 1.0, 0.0,
+                  _line_orbit(_t_field))
 # rotation by v about the t-axis, an isometry: |S_v| = |(x, y)|
 ROTATE_T = Motion(lambda p, v: rotate_t_axis(v, p), lambda w, v: rotate_t_axis(v, w),
                   lambda q: np.stack([-q[..., 1], q[..., 0], np.zeros(q.shape[:-1])], axis=-1),
-                  lambda curve, v_dom: math.hypot(curve.speed, planar_radius(curve)), 0.0,
-                  _circle_orbit, 2.0 * math.pi)
-# (0, v, 0) * p = (x, y + v, t - v x / 2): |S_u| <= |curve'| (1 + |v|/2), |S_v| = |(0, 1, -x/2)|
+                  planar_radius, 0.0, _circle_orbit, 2.0 * math.pi)
+# (0, v, 0) * p = (x, y + v, t - v x / 2): |dM_v| <= 1 + |v|/2, |S_v| = |(0, 1, -x/2)|
 LEFT_Y = Motion(lambda p, v: _shifted(_sheared(p, v), 1, v), _sheared, _y_field,
-                lambda curve, v_dom: math.hypot(curve.speed * (1.0 + 0.5 * max(map(abs, v_dom))),
-                                                math.hypot(1.0, 0.5 * planar_radius(curve))),
-                0.5, _line_orbit(_y_field))
+                lambda curve: math.hypot(1.0, 0.5 * planar_radius(curve)), 0.5, _line_orbit(_y_field))
 
 
 def swept(curve: HCurve, motion: Motion, v_dom, **fields) -> ParamSurface:
@@ -186,7 +186,8 @@ def swept(curve: HCurve, motion: Motion, v_dom, **fields) -> ParamSurface:
     tan_u = on_pairs(lambda u, v: motion.push(curve.velocity(u), v))
     v_dom = (float(v_dom[0]), float(v_dom[1]))
     return ParamSurface((curve.a, curve.b), v_dom, pos, tan_u, lambda u, v: motion.field(pos(u, v)),
-                        speed=motion.speed(curve, v_dom), sweep=(curve, motion), **fields)
+                        speed=math.hypot(motion.push_bound(curve, v_dom), motion.field_bound(curve)),
+                        sweep=(curve, motion), **fields)
 
 
 def vertical_halfplane() -> ParamSurface:

@@ -313,12 +313,10 @@ def test_level_queries_evaluate_only_the_tangents_they_read():
     res = integrate_surface(ThetaWedgeForm(b, b, support_ball=(c, r)), counted_S)
     assert (res.value, res.estimate) == (-0.025132741228718135, 2.3717505786458495e-15)
     assert res.stats["points"] == 2880 and res.stats["pieces"] == 3
-    # the three truncation edges and the two v-edges miss the ball at their
-    # first cell, so they read the level alone (6 and 2 position calls); the
-    # fold level and the inner intervals read the swept curve, not these
-    # maps; the integrand reads each map once, and the check that the maps
-    # are the sweep reads one position
-    assert calls == {"position": 10, "tangent_u": 1, "tangent_v": 1}
+    # the truncation edges, the fold and edge levels and the inner intervals
+    # read the swept curve, not these maps; the integrand and the check that
+    # the maps are the sweep read each map once
+    assert calls == {"position": 2, "tangent_u": 2, "tangent_v": 2}
     # a level asked for phi alone reads no velocity, and gives phi's bits
     edge = S.edge(1, 1.5, 1.0)
     read = []

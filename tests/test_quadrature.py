@@ -151,7 +151,7 @@ def _whole_rectangle(f, u_dom, v_dom):
     whole rectangle."""
     one = _constant_level(1.0, math.hypot(u_dom[1] - u_dom[0], v_dom[1] - v_dom[0]))
     whole = lambda u: (np.arange(len(u)), np.full(len(u), float(v_dom[0])), np.full(len(u), float(v_dom[1])))
-    return conforming_integrate_2d(f, Sweep((one,), (one, one), whole, (), 1.0), u_dom)
+    return conforming_integrate_2d(f, Sweep((one,), (one, one), whole), u_dom)
 
 
 def test_a_ball_holding_the_surface_gives_the_whole_rectangle(affine_field):
@@ -199,7 +199,7 @@ def _disc(c, r, v_dom):
         lo, hi = np.maximum(c[1] - half, v_dom[0]), np.minimum(c[1] + half, v_dom[1])
         return np.flatnonzero(lo < hi), lo[lo < hi], hi[lo < hi]
 
-    return f, Sweep((level(0.0),), tuple(level(v - c[1]) for v in v_dom), inner, (), 1.0)
+    return f, Sweep((level(0.0),), tuple(level(v - c[1]) for v in v_dom), inner)
 
 
 def test_conforming_compact_support_between_nodes():
@@ -271,6 +271,11 @@ def test_each_one_dimensional_fault_is_named():
     negative = lambda x, axes=(0,): (x - 2.0, *(np.ones_like(x) for _ in axes))
     res = conforming_integrate_1d(f, Level(negative, lambda g, h: 1.0, 0.5, 1.0), 0.0, 1.0)
     assert res == (0.0, 0.0) and res.stats == {"rule": "conforming", "points": 0, "pieces": 0, "miss": "proved"}
+    # negative at both ends but positive at the middle, its roots hidden by
+    # a Lipschitz bound of 0: integrated over the middle, and no miss claimed
+    bump = lambda x, axes=(0,): (0.01 - (x - 0.5) ** 2, *(1.0 - 2.0 * x for _ in axes))
+    res = conforming_integrate_1d(f, Level(bump, lambda g, h: 0.0, 0.5, 1.0), 0.0, 1.0)
+    assert res.stats == {"rule": "conforming", "points": 48, "pieces": 1}
 
 
 def test_adaptive_nan_sample_propagates():

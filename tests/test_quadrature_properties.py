@@ -26,7 +26,7 @@ def _whole_rectangle(f, u_dom, v_dom):
 
     one = Level(jet, lambda phi, h: 0.0, math.hypot(u_dom[1] - u_dom[0], v_dom[1] - v_dom[0]), 1.0)
     whole = lambda u: (np.arange(len(u)), np.full(len(u), float(v_dom[0])), np.full(len(u), float(v_dom[1])))
-    return conforming_integrate_2d(f, Sweep((one,), (one, one), whole, (), 1.0), u_dom)
+    return conforming_integrate_2d(f, Sweep((one,), (one, one), whole), u_dom)
 
 
 @PROPERTY

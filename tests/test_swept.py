@@ -148,19 +148,24 @@ def test_hole_4_draws_are_right_on_the_swept_half_patch(intrinsic_curve, draw):
     assert report.lhs.flagged or report.residual <= report.lhs.estimate + report.rhs.estimate
 
 
-def test_full_intrinsic_patch_needs_its_kink(intrinsic_curve):
+def test_full_intrinsic_patch_is_swept_piece_by_piece(intrinsic_curve):
     # the whole patch s in [-1, 1] has S_u = (3 s^2, 0, 4|s|^3 - 3 y s^2/2),
     # which is not smooth at s = 0; it has no boundary the ball reaches, so
     # the surface side is 0.  The calibration's ball k = 30 straddles s = 0:
-    # right with the declared kink, silently wrong without it
-    S = swept(intrinsic_curve(-1.0, 1.0), LEFT_Y, (-1.0, 1.0), kinks=(0.0,),
-              truncation_edges=((0, -1.0), (0, 1.0), (1, -1.0), (1, 1.0)))
+    # right on the two smooth halves, silently wrong on the unsplit patch
     form = middle_differential(bump_form(np.array([0.07448935573563717, -0.33732997265081216, 0.1801396828666867]),
                                          0.25924202090200343))
-    kinked = integrate_surface(form, S)
-    assert not kinked.flagged and abs(kinked.value) <= kinked.estimate and kinked.stats["pieces"] == 4
-    smooth = integrate_surface(form, replace(S, kinks=()))
-    assert not smooth.flagged and abs(smooth.value) > 10.0 * smooth.estimate
+    edges = ((0, -1.0), (0, 1.0), (1, -1.0), (1, 1.0))
+
+    def patch(a, b):
+        return swept(intrinsic_curve(a, b), LEFT_Y, (-1.0, 1.0), truncation_edges=edges)
+
+    halves = [integrate_surface(form, patch(a, b)) for a, b in ((-1.0, 0.0), (0.0, 1.0))]
+    total, estimate = sum(h.value for h in halves), sum(h.estimate for h in halves)
+    assert not any(h.flagged for h in halves) and abs(total) <= estimate
+    assert sum(h.stats["pieces"] for h in halves) == 4
+    whole = integrate_surface(form, patch(-1.0, 1.0))
+    assert not whole.flagged and abs(whole.value) > 10.0 * whole.estimate
 
 
 def test_a_miss_the_orbits_do_not_see_is_flagged():
@@ -177,3 +182,16 @@ def test_a_miss_the_orbits_do_not_see_is_flagged():
     lost = conforming_integrate_2d(f, blind, S.u_dom)
     assert lost[0] == 0.0 and np.isnan(lost[1]) and lost.stats["faults"] == ["missed_support"]
 
+
+
+def test_maps_that_leave_their_sweep_are_refused():
+    # the rule reads the sweep and the integrand the maps: a position that
+    # leaves the sweep away from the centre only, or a tangent that leaves it
+    # everywhere, is refused rather than integrated
+    S = vertical_halfplane()
+    form = middle_differential(bump_form(np.array([0.0, 0.0, 1.5]), 0.2))
+    assert not integrate_surface(form, S).flagged
+    tilted = lambda u, v: S.position(u, v) + 1e-3 * np.stack(np.broadcast_arrays(0.0 * u, 0.0 * u, u), axis=-1)
+    for bent in (replace(S, position=tilted), replace(S, tangent_u=lambda u, v: 2.0 * S.tangent_u(u, v))):
+        with pytest.raises(ValueError, match="maps are not its sweep's"):
+            integrate_surface(form, bent)
