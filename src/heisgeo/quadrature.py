@@ -98,7 +98,8 @@ class Sweep(NamedTuple):
 
     `folds` are Levels in u whose roots bound pieces; the first is phi's
     maximum on each line within the rectangle, so when every fold level is
-    negative with no root, P misses the rectangle.  `edges` are the Levels
+    negative with no root, at both ends and between, P misses the
+    rectangle.  `edges` are the Levels
     of phi along the v-edges (none when v is periodic).  `inner(u)` gives
     phi's positive intervals of v at each u in closed form, as (owner, a,
     b) with owner the index into u.  The first fold's `noise` is the rule's.
@@ -241,7 +242,7 @@ def conforming_integrate_2d(f, sweep: Sweep, u_dom) -> RuleResult:
     `sweep.inner`.
     """
     found = [(level, *support_roots(level, *u_dom)) for level in sweep.folds]
-    if all(not len(roots) and not bad and (level.jet(np.array(u_dom), axes=())[0] < 0.0).all()
+    if all(not len(roots) and not bad and (level.jet(np.linspace(*u_dom, 3), axes=())[0] < 0.0).all()
            for level, roots, bad in found):
         return RuleResult(0.0, 0.0, rule="conforming", points=0, pieces=0, miss="proved")
     found += [(level, *support_roots(level, *u_dom)) for level in sweep.edges]

@@ -248,6 +248,12 @@ def test_conforming_rule_fails_loud():
     # fold level: negative with no root, so no line meets the disc
     res = conforming_integrate_2d(f, sweep, (2.0, 3.0))
     assert res == (0.0, 0.0) and res.stats == {"rule": "conforming", "points": 0, "pieces": 0, "miss": "proved"}
+    # a fold level negative at both ends but positive at the middle, its
+    # roots hidden by a Lipschitz bound of 0, proves no miss: the one piece
+    # is integrated, and the count change flags it
+    bump = lambda x, axes=(0,): (0.01 - (x - 0.5) ** 2, *(1.0 - 2.0 * x for _ in axes))
+    res = conforming_integrate_2d(f, sweep._replace(folds=(Level(bump, lambda g, h: 0.0, r, 1.0),)), (0.0, 1.0))
+    assert "miss" not in res.stats and np.isnan(res[1]) and res.stats["faults"] == ["root_count"]
 
 
 def test_each_one_dimensional_fault_is_named():
