@@ -13,7 +13,6 @@ equivalent to the loop enclosing zero signed area.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -93,36 +92,6 @@ def planar_radius(curve) -> float:
     return float(np.linalg.norm(xy, axis=-1).max()) + curve.speed * 0.5 * (tau[1] - tau[0])
 
 
-def once_per_run(f):
-    """f over a batch of parameters, evaluated once per run of equal values.
-
-    The batch is read flat; runs are equal float64 bit patterns (an int64
-    view), so -0.0 and 0.0 stay apart and a NaN joins only its own bits.
-    Each run's first value is evaluated and its row repeated, which is f's
-    output bit for bit when f maps each parameter on its own (a lift's
-    height off [a, b] does not: `PrefixIntegral` sums those points' rules in
-    one matrix product).  Surfaces hand their generating curve each u over
-    in runs: the 2-d rule's v-lines and the mesh grids.
-    """
-
-    @functools.wraps(f)
-    def g(tau):
-        tau = np.asarray(tau, dtype=float)
-        flat = tau.ravel()
-        bits = flat.view(np.int64)
-        # the runs' bounds: their starts, then the batch's size
-        edges = np.empty(flat.size + 1, dtype=bool)
-        edges[0] = edges[-1] = True
-        np.not_equal(bits[1:], bits[:-1], out=edges[1:-1])
-        bounds = np.flatnonzero(edges)
-        if bounds.size > flat.size:  # no value repeats
-            return f(tau)
-        out = f(flat[bounds[:-1]])
-        return np.repeat(out, bounds[1:] - bounds[:-1], axis=0).reshape(tau.shape + out.shape[1:])
-
-    return g
-
-
 def _area_rate(xy, dxy):
     """Signed-area rate (x y' - y x')/2 of planar points and velocities."""
     return 0.5 * (xy[..., 0] * dxy[..., 1] - xy[..., 1] * dxy[..., 0])
@@ -158,7 +127,7 @@ def lift_horizontal(curve: PlanarCurve, sign: int = -1) -> HCurve:
 
     # |t'| = |x y' - y x'| / 2 <= |(x, y)| |(x', y')| / 2
     speed = curve.speed * math.sqrt(1.0 + 0.25 * planar_radius(curve) ** 2)
-    return HCurve(curve.a, curve.b, once_per_run(pos), once_per_run(vel), speed)
+    return HCurve(curve.a, curve.b, pos, vel, speed)
 
 
 def lift_closed_defect(curve: PlanarCurve) -> float:

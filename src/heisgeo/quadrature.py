@@ -1,7 +1,7 @@
 """Gauss-Legendre quadrature with rule-pair error estimates.
 
-Integrands must be vectorized over a 1-d array of parameters (2-d rules take
-two flat arrays of equal length).  Every rule reports the finer of two rules
+Integrands must be vectorized over a 1-d array of parameters (the 2-d rule
+hands f(u, owner, v), see below).  Every rule reports the finer of two rules
 and their gap: the uniform curve rule compares against itself at half the
 panel count, which is cheap and pessimistic for the smooth integrands used
 here; the conforming rules compare the Gauss pair (n, 2n) on each piece.
@@ -239,7 +239,8 @@ def conforming_integrate_2d(f, sweep: Sweep, u_dom) -> RuleResult:
     all through a piece.  The outer rule runs through u = a + (b - a)(1 -
     cos(pi s))/2 (A. Sidi, 1993), which smooths the square-root behaviour
     at folds; the inner intervals at each outer node come from
-    `sweep.inner`.
+    `sweep.inner`.  f(u, owner, v) is the integrand at (u[owner], v), with
+    u both rules' outer nodes, each once.
     """
     found = [(level, *support_roots(level, *u_dom)) for level in sweep.folds]
     if all(not len(roots) and not bad and (level.jet(np.linspace(*u_dom, 3), axes=())[0] < 0.0).all()
@@ -270,8 +271,8 @@ def conforming_integrate_2d(f, sweep: Sweep, u_dom) -> RuleResult:
     for k, n in enumerate(CONFORMING_PAIR):
         mine = rule[o] == k
         v, w = _gauss(n, va[mine], vb[mine])
-        rules.append(((np.repeat(u[o[mine]], n), v), w * np.repeat(wu[o[mine]], n)))
-    return _pair(f, *rules, faults, sweep.folds[0].noise, rule="conforming", pieces=len(a))
+        rules.append(((np.repeat(o[mine], n), v), w * np.repeat(wu[o[mine]], n)))
+    return _pair(lambda i, v: f(u, i, v), *rules, faults, sweep.folds[0].noise, rule="conforming", pieces=len(a))
 
 
 class PrefixIntegral:

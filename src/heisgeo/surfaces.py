@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import rotate_t_axis, theta_of
-from .curves import HCurve, horizontality_residual, once_per_run, planar_radius, self_intersection_gap
+from .curves import HCurve, horizontality_residual, self_intersection_gap
 
 __all__ = [
     "ParamSurface",
@@ -60,10 +60,9 @@ class ParamSurface:
     axis 0 and v = value for axis 1, where the domain cuts an unbounded
     surface short; only the listed boundary components are genuine, and
     integrals over the surface require integrands supported away from those
-    edges.  `speed` bounds sqrt(|S_u|^2 + |S_v|^2) over the rectangle; inf
-    when unknown.  `sweep` = (curve, motion) says that S(u, v) =
-    M_v(curve(u)) (see `swept`); the surface integrals need it, and a
-    curve that is only piecewise smooth is swept piece by piece.
+    edges.  `sweep` = (curve, motion) says that S(u, v) = M_v(curve(u))
+    (see `swept`); the surface integrals read it, not the maps, and a curve
+    that is only piecewise smooth is swept piece by piece.
     """
 
     u_dom: tuple[float, float]
@@ -74,7 +73,6 @@ class ParamSurface:
     boundary: tuple[tuple[HCurve, int], ...] = ()
     periodic: tuple[bool, bool] = (False, False)
     truncation_edges: tuple[tuple[int, float], ...] = ()
-    speed: float = math.inf
     sweep: tuple | None = None
 
     def __post_init__(self):
@@ -96,8 +94,7 @@ class Motion(NamedTuple):
 
     `move(p, v)` is M_v(p) and `push(w, v)` its differential applied to w,
     the same at every point; `field(q)` is the generator d/dv M_v at the
-    point q reached, and `field_bound(curve)` bounds |field| on the orbits
-    of the curve's points.  |dM_v| <= 1 + stretch |v|.  `orbit(p, c, r)` is
+    point q reached.  |dM_v| <= 1 + stretch |v|.  `orbit(p, c, r)` is
     (mid, half): the ball level r^2 - |M_v(p) - c|^2 is positive exactly
     where |v - mid| < half, and largest at mid; on a motion with a
     `period`, half = period / 2 is the whole orbit and the level is
@@ -107,7 +104,6 @@ class Motion(NamedTuple):
     move: Callable
     push: Callable
     field: Callable
-    field_bound: Callable
     stretch: float
     orbit: Callable
     period: float | None = None
@@ -163,21 +159,19 @@ def _sheared(w, v):
 
 
 # p + (0, 0, v), the flow of T
-VERTICAL = Motion(lambda p, v: _shifted(p, 2, v), lambda w, v: w, _t_field, lambda curve: 1.0, 0.0,
-                  _line_orbit(_t_field))
-# rotation by v about the t-axis, an isometry: |S_v| = |(x, y)|
+VERTICAL = Motion(lambda p, v: _shifted(p, 2, v), lambda w, v: w, _t_field, 0.0, _line_orbit(_t_field))
+# rotation by v about the t-axis, an isometry
 ROTATE_T = Motion(lambda p, v: rotate_t_axis(v, p), lambda w, v: rotate_t_axis(v, w),
                   lambda q: np.stack([-q[..., 1], q[..., 0], np.zeros(q.shape[:-1])], axis=-1),
-                  planar_radius, 0.0, _circle_orbit, 2.0 * math.pi)
-# (0, v, 0) * p = (x, y + v, t - v x / 2): |dM_v| <= 1 + |v|/2, |S_v| = |(0, 1, -x/2)|
-LEFT_Y = Motion(lambda p, v: _shifted(_sheared(p, v), 1, v), _sheared, _y_field,
-                lambda curve: math.hypot(1.0, 0.5 * planar_radius(curve)), 0.5, _line_orbit(_y_field))
+                  0.0, _circle_orbit, 2.0 * math.pi)
+# (0, v, 0) * p = (x, y + v, t - v x / 2): |dM_v| <= 1 + |v|/2
+LEFT_Y = Motion(lambda p, v: _shifted(_sheared(p, v), 1, v), _sheared, _y_field, 0.5, _line_orbit(_y_field))
 
 
 def swept(curve: HCurve, motion: Motion, v_dom, **fields) -> ParamSurface:
-    """The surface S(u, v) = M_v(curve(u)) over [a, b] x v_dom, with its
-    exact tangents S_u = dM_v(curve'(u)) and S_v, the motion's field;
-    `fields` are the remaining `ParamSurface` fields."""
+    """S(u, v) = M_v(curve(u)) over [a, b] x v_dom: the `sweep` that the
+    integrals read, and maps with the exact tangents S_u = dM_v(curve'(u))
+    and S_v, the motion's field; `fields` are the other `ParamSurface` fields."""
 
     def on_pairs(f):
         return lambda u, v: f(*np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float)))
@@ -186,7 +180,6 @@ def swept(curve: HCurve, motion: Motion, v_dom, **fields) -> ParamSurface:
     tan_u = on_pairs(lambda u, v: motion.push(curve.velocity(u), v))
     v_dom = (float(v_dom[0]), float(v_dom[1]))
     return ParamSurface((curve.a, curve.b), v_dom, pos, tan_u, lambda u, v: motion.field(pos(u, v)),
-                        speed=math.hypot(motion.push_bound(curve, v_dom), motion.field_bound(curve)),
                         sweep=(curve, motion), **fields)
 
 
@@ -290,7 +283,6 @@ def torus_surface(R: float, r: float) -> ParamSurface:
         tangent_v=_on_angles(tan_v),
         boundary=(),
         periodic=(True, True),
-        speed=math.hypot(r, R + r),
     )
     # the torus is its meridian v = 0 (|S_u| = r there) turned about the t-axis
     return replace(S, sweep=(S.edge(1, 0.0, r), ROTATE_T))
@@ -368,7 +360,7 @@ def torus_characteristic_loop(R: float, r: float) -> HCurve:
         return torus.tangent_u(tau, vv) + slope(tau)[..., None] * torus.tangent_v(tau, vv)
 
     # orthogonal tangents: |vel|^2 = r^2 + (2 r cos u / (R + r cos u))^2
-    return HCurve(a, b, once_per_run(pos), once_per_run(vel), math.hypot(r, 2.0 * r / (R - r)))
+    return HCurve(a, b, pos, vel, math.hypot(r, 2.0 * r / (R - r)))
 
 
 def _components(a):

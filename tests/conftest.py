@@ -7,6 +7,11 @@ from heisgeo.curves import HCurve
 from heisgeo.forms import scalar_from_jet
 
 
+def per_node(g):
+    """A plain integrand g(u, v) in the 2-d rule's form f(u, owner, v)."""
+    return lambda u, owner, v: g(u[owner], v)
+
+
 @pytest.fixture
 def affine_field():
     """Factory of the field c + x p_x + y p_y + t p_t; its frame derivatives

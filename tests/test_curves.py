@@ -232,22 +232,3 @@ def test_curves_refuse_an_empty_or_reversed_interval(segment):
         for a, b in ((1.0, 0.0), (0.5, 0.5)):
             with pytest.raises(ValueError, match="b > a"):
                 cls(a, b, seg.position, seg.velocity)
-
-
-def test_curve_maps_evaluated_once_per_run_give_the_direct_bits():
-    # the lift's and the characteristic loop's maps evaluate each run of equal
-    # parameters once; -0.0 and 0.0 are different runs, NaN passes through,
-    # and a 2-d batch is read flat.  The lift's height off [a, b] comes from a
-    # matrix product over the batch's outside points, whose bits depend on
-    # the batch, so its batches stay in [a, b]; the loop's range is open
-    rng = np.random.default_rng(25)
-    for curve, lo, hi in ((lift_horizontal(lemniscate(), sign=1), 0.0, 2.0 * math.pi),
-                          (torus_characteristic_loop(1.7, 1.0), -10.0, 10.0)):
-        runs = np.concatenate([rng.uniform(lo, hi, 40), [0.0, -0.0, math.nan, 2.0 * math.pi, 0.0]])
-        batch = np.repeat(runs, rng.integers(1, 6, runs.size))
-        grid = np.repeat(runs[-12:], 7).reshape(12, 7)
-        for f in (curve.position, curve.velocity):
-            for tau in (batch, grid, grid.T, batch[:1], batch[:0], np.float64(0.3), 0.3):
-                direct = np.asarray(f.__wrapped__(tau))
-                wrapped = f(tau)
-                assert wrapped.shape == direct.shape and wrapped.tobytes() == direct.tobytes(), (f, tau)

@@ -161,7 +161,7 @@ def test_closed_torus_stokes_oracle(affine_field):
     torus = torus_surface(np.sqrt(2.0), 1.0)
     form = middle_differential(HorizontalForm(affine_field(y=1.0), affine_field(t=1.0), support_ball=HOLDS_ALL))
     U, V = np.meshgrid(np.linspace(*torus.u_dom, 65), np.linspace(*torus.v_dom, 65))
-    assert np.abs(_surface_integrand(form, torus)(U.ravel(), V.ravel())).max() > 1.0
+    assert np.abs(_surface_integrand(form, torus)(U.ravel(), np.arange(U.size), V.ravel())).max() > 1.0
     res = integrate_surface(form, torus)
     # the ball holds the whole torus, so the conforming rule takes the whole rectangle
     assert res.stats["rule"] == "conforming" and res.stats["pieces"] == 1
@@ -169,9 +169,10 @@ def test_closed_torus_stokes_oracle(affine_field):
 
 
 def test_support_ball_needs_a_speed_bound():
-    # without a speed bound the support's pieces cannot be certified
-    cyl = lift_cylinder(lift_horizontal(lemniscate(), sign=1), 1.0 / 3.0)
-    unbounded = dataclasses.replace(cyl, speed=math.inf)
+    # without a speed bound on the swept curve the support's pieces cannot
+    # be certified
+    sigma = lift_horizontal(lemniscate(), sign=1)
+    unbounded = lift_cylinder(dataclasses.replace(sigma, speed=math.inf), 1.0 / 3.0)
     try:
         stokes_residual(unbounded, bump_form([1.0, 0.0, 0.1], 0.4))
     except ValueError as exc:
@@ -300,6 +301,7 @@ def test_vertical_term_detects_vertical_boundary():
 def test_level_queries_evaluate_only_the_tangents_they_read():
     S = vertical_halfplane()
     calls = dict.fromkeys(("position", "tangent_u", "tangent_v"), 0)
+    (curve, motion), batches = S.sweep, []
 
     def counted(name):
         def call(u, v):
@@ -307,16 +309,25 @@ def test_level_queries_evaluate_only_the_tangents_they_read():
             return getattr(S, name)(u, v)
         return call
 
-    counted_S = dataclasses.replace(S, **{name: counted(name) for name in calls})
+    def spied(f):
+        def call(u):
+            batches.append(np.array(u, dtype=float).ravel())
+            return f(u)
+        return call
+
+    spied_curve = dataclasses.replace(curve, position=spied(curve.position), velocity=spied(curve.velocity))
+    counted_S = dataclasses.replace(S, sweep=(spied_curve, motion), **{name: counted(name) for name in calls})
     c, r = np.array([0.0, 0.0, 1.5]), 0.2
     b = bump_field(c, r)
     res = integrate_surface(ThetaWedgeForm(b, b, support_ball=(c, r)), counted_S)
     assert (res.value, res.estimate) == (-0.025132741228718135, 2.3717505786458495e-15)
     assert res.stats["points"] == 2880 and res.stats["pieces"] == 3
-    # the truncation edges, the fold and edge levels and the inner intervals
-    # read the swept curve, not these maps; the integrand and the check that
-    # the maps are the sweep read each map once
-    assert calls == {"position": 2, "tangent_u": 2, "tangent_v": 2}
+    # the truncation edges, the levels, the inner intervals and the
+    # integrand all read the swept curve, not these maps
+    assert calls == {"position": 0, "tangent_u": 0, "tangent_v": 0}
+    # and no batch handed to the curve repeats a parameter: the integrand
+    # reads it once per outer node
+    assert batches and all(len(np.unique(u)) == len(u) for u in batches)
     # a level asked for phi alone reads no velocity, and gives phi's bits
     edge = S.edge(1, 1.5, 1.0)
     read = []

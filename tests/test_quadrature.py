@@ -23,6 +23,8 @@ from heisgeo.quadrature import (
     integrate_1d,
 )
 
+from conftest import per_node
+
 
 def test_panel_rule_weights_and_polynomial_exactness():
     edges = np.linspace(-1.0, 3.0, 8)
@@ -170,7 +172,7 @@ def test_a_ball_holding_the_surface_gives_the_whole_rectangle(affine_field):
 
 def test_adaptive_smooth_matches_dblquad():
     f = lambda u, v: np.exp(-(u**2) - v**2) * np.cos(u * v)
-    res = _whole_rectangle(f, (-2.0, 2.0), (-2.0, 2.0))
+    res = _whole_rectangle(per_node(f), (-2.0, 2.0), (-2.0, 2.0))
     value, est = res
     assert res.stats == {"rule": "conforming", "points": 24**2 + 48**2, "pieces": 1}
     truth = sci.dblquad(
@@ -208,7 +210,7 @@ def test_conforming_compact_support_between_nodes():
     c, r = np.array([0.1234, 0.2345]), 0.08
     f, sweep = _disc(c, r, (0.0, 3.0))
     truth = np.pi * r**2 / 5.0  # radial integral of (1 - s)^4 d(s r^2)/2
-    res = conforming_integrate_2d(f, sweep, (-3.0, 3.0))
+    res = conforming_integrate_2d(per_node(f), sweep, (-3.0, 3.0))
     value, est = res
     assert abs(value - truth) < 5e-9
     assert est < 1e-7
@@ -227,7 +229,7 @@ def test_conforming_support_cut_by_domain_edge():
         return sci.quad(lambda u: float(f(np.asarray(u), np.asarray(v))),
                         c[0] - w, c[0] + w, epsabs=1e-14)[0]
     truth = sci.quad(inner, 0.0, c[1] + r, epsabs=1e-13, limit=200)[0]
-    value, est = conforming_integrate_2d(f, sweep, (-3.0, 3.0))
+    value, est = conforming_integrate_2d(per_node(f), sweep, (-3.0, 3.0))
     assert abs(value - truth) < 1e-7
     assert abs(value - truth) <= max(est, 1e-9)
 
@@ -237,22 +239,23 @@ def test_conforming_rule_fails_loud():
     f, sweep = _disc(c, r, (0.0, 1.0))
     # a NaN inside the support reaches the value and the estimate
     nan_inside = lambda u, v: np.where(u > 0.45, np.nan, f(u, v))
-    res = conforming_integrate_2d(nan_inside, sweep, (0.0, 1.0))
+    res = conforming_integrate_2d(per_node(nan_inside), sweep, (0.0, 1.0))
     assert np.isnan(res[0]) and np.isnan(res[1]) and res.stats["faults"] == ["nan"]
     # a fold level that hides the folds leaves one piece whose outer nodes
     # see zero or one interval; the count change flags it instead of integrating
     blind = sweep._replace(folds=(_constant_level(1.0, r),))
-    res = conforming_integrate_2d(f, blind, (0.0, 1.0))
+    res = conforming_integrate_2d(per_node(f), blind, (0.0, 1.0))
     assert res.stats["pieces"] == 1 and np.isnan(res[1]) and res.stats["faults"] == ["root_count"]
     # a support that misses the rectangle gives exactly zero, proved by the
     # fold level: negative with no root, so no line meets the disc
-    res = conforming_integrate_2d(f, sweep, (2.0, 3.0))
+    res = conforming_integrate_2d(per_node(f), sweep, (2.0, 3.0))
     assert res == (0.0, 0.0) and res.stats == {"rule": "conforming", "points": 0, "pieces": 0, "miss": "proved"}
     # a fold level negative at both ends but positive at the middle, its
     # roots hidden by a Lipschitz bound of 0, proves no miss: the one piece
     # is integrated, and the count change flags it
     bump = lambda x, axes=(0,): (0.01 - (x - 0.5) ** 2, *(1.0 - 2.0 * x for _ in axes))
-    res = conforming_integrate_2d(f, sweep._replace(folds=(Level(bump, lambda g, h: 0.0, r, 1.0),)), (0.0, 1.0))
+    res = conforming_integrate_2d(per_node(f), sweep._replace(folds=(Level(bump, lambda g, h: 0.0, r, 1.0),)),
+                                  (0.0, 1.0))
     assert "miss" not in res.stats and np.isnan(res[1]) and res.stats["faults"] == ["root_count"]
 
 
@@ -286,7 +289,7 @@ def test_each_one_dimensional_fault_is_named():
 
 def test_adaptive_nan_sample_propagates():
     f = lambda u, v: np.where(u < 0.5, np.nan, 1.0)
-    value, est = _whole_rectangle(f, (0.0, 1.0), (0.0, 1.0))
+    value, est = _whole_rectangle(per_node(f), (0.0, 1.0), (0.0, 1.0))
     assert np.isnan(value) and np.isnan(est)
 
 
@@ -300,7 +303,7 @@ def test_estimates_floored_at_rounding_bound():
         f = lambda x: np.polynomial.polynomial.polyval(x, coef)
         value, err = integrate_1d(f, -1.0, 2.0)
         assert err >= ROUNDING_FLOOR * np.abs(wts * f(pts)).sum() > 0.0
-    value, est = _whole_rectangle(lambda u, v: u * v + 1.0, (0.0, 1.0), (0.0, 1.0))
+    value, est = _whole_rectangle(per_node(lambda u, v: u * v + 1.0), (0.0, 1.0), (0.0, 1.0))
     assert 0.0 < est < 1e-12
     # the floor does not invent error where the integrand vanishes at every node
     assert integrate_1d(np.zeros_like, 0.0, 1.0) == (0.0, 0.0)

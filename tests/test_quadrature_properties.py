@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from heisgeo.integrate import FLAG_TOL, _result
 from heisgeo.quadrature import Level, Sweep, conforming_integrate_2d, integrate_1d
 
+from conftest import per_node
+
 # fixed examples keep tier-1 repeatable; no example database is written
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -40,7 +42,7 @@ def test_nan_region_is_flagged(u0, v0, du, dv):
         inside = (u >= u0) & (u <= u0 + du) & (v >= v0) & (v <= v0 + dv)
         return np.where(inside, np.nan, 1.0 + u * v)
 
-    value, est = _whole_rectangle(f, (0.0, 1.0), (0.0, 1.0))
+    value, est = _whole_rectangle(per_node(f), (0.0, 1.0), (0.0, 1.0))
     assert np.isnan(value)
     assert _result(value, est, FLAG_TOL).flagged
 
@@ -55,4 +57,4 @@ def test_estimate_of_nonzero_integrand_is_positive(coef, lo, width):
     f2 = lambda u, v: c0 + c1 * u + c2 * v + c3 * u * v
     dom = (lo, lo + width)
     assert integrate_1d(f1, *dom)[1] > 0.0
-    assert _whole_rectangle(f2, dom, dom)[1] > 0.0
+    assert _whole_rectangle(per_node(f2), dom, dom)[1] > 0.0

@@ -103,7 +103,8 @@ def test_halfplane_is_the_vertical_map_over_the_y_axis():
         z, o = np.zeros(vv.shape), np.ones(vv.shape)
         for f, want in ((hp.position, (z, ub, vv)), (hp.tangent_u, (z, o, z)), (hp.tangent_v, (z, z, o))):
             assert f(uu, vv).tobytes() == np.stack(want, axis=-1).tobytes(), f
-    assert hp.speed == math.sqrt(2.0)
+    curve, motion = hp.sweep
+    assert motion.push_bound(curve, hp.v_dom) == 1.0
 
 
 def test_lift_cylinder_boundary_and_periodicity():
@@ -250,10 +251,16 @@ def test_speed_bounds_hold():
         S = _stokes_scene(scene)[0]
         uu = S.u_dom[0] + (S.u_dom[1] - S.u_dom[0]) * u
         vv = S.v_dom[0] + (S.v_dom[1] - S.v_dom[0]) * v
-        sq = (S.tangent_u(uu, vv) ** 2).sum(axis=-1) + (S.tangent_v(uu, vv) ** 2).sum(axis=-1)
-        assert np.sqrt(sq.max()) <= S.speed < 2.0 * np.sqrt(sq.max()), scene
+        su = np.linalg.norm(S.tangent_u(uu, vv), axis=-1).max()
+        bound = S.sweep[1].push_bound(S.sweep[0], S.v_dom)
+        assert su <= bound < 2.0 * su, scene
         for curve, _ in S.boundary:
             tau = np.linspace(curve.a, curve.b, 4001)
-            assert np.linalg.norm(curve.velocity(tau), axis=-1).max() <= curve.speed <= S.speed
+            assert np.linalg.norm(curve.velocity(tau), axis=-1).max() <= curve.speed <= bound
+    # the torus's bound is its meridian's r = 1, and |S_u| = r everywhere,
+    # sampled to rounding
     torus = torus_surface(2.0, 1.0)
-    assert np.isclose(torus.speed, np.hypot(1.0, 3.0))
+    angles = np.linspace(0.0, 2.0 * np.pi, 129)
+    su = np.linalg.norm(torus.tangent_u(*np.meshgrid(angles, angles)), axis=-1)
+    assert torus.sweep[1].push_bound(torus.sweep[0], torus.v_dom) == 1.0
+    assert np.abs(su - 1.0).max() <= 4.0 * np.finfo(float).eps

@@ -11,15 +11,17 @@ For each scene it runs
 
 CALLS times in this process.  On the first run it counts the calls of
 every level jet that `integrate._ball_level` returns (on surfaces, rims and
-truncation edges alike) and the points they evaluate, and reads the
-integrand points of both sides from the report (`lhs_stats` and
-`rhs_stats`).  Around every run it reads the minor page faults of this
+truncation edges alike) and the points they evaluate, and the calls and
+points at which a lift's height is evaluated (`PrefixIntegral.__call__`),
+and reads the integrand points of both sides from the report (`lhs_stats`
+and `rhs_stats`).  Around every run it reads the minor page faults of this
 process from `resource.getrusage`, and reports their median over the runs
 after the first, when the caches are warm.  It prints one JSON line,
-{scene: {"level_calls", "level_points", "integrand_points",
-"minflt_per_call"}}.  The counts are deterministic; the page faults are
-not.  It reads the levels through `integrate._ball_level` and the reports
-through the CLI, so it runs on any commit that has that helper.
+{scene: {"level_calls", "level_points", "height_calls", "height_points",
+"integrand_points", "minflt_per_call"}}.  The counts are deterministic;
+the page faults are not.  It reads the levels through
+`integrate._ball_level`, the heights through `quadrature.PrefixIntegral`
+and the reports through the CLI, so it runs on any commit that has those.
 """
 
 from __future__ import annotations
@@ -36,15 +38,15 @@ import numpy as np
 
 sys.path.insert(0, str(Path.cwd() / "src"))
 
-from heisgeo import cli, integrate  # noqa: E402
+from heisgeo import cli, integrate, quadrature  # noqa: E402
 
 SCENES = ("halfplane", "sigma-cylinder", "band")
 CALLS = 4
 
 
 def main() -> int:
-    counts = {"level_calls": 0, "level_points": 0}
-    ball_level = integrate._ball_level
+    counts = dict.fromkeys(("level_calls", "level_points", "height_calls", "height_points"), 0)
+    ball_level, height = integrate._ball_level, quadrature.PrefixIntegral.__call__
 
     def counted(*args, **kwargs):
         level = ball_level(*args, **kwargs)
@@ -56,7 +58,13 @@ def main() -> int:
 
         return level._replace(jet=jet)
 
+    def counted_height(self, tau):
+        counts["height_calls"] += 1
+        counts["height_points"] += int(np.size(tau))
+        return height(self, tau)
+
     integrate._ball_level = counted
+    quadrature.PrefixIntegral.__call__ = counted_height
     result = {}
     with tempfile.TemporaryDirectory() as tmp:
         for scene in SCENES:
@@ -65,7 +73,7 @@ def main() -> int:
             faults = []
             for call in range(CALLS):
                 if call == 0:
-                    counts.update(level_calls=0, level_points=0)
+                    counts.update(dict.fromkeys(counts, 0))
                 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 code = cli.main(argv)
                 faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
