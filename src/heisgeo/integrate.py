@@ -70,22 +70,23 @@ def _result(value: float, estimate: float, tol: float, stats=MappingProxyType({}
     return IntegralResult(float(value), float(estimate), flagged, MappingProxyType(dict(stats)))
 
 
-def _ball_level(position, velocity, speed, ball) -> Level:
-    """The level r^2 - |p - c|^2 of a ball along a curve with this velocity.
-    Within h, |level'| <= 2 (|p - c| + speed h) speed; the ball is r / speed
-    wide in parameters, and points rounded to eps (|c| + r) are seen at its
-    scale r: noise = (|c| + r) / r."""
+def _ball_level(points, speeds, ball) -> Level:
+    """The ball level r^2 - |p - c|^2 along lines, (p, p') = `points(x, owner,
+    velocity)`, |p'| <= `speeds[owner]`.  Within h, |level'| <= 2 (|p - c| +
+    speed h) speed; the ball is r / speed wide in parameters, and points
+    rounded to eps (|c| + r) are seen at its scale r: noise = (|c| + r) / r."""
     center, radius = np.asarray(ball[0], dtype=float), float(ball[1])
-    r2 = radius * radius
+    r2, speeds = radius * radius, np.asarray(speeds, dtype=float)
 
-    def jet(x, axes=(0,)):
-        d = position(x) - center
-        return (r2 - (d * d).sum(axis=-1), *(-2.0 * (d * velocity(x)).sum(axis=-1) for _ in axes))
+    def jet(x, owner, axes=(0,)):
+        p, w = points(x, owner, bool(axes))
+        d = p - center
+        return (r2 - (d * d).sum(axis=-1), *(-2.0 * (d * w).sum(axis=-1) for _ in axes))
 
-    def lip(level, h):
-        return 2.0 * (np.sqrt(np.maximum(r2 - level, 0.0)) + speed * h) * speed
+    def lip(level, h, owner):
+        return 2.0 * (np.sqrt(np.maximum(r2 - level, 0.0)) + speeds[owner] * h) * speeds[owner]
 
-    return Level(jet, lip, radius / speed, (np.linalg.norm(center) + radius) / radius)
+    return Level(jet, lip, tuple(radius / speeds), (np.linalg.norm(center) + radius) / radius)
 
 
 def integrate_curve(form, curve: HCurve, flag_tol: float = FLAG_TOL,
@@ -97,13 +98,18 @@ def integrate_curve(form, curve: HCurve, flag_tol: float = FLAG_TOL,
     `support_ball` defaults to the form's own; passing it lets a form
     wrapped in a plain callable keep its clipped rule.
     """
+    return _curve_integral(form, curve, flag_tol, support_ball, None)
+
+
+def _curve_integral(form, curve: HCurve, flag_tol, support_ball, found) -> IntegralResult:
+    """`integrate_curve`, given the ball level's (roots, faults) if solved."""
     ball = support_ball or getattr(form, "support_ball", None)
     f = lambda tau: form(curve.position(tau), curve.velocity(tau))
     if ball is None or not math.isfinite(curve.speed):
         res = integrate_1d(f, curve.a, curve.b)
     else:
-        level = _ball_level(curve.position, curve.velocity, curve.speed, ball)
-        res = conforming_integrate_1d(f, level, curve.a, curve.b)
+        points = lambda x, owner, velocity: (curve.position(x), curve.velocity(x) if velocity else None)
+        res = conforming_integrate_1d(f, _ball_level(points, (curve.speed,), ball), curve.a, curve.b, found)
     return _result(*res, flag_tol, res.stats)
 
 
@@ -144,55 +150,59 @@ def _orbit_intervals(mid, half, v_dom, period, periodic):
 
 
 def _sweep(S: ParamSurface, ball) -> Sweep:
-    """The ball's level on a swept surface, S(u, v) = M_v(curve(u)).
+    """The ball's level on a swept surface, S(u, v) = M_v(curve(u)), along
+    lines in u solved in one search: the ball levels of S(u, v(u)), with
+    S_u(u, v(u)) as velocity, reading the curve once per parameter.
 
-    The fold levels are the ball levels of S(u, v(u)), with S_u(u, v(u)) as
-    velocity, where v(u) is the point of v_dom nearest the orbit's top
-    (its largest level) and, on a circle, also the one nearest its bottom.
-    So the first is the level's maximum over the orbit within v_dom; since
-    the level is stationary in v there or held at an edge, S_u is the fold
-    level's derivative (the envelope theorem), and the distance to either
-    point moves at most by the motion's bound on |S_u|.  The edge levels
-    take v(u) constant.  It raises `ValueError` unless the ball stays off
+    On a fold line v(u) is the point of v_dom nearest the orbit's top (its
+    largest level) or, on a circle's second fold, its bottom.  So the first
+    is the level's maximum over the orbit within v_dom; since the level is
+    stationary in v there or held at an edge, S_u is its derivative (the
+    envelope theorem), and the distance to either point moves at most by
+    the motion's bound on |S_u|.  The v-edges and any other truncation line
+    hold v constant.  It raises `ValueError` unless the ball stays off
     every truncation edge: an orbit u = value has no positive interval, and
     on a line v = value the level has no root and is negative.
     """
     curve, motion = S.sweep
     (v0, v1), period = S.v_dom, motion.period
     center, radius = np.asarray(ball[0], dtype=float), float(ball[1])
+    shifts = (0.0,) + ((0.5 * period,) if period else ())
+    edges = () if S.periodic[1] else S.v_dom
+    values = edges + tuple(float(v) for axis, v in S.truncation_edges if axis == 1 and v not in edges)
+    # per line: a fold's shift from the orbit's top, or a constant line's v
+    at, folds = np.array(shifts + values), len(shifts)
 
-    def level(v, v_dom):
-        return _ball_level(lambda u: motion.move(curve.position(u), v(u)),
-                           lambda u: motion.push(curve.velocity(u), v(u)), motion.push_bound(curve, v_dom), ball)
+    def top(mid, shift):
+        if period is None:
+            return np.clip(mid, v0, v1)
+        # mid + shift lies at v0 + ahead; past v1 the nearer end is taken
+        ahead = np.mod(mid + shift - v0, period)
+        return np.where(ahead <= v1 - v0, v0 + ahead, np.where(ahead - (v1 - v0) < period - ahead, v1, v0))
 
-    def edge(v):
-        return level(lambda u: np.broadcast_to(v, np.shape(u)), (v,))
-
-    def top(shift):
-        def v(u):
-            mid = motion.orbit(curve.position(u), center, radius)[0]
-            if period is None:
-                return np.clip(mid, v0, v1)
-            # mid + shift lies at v0 + ahead; past v1 the nearer end is taken
-            ahead = np.mod(mid + shift - v0, period)
-            return np.where(ahead <= v1 - v0, v0 + ahead, np.where(ahead - (v1 - v0) < period - ahead, v1, v0))
-
-        return level(v, S.v_dom)
+    def points(u, owner, velocity):
+        # lines share parameters, and the curve is read once at each
+        x, at_x = np.unique(u, return_inverse=True)
+        p = curve.position(x)[at_x]
+        v = np.where(owner < folds, top(motion.orbit(p, center, radius)[0], at[owner]), at[owner])
+        return motion.move(p, v), motion.push(curve.velocity(x)[at_x], v) if velocity else None
 
     def inner(u):
         return _orbit_intervals(*motion.orbit(curve.position(u), center, radius), S.v_dom, period, S.periodic[1])
 
+    speeds = [motion.push_bound(curve, S.v_dom)] * folds + [motion.push_bound(curve, (v,)) for v in values]
+    level = _ball_level(points, speeds, ball)
+    sweep = Sweep(level, folds, S.u_dom, support_roots(level, *S.u_dom), inner)
     for axis, value in S.truncation_edges:
         if axis == 0:
             reaches = len(inner(np.array([float(value)]))[0])
         else:
-            line = edge(value)
-            roots, fault = support_roots(line, *S.u_dom)
-            reaches = fault or len(roots) or not line.jet(np.array(S.u_dom[0]), axes=())[0] < 0.0
+            k = folds + values.index(float(value))
+            roots, fault = sweep.lines[k]
+            reaches = fault or len(roots) or not level.jet(np.array([S.u_dom[0]]), k, axes=())[0][0] < 0.0
         if reaches:
             raise ValueError(f"support ball reaches the truncation edge {'uv'[axis]} = {value:g}")
-    folds = (top(0.0),) + ((top(0.5 * period),) if period else ())
-    return Sweep(folds, () if S.periodic[1] else tuple(map(edge, S.v_dom)), inner)
+    return sweep
 
 
 def integrate_surface(form, S: ParamSurface, flag_tol: float = FLAG_TOL) -> IntegralResult:
@@ -205,19 +215,26 @@ def integrate_surface(form, S: ParamSurface, flag_tol: float = FLAG_TOL) -> Inte
     or on a truncated surface with the ball reaching a truncation edge, it
     raises `ValueError`.
     """
+    return _surface_side(form, S, flag_tol)[0]
+
+
+def _surface_side(form, S: ParamSurface, flag_tol: float):
+    """`integrate_surface`, and the `_sweep` that it solved."""
     ball = getattr(form, "support_ball", None)
     if ball is None or S.sweep is None or not math.isfinite(S.sweep[0].speed):
         raise ValueError("a surface integral needs a form with a support ball, and a swept surface "
                          "with a speed bound")
-    res = conforming_integrate_2d(_surface_integrand(form, S), _sweep(S, ball), S.u_dom)
-    return _result(*res, flag_tol, res.stats)
+    sweep = _sweep(S, ball)
+    res = conforming_integrate_2d(_surface_integrand(form, S), sweep)
+    return _result(*res, flag_tol, res.stats), sweep
 
 
 def boundary_integral(form, S: ParamSurface, flag_tol: float = FLAG_TOL,
-                      support_ball=None) -> IntegralResult:
+                      support_ball=None, sweep=None) -> IntegralResult:
     """Sum of oriented boundary component integrals of a degree-1 form.
 
-    `support_ball` is handed to `integrate_curve` for every rim.
+    `support_ball` is handed to `integrate_curve` for every rim; `sweep`,
+    the `_sweep` of that ball, gives each v-edge rim (`rim_edges`) its roots.
     """
     if S.boundary is None:
         raise ValueError("surface carries no boundary data")
@@ -225,7 +242,9 @@ def boundary_integral(form, S: ParamSurface, flag_tol: float = FLAG_TOL,
     estimate = 0.0
     flagged = False
     stats = {}
-    parts = [integrate_curve(form, curve, flag_tol, support_ball) for curve, _ in S.boundary]
+    parts = [_curve_integral(form, curve, flag_tol, support_ball,
+                             None if sweep is None or edge is None else sweep.lines[sweep.folds + edge])
+             for (curve, _), edge in zip(S.boundary, S.rim_edges or (None,) * len(S.boundary))]
     for part, (_, orientation) in zip(parts, S.boundary):
         total += orientation * part.value
         estimate += part.estimate
@@ -250,11 +269,11 @@ def stokes_residual(S: ParamSurface, form: HorizontalForm, flag_tol: float = STO
     the boundary side `form` itself over the oriented boundary; the
     residual is their difference.  Both sides flag against `flag_tol`, by
     default STOKES_BUDGET, the error budget of the verification, rather than
-    the strict FLAG_TOL used for standalone integrals.
+    the strict FLAG_TOL used for standalone integrals.  One search serves
+    both sides: the surface's `_sweep` and the rims that are its v-edges.
     """
-    two_form = middle_differential(form)
-    lhs = integrate_surface(two_form, S, flag_tol=flag_tol)
-    rhs = boundary_integral(form, S, flag_tol=flag_tol, support_ball=form.support_ball)
+    lhs, sweep = _surface_side(middle_differential(form), S, flag_tol)
+    rhs = boundary_integral(form, S, flag_tol=flag_tol, support_ball=form.support_ball, sweep=sweep)
     return StokesReport(lhs, rhs, abs(lhs.value - rhs.value))
 
 

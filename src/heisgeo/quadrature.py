@@ -16,14 +16,15 @@ through `max`, so an estimate above it is the plain Richardson gap.
 The conforming rules integrate a function that vanishes outside P = {phi
 > 0} over P only, with every breakpoint on phi = 0: iterated Gauss-Legendre
 over the roots of phi (R. I. Saye, SIAM J. Sci. Comput. 37(2), 2015), the
-pair (n, 2n) giving the value and the floored gap.  On a curve the `Level`
-carries phi, and its roots are solved for, never sampled: a cell is dropped
+pair (n, 2n) giving the value and the floored gap.  A `Level` carries phi
+along one or more lines (an owner axis), and `support_roots` solves for
+the roots of all of them in one search, never sampling: a cell is dropped
 only when |phi| at its centre exceeds lip times its half-width, the rest
 are halved and Newton polishes the roots left in them.  On a surface whose
 lines u = const are orbits of a motion (a `Sweep`), phi's positive set on
-each line is known in closed form, so the only searches are those for the
-u-breakpoints, along curves.  The checks that fire are named in the stats'
-`faults` and make the estimate NaN: `nan`, `unsettled` (a root solve),
+each line is known in closed form, so the only search is that for the
+u-breakpoints.  The checks that fire are named in the stats' `faults` and
+make the estimate NaN: `nan`, `unsettled` (a root solve),
 `root_count` (a change inside a piece), `sign_pattern` (neighbouring
 intervals of one sign) and `missed_support` (no piece sees P, and nothing
 proves it misses).  A miss that is proved reads `miss: "proved"`.
@@ -79,34 +80,37 @@ class RuleResult(tuple):
 class Level(NamedTuple):
     """The level phi whose positive set P = {phi > 0} holds an integrand's support.
 
-    `jet(x, axes)` is phi along a line of parameters x and, unless axes=(),
-    its derivative.  `lip(phi, h)` bounds |phi'| within h of a point where
-    phi takes that value.  `scale` is the size of P in parameters, the
-    widest cell a root search starts from.  `noise`, the factor by which the
-    integrand's inputs are rounded worse than its own scale, multiplies the
-    rounding floor.
+    `jet(x, owner, axes)` is phi at x on the lines `owner` (an index per
+    point, or one for all) and, unless axes=(), its derivative, point by
+    point (no bit depends on the batch).  `lip(phi, h, owner)` bounds
+    |phi'| within h of a point where phi takes that value.  `scale`, one
+    per line, is the size of P in parameters, the widest cell a root search
+    starts from.  `noise`, the factor by which the integrand's inputs are
+    rounded worse than its own scale, multiplies the rounding floor.
     """
 
     jet: Callable
     lip: Callable
-    scale: float
+    scale: tuple
     noise: float
 
 
 class Sweep(NamedTuple):
-    """A level phi(u, v) on a rectangle whose lines u = const are orbits.
+    """A level phi(u, v) on u_dom x v_dom whose lines u = const are orbits.
 
-    `folds` are Levels in u whose roots bound pieces; the first is phi's
-    maximum on each line within the rectangle, so when every fold level is
-    negative with no root, at both ends and between, P misses the
-    rectangle.  `edges` are the Levels
-    of phi along the v-edges (none when v is periodic).  `inner(u)` gives
-    phi's positive intervals of v at each u in closed form, as (owner, a,
-    b) with owner the index into u.  The first fold's `noise` is the rule's.
+    `level` runs along lines in u: `folds` fold levels, the first phi's
+    maximum on each orbit within the rectangle, so when all are negative
+    with no root, at both ends and between, P misses the rectangle; then
+    the v-edges (none when v is periodic) and any other truncation line,
+    which has no root.  `lines` is `support_roots(level, *u_dom)`.
+    `inner(u)` gives phi's positive intervals of v at each u in closed
+    form, as (owner, a, b) with owner the index into u.
     """
 
-    folds: tuple
-    edges: tuple
+    level: Level
+    folds: int
+    u_dom: tuple
+    lines: list
     inner: Callable
 
 
@@ -152,103 +156,117 @@ def integrate_1d(f, a: float, b: float) -> RuleResult:
     return _pair(f, *rules, set(), 1.0, rule="uniform", panels=CURVE_PANELS)
 
 
-def _solve(jet, lo, hi):
-    """Root of g in each sign bracket [lo, hi] by Newton, bisecting where a
-    step would leave the bracket; NaN where it has not settled to 1e-9 of it."""
-    settle, g_lo, x = 1e-9 * (hi - lo), jet(lo)[0], 0.5 * (lo + hi)
+def _solve(jet, lo, hi, g_lo, group):
+    """Root of g (g_lo at lo) in each sign bracket [lo, hi] by Newton, bisecting
+    where a step would leave it; NaN where unsettled to 1e-9 of it.  `jet(x, k)`
+    is (g, g') at x in brackets k; a `group` stops together once all settle."""
+    lo, hi, x = lo.copy(), hi.copy(), 0.5 * (lo + hi)
+    settle, done, k = 1e-9 * (hi - lo), np.zeros(len(lo), dtype=bool), np.arange(len(lo))
     for _ in range(NEWTON_STEPS):
-        g, d = jet(x)
-        right = (g > 0.0) == (g_lo > 0.0)
-        lo, hi = np.where(right, x, lo), np.where(right, hi, x)
-        x_new = x - g / d
-        done = (np.abs(x_new - x) <= settle) | (hi - lo <= settle)
-        x = np.where((x_new >= lo) & (x_new <= hi), x_new, 0.5 * (lo + hi))
-        if done.all():
+        if not len(k):
             break
+        g, d = jet(x[k], k)
+        right = (g > 0.0) == (g_lo[k] > 0.0)
+        lo[k], hi[k] = np.where(right, x[k], lo[k]), np.where(right, hi[k], x[k])
+        x_new = x[k] - g / d
+        done[k] = (np.abs(x_new - x[k]) <= settle[k]) | (hi[k] - lo[k] <= settle[k])
+        x[k] = np.where((x_new >= lo[k]) & (x_new <= hi[k]), x_new, 0.5 * (lo[k] + hi[k]))
+        k = k[np.isin(group[k], group[k[~done[k]]])]
     return np.where(done, x, np.nan)
 
 
 def support_roots(level: Level, a: float, b: float):
-    """Roots on [a, b] of a level along a line; (roots, faults).
-
-    Cells start at most `level.scale` wide; one is dropped when |phi| at its
-    centre exceeds lip times its half-width, the rest are halved down to
-    scale/64 and merge into clusters.  Ends of differing sign bracket a
-    root, ends of equal sign with differing slopes an extremum, and two
-    roots if phi crosses zero there.  The faults are `nan` for a NaN level
-    at a cluster's end and `unsettled` for a root whose solve has not settled.
-    """
-    jet = level.jet
-    edges = np.linspace(a, b, int(np.ceil((b - a) / level.scale)) + 1)
-    a, b, done = edges[:-1], edges[1:], [(edges[:0], edges[:0])]
-    while len(a):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        g = jet(mid, axes=())[0]
-        live = ~(np.abs(g) > level.lip(g, half) * half)
-        a, b, mid = a[live], b[live], mid[live]
-        fine = b - a <= level.scale / 64.0
-        done.append((a[fine], b[fine]))
-        a, b = np.concatenate((a[~fine], mid[~fine])), np.concatenate((mid[~fine], b[~fine]))
-    a, b = (np.sort(np.concatenate(x)) for x in zip(*done))
-    if not len(a):
-        return a, set()
-    first = np.flatnonzero(np.concatenate(([True], a[1:] != b[:-1])))
-    a, b = a[first], b[np.append(first[1:], len(b)) - 1]
-    (ga, da), (gb, db) = jet(a), jet(b)
+    """Roots on [a, b] of a level along each line: one (roots, faults) per
+    line, with the bits of a search of that line alone.  Cells start at
+    most the line's `scale` wide; one is dropped when |phi| at its centre
+    exceeds lip times its half-width, the rest are halved down to scale/64
+    and merge into clusters within their line.  Ends of differing sign
+    bracket a root, ends of equal sign with differing slopes an extremum,
+    and two roots if phi crosses zero there.  The faults are `nan` for a
+    NaN level at a cluster's end and `unsettled` for an unsettled solve."""
+    jet, scale, n = level.jet, np.asarray(level.scale, dtype=float), len(level.scale)
+    edges = [np.linspace(a, b, int(np.ceil((b - a) / s)) + 1) for s in scale]
+    owner, lo, hi = (np.concatenate(x) for x in zip(*((np.full(len(e) - 1, k), e[:-1], e[1:])
+                                                      for k, e in enumerate(edges))))
+    done = [(owner[:0], lo[:0], hi[:0])]
+    while len(lo):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        g = jet(mid, owner, axes=())[0]
+        live = ~(np.abs(g) > level.lip(g, half, owner) * half)
+        owner, lo, hi, mid = owner[live], lo[live], hi[live], mid[live]
+        fine = hi - lo <= scale[owner] / 64.0
+        done.append((owner[fine], lo[fine], hi[fine]))
+        owner, lo, hi = (np.concatenate((x[~fine], y[~fine])) for x, y in ((owner, owner), (lo, mid), (mid, hi)))
+    owner, lo, hi = (np.concatenate(x) for x in zip(*done))
+    # each line's cells in order; a cluster starts where a cell leaves a gap
+    lo, hi, owner = lo[np.lexsort((lo, owner))], hi[np.lexsort((hi, owner))], np.sort(owner)
+    new = np.ones(len(lo), dtype=bool)
+    new[1:] = (lo[1:] != hi[:-1]) | (owner[1:] != owner[:-1])
+    owner, lo, hi = owner[new], lo[new], hi[np.roll(new, -1)]
+    g, d = jet(np.concatenate((lo, hi)), np.tile(owner, 2)) if len(lo) else (lo, lo)
+    (ga, gb), (da, db) = np.split(g, 2), np.split(d, 2)
     cross = (ga > 0.0) != (gb > 0.0)
-    found = [_solve(jet, a[cross], b[cross])]
     turn = ~cross & ((da > 0.0) != (db > 0.0))
+    # brackets (lo, hi, phi at lo) and groups: each kind on each line, as its own solve
+    brackets = [(lo[cross], hi[cross], ga[cross], owner[cross])]
     if turn.any():
-        lo, hi = a[turn], b[turn]
-        h = 1e-4 * (hi - lo)
-        x = _solve(lambda x: (jet(x)[1], (jet(x + h)[1] - jet(x - h)[1]) / (2.0 * h)), lo, hi)
-        two = (jet(x, axes=())[0] > 0.0) != (ga[turn] > 0.0)
-        lo, x, hi = lo[two], x[two], hi[two]
-        found += [_solve(jet, lo, x), _solve(jet, x, hi)]
-    roots = np.sort(np.concatenate(found))
-    faults = {"nan"} if np.isnan(np.concatenate((ga, gb))).any() else set()
-    return roots, faults | ({"unsettled"} if np.isnan(roots).any() else set())
+        t_lo, t_hi, t_owner = lo[turn], hi[turn], owner[turn]
+        h = 1e-4 * (t_hi - t_lo)
+        x = _solve(lambda x, k: (jet(x, t_owner[k])[1], (jet(x + h[k], t_owner[k])[1]
+                                                       - jet(x - h[k], t_owner[k])[1]) / (2.0 * h[k])),
+                   t_lo, t_hi, da[turn], t_owner)
+        g_x = jet(x, t_owner, axes=())[0]
+        two = (g_x > 0.0) != (ga[turn] > 0.0)
+        brackets += [(t_lo[two], x[two], ga[turn][two], t_owner[two] + n),
+                     (x[two], t_hi[two], g_x[two], t_owner[two] + 2 * n)]
+    lo, hi, g_lo, group = (np.concatenate(x) for x in zip(*brackets))
+    line = group % n
+    roots = _solve(lambda x, k: jet(x, line[k]), lo, hi, g_lo, group)
+    nan = set(owner[np.isnan(ga) | np.isnan(gb)])
+    found = [np.sort(roots[line == k]) for k in range(n)]
+    return [(r, ({"nan"} if k in nan else set()) | ({"unsettled"} if np.isnan(r).any() else set()))
+            for k, r in enumerate(found)]
 
 
-def conforming_integrate_1d(f, level: Level, a: float, b: float) -> RuleResult:
-    """Integral over [a, b] of f, which vanishes where the level is <= 0.
+def conforming_integrate_1d(f, level: Level, a: float, b: float, found=None) -> RuleResult:
+    """Integral over [a, b] of f, which vanishes where the level (one line) is <= 0.
 
-    Each interval between roots where the level is > 0 gets the pair
+    The roots are `found`, as (roots, faults), or solved here.  Each
+    interval between roots where the level is > 0 gets the pair
     CURVE_PAIR; neighbouring intervals share a sign only past a missed or
     spurious root.  A level with no root that is negative at both ends and
     between is a proved miss.
     """
-    roots, faults = support_roots(level, a, b)
+    roots, faults = found or support_roots(level, a, b)[0]
     cuts = np.sort(np.concatenate(([a], roots, [b])))
     lo, hi = cuts[:-1][cuts[1:] > cuts[:-1]], cuts[1:][cuts[1:] > cuts[:-1]]
-    pos = level.jet(0.5 * (lo + hi), axes=())[0] > 0.0
-    faults |= {"sign_pattern"} if np.any(pos[1:] == pos[:-1]) else set()
+    pos = level.jet(0.5 * (lo + hi), 0, axes=())[0] > 0.0
+    faults = faults | ({"sign_pattern"} if np.any(pos[1:] == pos[:-1]) else set())
     lo, hi = lo[pos], hi[pos]
-    miss = not (len(roots) or len(lo) or faults) and bool((level.jet(np.array([a, b]), axes=())[0] < 0.0).all())
+    miss = not (len(roots) or len(lo) or faults) and bool((level.jet(np.array([a, b]), 0, axes=())[0] < 0.0).all())
     faults |= {"missed_support"} if not len(lo) and not miss else set()
     rules = [((x,), w) for x, w in (_gauss(n, lo, hi) for n in CURVE_PAIR)]
     return _pair(f, *rules, faults, level.noise, rule="conforming", pieces=len(lo),
                  **({"miss": "proved"} if miss else {}))
 
 
-def conforming_integrate_2d(f, sweep: Sweep, u_dom) -> RuleResult:
+def conforming_integrate_2d(f, sweep: Sweep) -> RuleResult:
     """Integral over a rectangle of f, which vanishes outside P = {phi > 0}.
 
-    The u-breakpoints are the ends and the roots of the fold and edge
-    levels, so that the number of positive intervals on a line is the same
-    all through a piece.  The outer rule runs through u = a + (b - a)(1 -
-    cos(pi s))/2 (A. Sidi, 1993), which smooths the square-root behaviour
-    at folds; the inner intervals at each outer node come from
+    The u-breakpoints are the ends of `sweep.u_dom` and the roots of the
+    sweep's lines, so that the number of positive intervals on a line is
+    the same all through a piece.  The outer rule runs through u = a + (b -
+    a)(1 - cos(pi s))/2 (A. Sidi, 1993), which smooths the square-root
+    behaviour at folds; the inner intervals at each outer node come from
     `sweep.inner`.  f(u, owner, v) is the integrand at (u[owner], v), with
-    u both rules' outer nodes, each once.
+    u the outer nodes of both rules that own an interval, each once.
     """
-    found = [(level, *support_roots(level, *u_dom)) for level in sweep.folds]
-    if all(not len(roots) and not bad and (level.jet(np.linspace(*u_dom, 3), axes=())[0] < 0.0).all()
-           for level, roots, bad in found):
+    u_dom, level, folds = sweep.u_dom, sweep.level, np.arange(3 * sweep.folds)
+    if not any(len(roots) or bad for roots, bad in sweep.lines[:sweep.folds]) and (
+            level.jet(np.linspace(*u_dom, 3)[folds % 3], folds // 3, axes=())[0] < 0.0).all():
         return RuleResult(0.0, 0.0, rule="conforming", points=0, pieces=0, miss="proved")
-    found += [(level, *support_roots(level, *u_dom)) for level in sweep.edges]
-    faults = set().union(*(bad for _, _, bad in found))
-    breaks = np.unique(np.clip(np.concatenate([u_dom] + [roots for _, roots, _ in found]), *u_dom))
+    faults = set().union(*(bad for _, bad in sweep.lines))
+    breaks = np.unique(np.clip(np.concatenate([u_dom] + [roots for roots, _ in sweep.lines]), *u_dom))
     breaks = breaks[np.concatenate(([True], np.diff(breaks) > 1e-12 * (u_dom[1] - u_dom[0])))]
     a, b = breaks[:-1], np.append(breaks[1:-1], u_dom[1])
 
@@ -267,12 +285,14 @@ def conforming_integrate_2d(f, sweep: Sweep, u_dom) -> RuleResult:
         faults.add("root_count")
     if not len(o):
         faults.add("missed_support")
+    # the integrand sees only the nodes that own an interval
+    own, o_own = np.unique(o, return_inverse=True)
     rules = []
     for k, n in enumerate(CONFORMING_PAIR):
         mine = rule[o] == k
         v, w = _gauss(n, va[mine], vb[mine])
-        rules.append(((np.repeat(o[mine], n), v), w * np.repeat(wu[o[mine]], n)))
-    return _pair(lambda i, v: f(u, i, v), *rules, faults, sweep.folds[0].noise, rule="conforming", pieces=len(a))
+        rules.append(((np.repeat(o_own[mine], n), v), w * np.repeat(wu[o[mine]], n)))
+    return _pair(lambda i, v: f(u[own], i, v), *rules, faults, level.noise, rule="conforming", pieces=len(a))
 
 
 class PrefixIntegral:

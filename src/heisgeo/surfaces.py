@@ -62,7 +62,8 @@ class ParamSurface:
     integrals over the surface require integrands supported away from those
     edges.  `sweep` = (curve, motion) says that S(u, v) = M_v(curve(u))
     (see `swept`); the surface integrals read it, not the maps, and a curve
-    that is only piecewise smooth is swept piece by piece.
+    that is only piecewise smooth is swept piece by piece.  `rim_edges`, set
+    by the rims' constructor, names each rim's v-edge: 0, 1 (v = v_dom[i]) or None.
     """
 
     u_dom: tuple[float, float]
@@ -74,10 +75,14 @@ class ParamSurface:
     periodic: tuple[bool, bool] = (False, False)
     truncation_edges: tuple[tuple[int, float], ...] = ()
     sweep: tuple | None = None
+    rim_edges: tuple[int | None, ...] = ()
 
     def __post_init__(self):
         if not (self.u_dom[1] > self.u_dom[0] and self.v_dom[1] > self.v_dom[0]):
             raise ValueError("parameter rectangle is empty")
+        if self.rim_edges and (len(self.rim_edges) != len(self.boundary) or self.periodic[1]
+                               or not set(self.rim_edges) <= {None, 0, 1}):
+            raise ValueError("rim_edges needs one entry per rim, each None or a v-edge 0 or 1")
 
     def edge(self, axis: int, value: float, speed: float) -> HCurve:
         """The parameter line u = value (axis 0, run along v) or v = value
@@ -199,7 +204,7 @@ def vertical_halfplane() -> ParamSurface:
         return out
 
     y_axis = HCurve(y0, y1, along_y, lambda s: along_y(np.ones_like(s)), 1.0)
-    return swept(y_axis, VERTICAL, (0.0, t1), boundary=((y_axis, +1),),
+    return swept(y_axis, VERTICAL, (0.0, t1), boundary=((y_axis, +1),), rim_edges=(0,),
                  truncation_edges=((0, y0), (0, y1), (1, t1)))
 
 
@@ -228,7 +233,7 @@ def lift_cylinder(curve: HCurve, height: float) -> ParamSurface:
         raise ValueError(f"height must be positive, got {height}")
     _check_closed_horizontal(curve)
     S = swept(curve, VERTICAL, (0.0, height), periodic=(True, False))
-    return replace(S, boundary=((curve, +1), (S.edge(1, S.v_dom[1], curve.speed), -1)))
+    return replace(S, boundary=((curve, +1), (S.edge(1, S.v_dom[1], curve.speed), -1)), rim_edges=(0, 1))
 
 
 def _on_angles(formula):
@@ -306,7 +311,7 @@ def revolve_curve(curve: HCurve, phi_max: float) -> ParamSurface:
     S = swept(curve, ROTATE_T, (0.0, phi_max), periodic=(True, full_turn))
     if full_turn:
         return S
-    return replace(S, boundary=((curve, +1), (S.edge(1, phi_max, curve.speed), -1)))
+    return replace(S, boundary=((curve, +1), (S.edge(1, phi_max, curve.speed), -1)), rim_edges=(0, 1))
 
 
 def torus_leaf_angle(R: float, r: float):

@@ -4,6 +4,7 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
 
 from heisgeo import (
     HCurve,
@@ -28,8 +29,9 @@ from heisgeo.forms import (
     bump_field,
     scalar_from_jet,
 )
+from heisgeo import integrate, quadrature
 from heisgeo.cli import DEFAULT_SEED, _stokes_scene
-from heisgeo.integrate import FLAG_TOL, _ball_level, _surface_integrand
+from heisgeo.integrate import FLAG_TOL, STOKES_BUDGET, _ball_level, _surface_integrand, _sweep
 from heisgeo.surfaces import LEFT_Y, swept
 
 # a ball about the origin that holds the unit sheet and the sqrt(2) torus:
@@ -331,9 +333,43 @@ def test_level_queries_evaluate_only_the_tangents_they_read():
     # a level asked for phi alone reads no velocity, and gives phi's bits
     edge = S.edge(1, 1.5, 1.0)
     read = []
-    jet = _ball_level(edge.position, lambda u: read.append(u) or edge.velocity(u), 1.0, (c, r))[0]
+    points = lambda u, owner, velocity: (edge.position(u), read.append(u) or edge.velocity(u) if velocity else None)
+    jet = _ball_level(points, (1.0,), (c, r))[0]
     u = np.linspace(-0.3, 0.3, 7)
-    alone = jet(u, axes=())
+    alone = jet(u, 0, axes=())
     assert len(alone) == 1 and not read
-    full = jet(u)
+    full = jet(u, 0)
     assert len(full) == 2 and len(read) == 1 and alone[0].tobytes() == full[0].tobytes()
+
+
+@pytest.mark.parametrize("scene", ["halfplane", "sigma-cylinder", "band"])
+def test_one_root_search_per_stokes_check(monkeypatch, scene):
+    # the fold levels, the v-edges, the truncation line and the rims that
+    # are v-edges are solved in one search, and each rim's roots are the
+    # bits of its own search
+    S, draw = _stokes_scene(scene)
+    search, calls = quadrature.support_roots, []
+
+    def spy(*args):
+        calls.append(args)
+        return search(*args)
+
+    rng = np.random.default_rng(DEFAULT_SEED)
+    for index in range(4):
+        form = bump_form(draw(rng, index), rng.uniform(0.2, 0.6))
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "support_roots", spy)
+            m.setattr(integrate, "support_roots", spy, raising=False)
+            calls.clear()
+            report = stokes_residual(S, form)
+            assert len(calls) == 1
+        alone = boundary_integral(form, S, flag_tol=STOKES_BUDGET, support_ball=form.support_ball)
+        assert [report.rhs.value.hex(), report.rhs.estimate.hex()] == [alone.value.hex(), alone.estimate.hex()]
+        assert dict(report.rhs.stats) == dict(alone.stats)
+        sweep = _sweep(S, form.support_ball)
+        for (rim, _), edge in zip(S.boundary, S.rim_edges):
+            points = lambda x, owner, velocity: (rim.position(x), rim.velocity(x) if velocity else None)
+            level = _ball_level(points, (rim.speed,), form.support_ball)
+            (roots, faults), = quadrature.support_roots(level, rim.a, rim.b)
+            shared_roots, shared_faults = sweep.lines[sweep.folds + edge]
+            assert roots.tobytes() == shared_roots.tobytes() and faults == shared_faults

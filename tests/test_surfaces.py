@@ -1,5 +1,6 @@
 """Parametrized surfaces, their boundaries, and characteristic structure."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -167,6 +168,25 @@ def test_each_rim_is_its_surfaces_edge():
     assert np.max(np.abs(gap[:, 2] - h)) < 1e-15
     # the top rim is a vertical translate, so it stays horizontal
     assert horizontality_residual(top) <= 1e-10
+
+
+def test_rims_record_the_v_edge_they_are():
+    # the constructors record which v-edge each rim is, and the record
+    # names the edge whose bits the rim has
+    cylinder = lift_cylinder(lift_horizontal(lemniscate(), sign=1), 1.0 / 3.0)
+    band = revolve_curve(torus_characteristic_loop(R, 1.0), np.pi / 12.0)
+    for S, edges in ((vertical_halfplane(), (0,)), (cylinder, (0, 1)), (band, (0, 1))):
+        assert S.rim_edges == edges
+        for (rim, _), edge in zip(S.boundary, S.rim_edges):
+            tau = np.linspace(rim.a, rim.b, 257)
+            assert rim.position(tau).tobytes() == S.position(tau, S.v_dom[edge]).tobytes()
+    assert revolve_curve(torus_characteristic_loop(R, 1.0), 2 * np.pi).rim_edges == ()
+    # one entry per rim, each a v-edge of a surface that has v-edges
+    for bad in ((0,), (0, 2)):
+        with pytest.raises(ValueError, match="rim_edges"):
+            dataclasses.replace(cylinder, rim_edges=bad)
+    with pytest.raises(ValueError, match="rim_edges"):
+        dataclasses.replace(band, periodic=(True, True))
 
 
 def test_cylinder_embedding_thresholds():

@@ -118,18 +118,18 @@ def test_fold_level_is_the_orbits_maximum_with_a_proved_slope_bound(intrinsic_cu
     corner = S.tangent_u(1.0, -1.0)
     balls += [(S.position(1.0, -1.0) + k * corner / np.linalg.norm(corner), 0.3) for k in (2.0, 5.0)]
     for center, radius in balls:
-        fold = _sweep(S, (center, radius)).folds[0]
-        value, slope = fold.jet(s)
+        fold = _sweep(S, (center, radius)).level
+        value, slope = fold.jet(s, 0)
         sampled = _level(S, s[:, None], y[None, :], center, radius).max(axis=1)
         # the samples miss the maximum by at most (1 + 1/4) (y step / 2)^2
         assert np.all(value >= sampled - 1e-12) and np.all(value - sampled <= 1e-5)
         inner = s[1:-1]
-        diff = (fold.jet(inner + h, axes=())[0] - fold.jet(inner - h, axes=())[0]) / (2.0 * h)
+        diff = (fold.jet(inner + h, 0, axes=())[0] - fold.jet(inner - h, 0, axes=())[0]) / (2.0 * h)
         assert np.max(np.abs(slope[1:-1] - diff)) <= 1e-6 * (1.0 + np.abs(diff).max())
         # the 10 samples about every 10th one lie within 0.005 of it, where
         # |D'| stays below the bound lip(D, 0.005)
         near = np.abs(slope[:1000]).reshape(100, 10).max(axis=1)
-        assert np.all(near <= fold.lip(value[5:1000:10], 0.005))
+        assert np.all(near <= fold.lip(value[5:1000:10], 0.005, 0))
 
 
 # ROADMAP O3's Hole 4: four upper-half draws that the search over cells got
@@ -182,8 +182,8 @@ def test_a_miss_the_orbits_do_not_see_is_flagged():
     form = middle_differential(bump_form(center, radius))
     sweep = _sweep(S, (center, radius))
     f = lambda u, v: form(S.position(u, v), S.tangent_u(u, v), S.tangent_v(u, v))
-    found = conforming_integrate_2d(per_node(f), sweep, S.u_dom)
+    found = conforming_integrate_2d(per_node(f), sweep)
     assert found.stats["points"] > 0 and "faults" not in found.stats
     blind = sweep._replace(inner=lambda u: (np.zeros(0, dtype=int), np.zeros(0), np.zeros(0)))
-    lost = conforming_integrate_2d(per_node(f), blind, S.u_dom)
+    lost = conforming_integrate_2d(per_node(f), blind)
     assert lost[0] == 0.0 and np.isnan(lost[1]) and lost.stats["faults"] == ["missed_support"]

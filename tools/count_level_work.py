@@ -10,18 +10,22 @@ For each scene it runs
     heisgeo stokes --scene SCENE --seed 0x5EED
 
 CALLS times in this process.  On the first run it counts the calls of
-every level jet that `integrate._ball_level` returns (on surfaces, rims and
-truncation edges alike) and the points they evaluate, and the calls and
-points at which a lift's height is evaluated (`PrefixIntegral.__call__`),
-and reads the integrand points of both sides from the report (`lhs_stats`
-and `rhs_stats`).  Around every run it reads the minor page faults of this
-process from `resource.getrusage`, and reports their median over the runs
-after the first, when the caches are warm.  It prints one JSON line,
-{scene: {"level_calls", "level_points", "height_calls", "height_points",
-"integrand_points", "minflt_per_call"}}.  The counts are deterministic;
-the page faults are not.  It reads the levels through
-`integrate._ball_level`, the heights through `quadrature.PrefixIntegral`
-and the reports through the CLI, so it runs on any commit that has those.
+the jet of every level that `heisgeo.integrate` builds (`Level` as that
+module sees it: one-line or multi-line, on surfaces, rims and truncation
+edges alike) and the points they evaluate, the root searches
+(`support_roots` calls), and the calls and points at which a lift's height
+is evaluated (`PrefixIntegral.__call__`), and reads the integrand points of
+both sides from the report (`lhs_stats` and `rhs_stats`).  Around every
+run it reads the minor page faults of this process from
+`resource.getrusage`, and reports their median over the runs after the
+first, when the caches are warm.  It prints one JSON line,
+{scene: {"level_calls", "level_points", "searches", "height_calls",
+"height_points", "integrand_points", "minflt_per_call"}}.  The counts are
+deterministic; the page faults are not.  It reads the levels through
+`integrate.Level`, the searches through `support_roots` in `quadrature`
+and, where it has one, `integrate`, the heights through
+`quadrature.PrefixIntegral` and the reports through the CLI, so it runs on
+any commit that has those.
 """
 
 from __future__ import annotations
@@ -45,25 +49,30 @@ CALLS = 4
 
 
 def main() -> int:
-    counts = dict.fromkeys(("level_calls", "level_points", "height_calls", "height_points"), 0)
-    ball_level, height = integrate._ball_level, quadrature.PrefixIntegral.__call__
+    counts = dict.fromkeys(("level_calls", "level_points", "searches", "height_calls", "height_points"), 0)
+    level, search, height = integrate.Level, quadrature.support_roots, quadrature.PrefixIntegral.__call__
 
-    def counted(*args, **kwargs):
-        level = ball_level(*args, **kwargs)
-
-        def jet(*x, **kw):
+    def counted(jet, *args):
+        def counted_jet(x, *rest, **kw):
             counts["level_calls"] += 1
-            counts["level_points"] += int(np.size(x[0]))
-            return level.jet(*x, **kw)
+            counts["level_points"] += int(np.size(x))
+            return jet(x, *rest, **kw)
 
-        return level._replace(jet=jet)
+        return level(counted_jet, *args)
+
+    def counted_search(*args):
+        counts["searches"] += 1
+        return search(*args)
 
     def counted_height(self, tau):
         counts["height_calls"] += 1
         counts["height_points"] += int(np.size(tau))
         return height(self, tau)
 
-    integrate._ball_level = counted
+    integrate.Level = counted
+    quadrature.support_roots = counted_search
+    if hasattr(integrate, "support_roots"):
+        integrate.support_roots = counted_search
     quadrature.PrefixIntegral.__call__ = counted_height
     result = {}
     with tempfile.TemporaryDirectory() as tmp:
