@@ -50,6 +50,7 @@ from .integrate import (
     integrate_curve,
     integrate_surface,
     stokes_residual,
+    stokes_residuals,
     vertical_term_vanishing,
 )
 from .surfaces import (

@@ -25,7 +25,7 @@ import numpy as np
 from .curves import lemniscate, lift_horizontal, horizontality_residual, self_intersection_gap
 from .foliation import detect_period, trace_foliation
 from .forms import bump_form
-from .integrate import STOKES_BUDGET, stokes_residual
+from .integrate import STOKES_BUDGET, stokes_residuals
 from .surfaces import (lift_cylinder, revolve_curve, torus_characteristic_loop, torus_leaf_angle, torus_surface,
                        vertical_halfplane)
 from .export import surface_mesh, write_csv, write_json, write_obj
@@ -263,26 +263,27 @@ def _stokes_scene(scene: str):
     return S, draw
 
 
-def _stokes_entry(S, draw, rng, index: int) -> dict:
-    """Report entry of stokes form `index`: a bump whose center and radius
-    come next from `rng`, and both sides of Stokes for it on S."""
-    center = draw(rng, index)
-    radius = rng.uniform(0.2, 0.6)
-    report = stokes_residual(S, bump_form(center, radius))
-    estimate = report.lhs.estimate + report.rhs.estimate
-    return {
-        "index": index,
-        "center": [float(c) for c in center],
-        "radius": float(radius),
-        "lhs": report.lhs.value,
-        "rhs": report.rhs.value,
-        "residual": report.residual,
-        "estimate": estimate,
-        # not-<= instead of > so a NaN estimate counts as untrusted
-        "flagged": not (estimate <= STOKES_BUDGET) or report.lhs.flagged or report.rhs.flagged,
-        "lhs_stats": dict(report.lhs.stats),
-        "rhs_stats": dict(report.rhs.stats),
-    }
+def _stokes_entries(S, draw, rng, forms: int) -> list:
+    """Report entries of `forms` bumps drawn from `rng`, center then radius per form, checked in one call."""
+    balls = [(draw(rng, index), rng.uniform(0.2, 0.6)) for index in range(forms)]
+    reports = stokes_residuals(S, [bump_form(center, radius) for center, radius in balls])
+    entries = []
+    for index, ((center, radius), report) in enumerate(zip(balls, reports)):
+        estimate = report.lhs.estimate + report.rhs.estimate
+        entries.append({
+            "index": index,
+            "center": [float(c) for c in center],
+            "radius": float(radius),
+            "lhs": report.lhs.value,
+            "rhs": report.rhs.value,
+            "residual": report.residual,
+            "estimate": estimate,
+            # not-<= instead of > so a NaN estimate counts as untrusted
+            "flagged": not (estimate <= STOKES_BUDGET) or report.lhs.flagged or report.rhs.flagged,
+            "lhs_stats": dict(report.lhs.stats),
+            "rhs_stats": dict(report.rhs.stats),
+        })
+    return entries
 
 
 def cmd_stokes(args) -> int:
@@ -295,9 +296,7 @@ def cmd_stokes(args) -> int:
     if not 0.0 <= tolerance < math.inf:
         raise CliError("tolerance must be nonnegative and finite")
 
-    S, draw = _stokes_scene(scene)
-    rng = np.random.default_rng(args.seed)
-    entries = [_stokes_entry(S, draw, rng, index) for index in range(args.forms)]
+    entries = _stokes_entries(*_stokes_scene(scene), np.random.default_rng(args.seed), args.forms)
 
     payload = {
         "scene": scene,
@@ -381,7 +380,7 @@ def cmd_selftest(args) -> int:
 
     rng = np.random.default_rng(DEFAULT_SEED)
     for scene in ("halfplane", "sigma-cylinder", "band"):
-        entry = _stokes_entry(*_stokes_scene(scene), rng, 0)
+        entry, = _stokes_entries(*_stokes_scene(scene), rng, 1)
         check(
             f"stokes-{scene}",
             not entry["flagged"] and entry["residual"] <= 1e-6,

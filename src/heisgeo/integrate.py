@@ -32,6 +32,7 @@ __all__ = [
     "integrate_surface",
     "boundary_integral",
     "stokes_residual",
+    "stokes_residuals",
     "vertical_term_vanishing",
 ]
 
@@ -70,46 +71,50 @@ def _result(value: float, estimate: float, tol: float, stats=MappingProxyType({}
     return IntegralResult(float(value), float(estimate), flagged, MappingProxyType(dict(stats)))
 
 
-def _ball_level(points, speeds, ball) -> Level:
-    """The ball level r^2 - |p - c|^2 along lines, (p, p') = `points(x, owner,
-    velocity)`, |p'| <= `speeds[owner]`.  Within h, |level'| <= 2 (|p - c| +
-    speed h) speed; the ball is r / speed wide in parameters, and points
-    rounded to eps (|c| + r) are seen at its scale r: noise = (|c| + r) / r."""
-    center, radius = np.asarray(ball[0], dtype=float), float(ball[1])
+def _ball_level(points, speeds, balls, per_ball=1):
+    """The ball levels r^2 - |p - c|^2 along lines, (p, p') = `points(x, owner,
+    velocity)`, |p'| <= `speeds[owner]`, each ball (c, r) on `per_ball` lines
+    in turn.  Within h, |level'| <= 2 (|p - c| + speed h) speed; the ball is
+    r / speed wide in parameters, and points rounded to eps (|c| + r) are
+    seen at its scale r: noise = (|c| + r) / r.  It gives the level of all
+    lines, with the largest noise, and that of each ball's lines alone."""
+    center, radius = np.array([c for c, _ in balls], dtype=float), np.array([float(r) for _, r in balls])
+    noise = [(np.linalg.norm(c) + r) / r for c, r in zip(center, radius)]
+    center, radius = np.repeat(center, per_ball, axis=0), np.repeat(radius, per_ball)
     r2, speeds = radius * radius, np.asarray(speeds, dtype=float)
+    scale = tuple(radius / speeds)
 
     def jet(x, owner, axes=(0,)):
         p, w = points(x, owner, bool(axes))
-        d = p - center
-        return (r2 - (d * d).sum(axis=-1), *(-2.0 * (d * w).sum(axis=-1) for _ in axes))
+        d = p - center[owner]
+        return (r2[owner] - (d * d).sum(axis=-1), *(-2.0 * (d * w).sum(axis=-1) for _ in axes))
 
     def lip(level, h, owner):
-        return 2.0 * (np.sqrt(np.maximum(r2 - level, 0.0)) + speeds[owner] * h) * speeds[owner]
+        return 2.0 * (np.sqrt(np.maximum(r2[owner] - level, 0.0)) + speeds[owner] * h) * speeds[owner]
 
-    return Level(jet, lip, tuple(radius / speeds), (np.linalg.norm(center) + radius) / radius)
+    own = [Level(lambda x, owner, axes=(0,), b=b: jet(x, owner + b, axes),
+                 lambda phi, h, owner, b=b: lip(phi, h, owner + b), scale[b:b + per_ball], n)
+           for b, n in zip(range(0, len(radius), per_ball), noise)]
+    return Level(jet, lip, scale, max(noise)), own
 
 
 def integrate_curve(form, curve: HCurve, flag_tol: float = FLAG_TOL,
-                    support_ball=None) -> IntegralResult:
+                    support_ball=None, found=None) -> IntegralResult:
     """Integral of a degree-1 form over a curve, velocity pullback.
 
     Only the in-ball intervals are integrated when the form has a support
     ball and the curve a finite speed bound; else the uniform rule runs.
     `support_ball` defaults to the form's own; passing it lets a form
-    wrapped in a plain callable keep its clipped rule.
+    wrapped in a plain callable keep its clipped rule.  `found` is the ball
+    level's (roots, faults) when already solved.
     """
-    return _curve_integral(form, curve, flag_tol, support_ball, None)
-
-
-def _curve_integral(form, curve: HCurve, flag_tol, support_ball, found) -> IntegralResult:
-    """`integrate_curve`, given the ball level's (roots, faults) if solved."""
     ball = support_ball or getattr(form, "support_ball", None)
     f = lambda tau: form(curve.position(tau), curve.velocity(tau))
     if ball is None or not math.isfinite(curve.speed):
         res = integrate_1d(f, curve.a, curve.b)
     else:
         points = lambda x, owner, velocity: (curve.position(x), curve.velocity(x) if velocity else None)
-        res = conforming_integrate_1d(f, _ball_level(points, (curve.speed,), ball), curve.a, curve.b, found)
+        res = conforming_integrate_1d(f, _ball_level(points, (curve.speed,), [ball])[0], curve.a, curve.b, found)
     return _result(*res, flag_tol, res.stats)
 
 
@@ -149,10 +154,11 @@ def _orbit_intervals(mid, half, v_dom, period, periodic):
     return owner[keep], lo[keep], hi[keep]
 
 
-def _sweep(S: ParamSurface, ball) -> Sweep:
-    """The ball's level on a swept surface, S(u, v) = M_v(curve(u)), along
-    lines in u solved in one search: the ball levels of S(u, v(u)), with
-    S_u(u, v(u)) as velocity, reading the curve once per parameter.
+def _sweep(S: ParamSurface, balls) -> list:
+    """The `Sweep` of each ball on a swept surface, S(u, v) = M_v(curve(u)),
+    with all their lines in u solved in one search (none for no balls): the
+    ball levels of S(u, v(u)), with S_u(u, v(u)) as velocity, reading the
+    curve once per parameter.  Each keeps the bits of its ball's sweep alone.
 
     On a fold line v(u) is the point of v_dom nearest the orbit's top (its
     largest level) or, on a circle's second fold, its bottom.  So the first
@@ -160,18 +166,21 @@ def _sweep(S: ParamSurface, ball) -> Sweep:
     stationary in v there or held at an edge, S_u is its derivative (the
     envelope theorem), and the distance to either point moves at most by
     the motion's bound on |S_u|.  The v-edges and any other truncation line
-    hold v constant.  It raises `ValueError` unless the ball stays off
-    every truncation edge: an orbit u = value has no positive interval, and
-    on a line v = value the level has no root and is negative.
+    hold v constant.  It raises `ValueError` unless every ball stays off
+    every truncation edge, naming the first edge that the first ball to
+    reach one reaches: an orbit u = value has no positive interval, and on
+    a line v = value the level has no root and is negative.
     """
+    if not balls:
+        return []
     curve, motion = S.sweep
     (v0, v1), period = S.v_dom, motion.period
-    center, radius = np.asarray(ball[0], dtype=float), float(ball[1])
+    center, radius = np.array([c for c, _ in balls], dtype=float), np.array([float(r) for _, r in balls])
     shifts = (0.0,) + ((0.5 * period,) if period else ())
     edges = () if S.periodic[1] else S.v_dom
     values = edges + tuple(float(v) for axis, v in S.truncation_edges if axis == 1 and v not in edges)
-    # per line: a fold's shift from the orbit's top, or a constant line's v
-    at, folds = np.array(shifts + values), len(shifts)
+    # per line of a ball: a fold's shift from the orbit's top, or a constant line's v
+    at, folds, m = np.array(shifts + values), len(shifts), len(shifts + values)
 
     def top(mid, shift):
         if period is None:
@@ -184,25 +193,31 @@ def _sweep(S: ParamSurface, ball) -> Sweep:
         # lines share parameters, and the curve is read once at each
         x, at_x = np.unique(u, return_inverse=True)
         p = curve.position(x)[at_x]
-        v = np.where(owner < folds, top(motion.orbit(p, center, radius)[0], at[owner]), at[owner])
+        ball, line = np.divmod(owner, m)
+        v = np.where(line < folds, top(motion.orbit(p, center[ball], radius[ball])[0], at[line]), at[line])
         return motion.move(p, v), motion.push(curve.velocity(x)[at_x], v) if velocity else None
 
-    def inner(u):
-        return _orbit_intervals(*motion.orbit(curve.position(u), center, radius), S.v_dom, period, S.periodic[1])
+    def inner(c, r, u):
+        return _orbit_intervals(*motion.orbit(curve.position(u), c, r), S.v_dom, period, S.periodic[1])
 
     speeds = [motion.push_bound(curve, S.v_dom)] * folds + [motion.push_bound(curve, (v,)) for v in values]
-    level = _ball_level(points, speeds, ball)
-    sweep = Sweep(level, folds, S.u_dom, support_roots(level, *S.u_dom), inner)
-    for axis, value in S.truncation_edges:
+    level, own = _ball_level(points, speeds * len(balls), balls, m)
+    lines = support_roots(level, *S.u_dom)
+    sweeps = [Sweep(own[k], folds, S.u_dom, lines[k * m:(k + 1) * m],
+                    lambda u, c=center[k], r=radius[k]: inner(c, r, u)) for k in range(len(balls))]
+    # each truncation edge is checked for every ball at once, a ball's in a row
+    reaches = np.zeros((len(balls), len(S.truncation_edges)), dtype=bool)
+    for j, (axis, value) in enumerate(S.truncation_edges):
         if axis == 0:
-            reaches = len(inner(np.array([float(value)]))[0])
+            reaches[inner(center, radius, np.array([float(value)]))[0], j] = True
         else:
-            k = folds + values.index(float(value))
-            roots, fault = sweep.lines[k]
-            reaches = fault or len(roots) or not level.jet(np.array([S.u_dom[0]]), k, axes=())[0][0] < 0.0
-        if reaches:
-            raise ValueError(f"support ball reaches the truncation edge {'uv'[axis]} = {value:g}")
-    return sweep
+            k = np.arange(len(balls)) * m + folds + values.index(float(value))
+            end = level.jet(np.full(len(balls), S.u_dom[0]), k, axes=())[0]
+            reaches[:, j] = [bool(lines[i][1]) or len(lines[i][0]) > 0 for i in k] | ~(end < 0.0)
+    if reaches.any():
+        axis, value = S.truncation_edges[np.nonzero(reaches)[1][0]]
+        raise ValueError(f"support ball reaches the truncation edge {'uv'[axis]} = {value:g}")
+    return sweeps
 
 
 def integrate_surface(form, S: ParamSurface, flag_tol: float = FLAG_TOL) -> IntegralResult:
@@ -215,18 +230,19 @@ def integrate_surface(form, S: ParamSurface, flag_tol: float = FLAG_TOL) -> Inte
     or on a truncated surface with the ball reaching a truncation edge, it
     raises `ValueError`.
     """
-    return _surface_side(form, S, flag_tol)[0]
+    return _surface_sides([form], S, flag_tol)[0][0]
 
 
-def _surface_side(form, S: ParamSurface, flag_tol: float):
-    """`integrate_surface`, and the `_sweep` that it solved."""
-    ball = getattr(form, "support_ball", None)
-    if ball is None or S.sweep is None or not math.isfinite(S.sweep[0].speed):
+def _surface_sides(forms, S: ParamSurface, flag_tol: float) -> list:
+    """`integrate_surface` of each form, with the `_sweep` that it solved:
+    one search for all, after checking every ball and the surface."""
+    balls = [getattr(form, "support_ball", None) for form in forms]
+    if forms and (None in balls or S.sweep is None or not math.isfinite(S.sweep[0].speed)):
         raise ValueError("a surface integral needs a form with a support ball, and a swept surface "
                          "with a speed bound")
-    sweep = _sweep(S, ball)
-    res = conforming_integrate_2d(_surface_integrand(form, S), sweep)
-    return _result(*res, flag_tol, res.stats), sweep
+    sweeps = _sweep(S, balls)
+    rules = [conforming_integrate_2d(_surface_integrand(form, S), sweep) for form, sweep in zip(forms, sweeps)]
+    return [(_result(*res, flag_tol, res.stats), sweep) for res, sweep in zip(rules, sweeps)]
 
 
 def boundary_integral(form, S: ParamSurface, flag_tol: float = FLAG_TOL,
@@ -242,7 +258,7 @@ def boundary_integral(form, S: ParamSurface, flag_tol: float = FLAG_TOL,
     estimate = 0.0
     flagged = False
     stats = {}
-    parts = [_curve_integral(form, curve, flag_tol, support_ball,
+    parts = [integrate_curve(form, curve, flag_tol, support_ball,
                              None if sweep is None or edge is None else sweep.lines[sweep.folds + edge])
              for (curve, _), edge in zip(S.boundary, S.rim_edges or (None,) * len(S.boundary))]
     for part, (_, orientation) in zip(parts, S.boundary):
@@ -263,18 +279,24 @@ def boundary_integral(form, S: ParamSurface, flag_tol: float = FLAG_TOL,
 
 
 def stokes_residual(S: ParamSurface, form: HorizontalForm, flag_tol: float = STOKES_BUDGET) -> StokesReport:
-    """Compare the two sides of the Stokes identity for the middle operator.
+    """The Stokes check of one form: `stokes_residuals(S, [form], flag_tol)[0]`."""
+    return stokes_residuals(S, [form], flag_tol)[0]
 
-    The surface side integrates the second order differential of `form`,
-    the boundary side `form` itself over the oriented boundary; the
+
+def stokes_residuals(S: ParamSurface, forms, flag_tol: float = STOKES_BUDGET) -> list:
+    """Compare the two sides of the Stokes identity for the middle operator, per form.
+
+    The surface side integrates the second order differential of a form,
+    the boundary side the form itself over the oriented boundary; the
     residual is their difference.  Both sides flag against `flag_tol`, by
     default STOKES_BUDGET, the error budget of the verification, rather than
-    the strict FLAG_TOL used for standalone integrals.  One search serves
-    both sides: the surface's `_sweep` and the rims that are its v-edges.
+    the strict FLAG_TOL used for standalone integrals.  One `_sweep` solves
+    the lines of every form, the rims that are v-edges included, and each
+    report keeps the bits of its form's check alone.
     """
-    lhs, sweep = _surface_side(middle_differential(form), S, flag_tol)
-    rhs = boundary_integral(form, S, flag_tol=flag_tol, support_ball=form.support_ball, sweep=sweep)
-    return StokesReport(lhs, rhs, abs(lhs.value - rhs.value))
+    sides = _surface_sides([middle_differential(form) for form in forms], S, flag_tol)
+    rhs = [boundary_integral(form, S, flag_tol, form.support_ball, sweep) for form, (_, sweep) in zip(forms, sides)]
+    return [StokesReport(lhs, r, abs(lhs.value - r.value)) for (lhs, _), r in zip(sides, rhs)]
 
 
 def vertical_term_vanishing(S: ParamSurface, form: HorizontalForm) -> float:

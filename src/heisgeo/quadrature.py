@@ -304,7 +304,8 @@ class PrefixIntegral:
     panel's sum at the ends).  A tau in [a, b] is read by Clenshaw's
     recurrence with no call to f, a panel edge (b too) exactly as its prefix
     sum.  A tau outside [a, b], or NaN, takes the partial-panel rule from
-    the nearest panel: it extrapolates (f must be defined there), NaN stays.
+    the nearest panel, summed on its own so that no bit depends on the
+    batch: it extrapolates (f must be defined there), NaN stays.
     """
 
     def __init__(self, f, a: float, b: float):
@@ -327,12 +328,12 @@ class PrefixIntegral:
         vander = np.polynomial.chebyshev.chebvander(t, CHEB_POINTS - 1)
         self.coef = np.linalg.solve(vander, share[..., None])[..., 0].T
 
-    def _partial(self, idx, tau):
-        """Integral of f from the edge `idx` to tau by NODES-point Gauss-Legendre."""
+    def _partial(self, idx, tau, alone=False):
+        """Integral of f from the edge `idx` to tau by NODES-point Gauss-Legendre, row by row if `alone`."""
         (gx, gw), lo = _legendre(NODES), self.edges[idx]
         mid, half = 0.5 * (lo + tau), 0.5 * (tau - lo)
-        vals = np.asarray(self.f((mid[:, None] + half[:, None] * gx).ravel()), dtype=float)
-        return half * (vals.reshape(len(tau), NODES) @ gw)
+        vals = np.asarray(self.f((mid[:, None] + half[:, None] * gx).ravel()), dtype=float).reshape(-1, NODES)
+        return half * (np.concatenate([vals[k:k + 1] @ gw for k in range(len(tau))]) if alone else vals @ gw)
 
     def __call__(self, tau):
         tau = np.asarray(tau, dtype=float)
@@ -349,5 +350,5 @@ class PrefixIntegral:
         out[inside] = np.where(x == self.edges[e], self.prefix[e], self.prefix[p] + (self.coef[0, p] + t * b1 - b2))
         if not inside.all():
             p = np.clip(edge[~inside], 0, CURVE_PANELS - 1)
-            out[~inside] = self.prefix[p] + self._partial(p, flat[~inside])
+            out[~inside] = self.prefix[p] + self._partial(p, flat[~inside], alone=True)
         return float(out[0]) if tau.ndim == 0 else out.reshape(tau.shape)

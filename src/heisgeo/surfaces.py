@@ -142,10 +142,12 @@ def _circle_orbit(p, c, r):
     """`orbit` of the rotation: on the circle through p the level is
     A + rho cos(v - psi), and with near = A + rho and far = A - rho (the
     ball levels of the meridian (|p_xy|, p_t) about (+-|c_xy|, c_t)) it is
-    positive within 2 atan(sqrt(near / -far)) of psi."""
-    p_r, c_r, dt2 = np.hypot(p[..., 0], p[..., 1]), math.hypot(c[0], c[1]), (p[..., 2] - c[2]) ** 2
+    positive within 2 atan(sqrt(near / -far)) of psi.  |c_xy| is math.hypot
+    of each ball (np.hypot rounds some differently), whatever the batch."""
+    c_r = np.asarray(np.frompyfunc(math.hypot, 2, 1)(c[..., 0], c[..., 1]), dtype=float)
+    p_r, dt2 = np.hypot(p[..., 0], p[..., 1]), (p[..., 2] - c[..., 2]) ** 2
     near, far = r * r - (p_r - c_r) ** 2 - dt2, r * r - (p_r + c_r) ** 2 - dt2
-    psi = np.arctan2(p[..., 0] * c[1] - p[..., 1] * c[0], p[..., 0] * c[0] + p[..., 1] * c[1])
+    psi = np.arctan2(p[..., 0] * c[..., 1] - p[..., 1] * c[..., 0], p[..., 0] * c[..., 0] + p[..., 1] * c[..., 1])
     return psi, 2.0 * np.arctan2(np.sqrt(np.maximum(near, 0.0)), np.sqrt(np.maximum(-far, 0.0)))
 
 

@@ -234,18 +234,16 @@ def test_stokes_nan_tolerance_exit_1(tmp_path, capsys):
 
 def test_stokes_nan_residual_reaches_max_residual(tmp_path, monkeypatch):
     # a NaN after a finite residual must not drop out of the summary
-    real = heisgeo.cli.stokes_residual
-    calls = []
+    real = heisgeo.cli.stokes_residuals
 
-    def second_form_nan(S, form):
-        report = real(S, form)
-        calls.append(form)
-        if len(calls) == 2:
-            nan = IntegralResult(math.nan, math.nan, True, report.lhs.stats)
-            return StokesReport(nan, report.rhs, abs(nan.value - report.rhs.value))
-        return report
+    def second_form_nan(S, forms):
+        reports = real(S, forms)
+        report = reports[1]
+        nan = IntegralResult(math.nan, math.nan, True, report.lhs.stats)
+        reports[1] = StokesReport(nan, report.rhs, abs(nan.value - report.rhs.value))
+        return reports
 
-    monkeypatch.setattr(heisgeo.cli, "stokes_residual", second_form_nan)
+    monkeypatch.setattr(heisgeo.cli, "stokes_residuals", second_form_nan)
     out = tmp_path / "s"
     assert run("stokes", "--scene", "halfplane", "--forms", "2", "-o", str(out)) == 2
     payload = json.loads((tmp_path / "s.json").read_text())

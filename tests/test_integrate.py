@@ -18,6 +18,7 @@ from heisgeo import (
     lift_horizontal,
     middle_differential,
     stokes_residual,
+    stokes_residuals,
     torus_surface,
     vertical_halfplane,
     vertical_term_vanishing,
@@ -29,7 +30,7 @@ from heisgeo.forms import (
     bump_field,
     scalar_from_jet,
 )
-from heisgeo import integrate, quadrature
+from heisgeo import cli, integrate, quadrature
 from heisgeo.cli import DEFAULT_SEED, _stokes_scene
 from heisgeo.integrate import FLAG_TOL, STOKES_BUDGET, _ball_level, _surface_integrand, _sweep
 from heisgeo.surfaces import LEFT_Y, swept
@@ -334,7 +335,7 @@ def test_level_queries_evaluate_only_the_tangents_they_read():
     edge = S.edge(1, 1.5, 1.0)
     read = []
     points = lambda u, owner, velocity: (edge.position(u), read.append(u) or edge.velocity(u) if velocity else None)
-    jet = _ball_level(points, (1.0,), (c, r))[0]
+    jet = _ball_level(points, (1.0,), [(c, r)])[0].jet
     u = np.linspace(-0.3, 0.3, 7)
     alone = jet(u, 0, axes=())
     assert len(alone) == 1 and not read
@@ -366,10 +367,102 @@ def test_one_root_search_per_stokes_check(monkeypatch, scene):
         alone = boundary_integral(form, S, flag_tol=STOKES_BUDGET, support_ball=form.support_ball)
         assert [report.rhs.value.hex(), report.rhs.estimate.hex()] == [alone.value.hex(), alone.estimate.hex()]
         assert dict(report.rhs.stats) == dict(alone.stats)
-        sweep = _sweep(S, form.support_ball)
+        sweep, = _sweep(S, [form.support_ball])
         for (rim, _), edge in zip(S.boundary, S.rim_edges):
             points = lambda x, owner, velocity: (rim.position(x), rim.velocity(x) if velocity else None)
-            level = _ball_level(points, (rim.speed,), form.support_ball)
+            level, _ = _ball_level(points, (rim.speed,), [form.support_ball])
             (roots, faults), = quadrature.support_roots(level, rim.a, rim.b)
             shared_roots, shared_faults = sweep.lines[sweep.folds + edge]
             assert roots.tobytes() == shared_roots.tobytes() and faults == shared_faults
+
+
+def _bits(report):
+    """Every bit of a Stokes report: both sides' values, estimates, flags and stats."""
+    return [(side.value.hex(), side.estimate.hex(), side.flagged, dict(side.stats))
+            for side in (report.lhs, report.rhs)] + [report.residual.hex()]
+
+
+def _batch(case, intrinsic_curve):
+    """(surface, forms) of a batching case: a scene's 20 seeded forms as
+    `heisgeo stokes` draws them, ten calibration balls on the swept upper
+    half patch, or the calibration's band forms 75 to 80, of which 78 misses
+    the band."""
+    if case == "half-patch":
+        S = swept(intrinsic_curve(0.0, 1.0), LEFT_Y, (-1.0, 1.0))
+        S = dataclasses.replace(S, boundary=((S.edge(0, 0.0, 1.0), -1),))
+        rng, balls = np.random.default_rng(1), []
+        for _ in range(10):
+            y, s = rng.uniform(-0.5, 0.5, 2)
+            balls.append((S.position(s, y) + rng.normal(0.0, 0.05, 3), rng.uniform(0.03, 0.3)))
+    elif case == "band-78":
+        S, draw = _stokes_scene("band")
+        balls = []
+        for seed in range(75, 81):
+            rng = np.random.default_rng(5000 + seed)
+            balls.append((draw(rng, seed % 2), rng.uniform(0.05, 1.0)))
+    else:
+        S, draw = _stokes_scene(case)
+        rng = np.random.default_rng(DEFAULT_SEED)
+        balls = [(draw(rng, index), rng.uniform(0.2, 0.6)) for index in range(20)]
+    return S, [bump_form(center, radius) for center, radius in balls]
+
+
+@pytest.mark.parametrize("case", ["halfplane", "sigma-cylinder", "band", "half-patch", "band-78"])
+def test_a_batch_of_forms_is_one_search_with_the_bits_of_each_form_alone(monkeypatch, intrinsic_curve, case):
+    S, forms = _batch(case, intrinsic_curve)
+    search, calls = quadrature.support_roots, []
+
+    def spy(*args):
+        calls.append(args)
+        return search(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "support_roots", spy)
+        m.setattr(integrate, "support_roots", spy, raising=False)
+        batched = stokes_residuals(S, forms)
+    # one search for every form's sweep; a rim that is no v-edge, such as
+    # the half patch's s = 0, still searches alone
+    alone_rims = sum(edge is None for edge in S.rim_edges or (None,) * len(S.boundary))
+    assert len(calls) == 1 + len(forms) * alone_rims
+    alone = [stokes_residual(S, form) for form in forms]
+    assert [_bits(r) for r in batched] == [_bits(r) for r in alone]
+    if case == "band-78":
+        assert batched[3].lhs.stats["miss"] == "proved" and batched[3].lhs.stats["points"] == 0
+    # a seeded run draws every ball first and makes one search, none when empty
+    if case in ("halfplane", "sigma-cylinder", "band"):
+        for forms, searches in ((20, 1), (0, 0)):
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(quadrature, "support_roots", spy)
+                m.setattr(integrate, "support_roots", spy, raising=False)
+                m.delenv("HEIS_SEED", raising=False)
+                assert cli.main(["stokes", "--scene", case, "--forms", str(forms)]) == 0
+            assert len(calls) == searches
+    assert stokes_residuals(S, []) == []
+
+
+def test_a_batch_refuses_the_truncation_edge_that_the_first_failing_form_reaches():
+    # the third ball reaches t = 3 and the fourth y = 3: one at a time, the
+    # third raises first, and so does the batch
+    hp = vertical_halfplane()
+    forms = [bump_form(center, radius) for center, radius in (
+        ([0.0, 0.4, 0.05], 0.5), ([0.0, -1.0, 0.1], 0.3), ([0.0, 0.0, 2.8], 0.5), ([0.0, 2.9, 0.5], 0.5))]
+    messages = []
+    for run in (lambda: [stokes_residual(hp, form) for form in forms], lambda: stokes_residuals(hp, forms)):
+        with pytest.raises(ValueError) as exc:
+            run()
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] == "support ball reaches the truncation edge v = 3"
+    assert str(pytest.raises(ValueError, stokes_residuals, hp, forms[:2] + forms[3:]).value).endswith("u = 3")
+
+
+def test_a_wrapped_boundary_form_keeps_its_clipped_rule(monkeypatch):
+    # a caller that hands `boundary_integral` the form as a plain callable
+    # (a timing wrapper, say) still gets the rule of the form's ball
+    S, draw = _stokes_scene("halfplane")
+    rng = np.random.default_rng(DEFAULT_SEED)
+    forms = [bump_form(draw(rng, index), rng.uniform(0.2, 0.6)) for index in range(3)]
+    plain = [_bits(r) for r in stokes_residuals(S, forms)]
+    real = integrate.boundary_integral
+    monkeypatch.setattr(integrate, "boundary_integral", lambda form, *args: real(lambda *p: form(*p), *args))
+    assert [_bits(r) for r in stokes_residuals(S, forms)] == plain

@@ -112,8 +112,10 @@ def test_prefix_table_matches_the_partial_panel_rule(name):
     assert F(a) == 0.0 and F(b) == F.prefix[-1]
     assert F(F.edges).tobytes() == F.prefix.tobytes()
     # outside [a, b] the partial-panel rule itself extrapolates, bit for bit
+    # as for each tau alone
     out = np.array([a - 0.3, a - 1e-9, b + 1e-9, b + 0.7])
-    assert F(out).tobytes() == _partial_panel_rule(F, out).tobytes()
+    alone = np.concatenate([_partial_panel_rule(F, out[k:k + 1]) for k in range(len(out))])
+    assert F(out).tobytes() == alone.tobytes()
     # NaN stays NaN, and a scalar tau gives a float of the same value
     assert np.isnan(F(np.nan)) and np.isnan(F(np.array([0.5 * (a + b), np.nan]))[1])
     mid = F(0.5 * (a + b))
@@ -137,6 +139,20 @@ def test_prefix_table_costs_no_integrand_call_in_range():
     assert points == []
     F(np.array([-0.5, 1.0, 2.5]))
     assert points == [2 * NODES]
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_INTEGRANDS))
+def test_off_range_heights_have_the_bits_of_each_tau_alone(name):
+    # a batched root search can step just off [a, b] at an end cluster, so an
+    # off-range height must not depend on what else shares its batch
+    f, a, b = PREFIX_INTEGRANDS[name]
+    F = PrefixIntegral(f, a, b)
+    rng = np.random.default_rng(30)
+    off = np.concatenate((a - rng.uniform(0.0, 0.05, 40), b + rng.uniform(0.0, 0.05, 40)))
+    mixed = np.concatenate((off, rng.uniform(a, b, 200)))
+    rng.shuffle(mixed)
+    for batch in (off, mixed):
+        assert F(batch).tobytes() == np.array([F(tau) for tau in batch]).tobytes()
 
 
 def _constant_level(value, scale, lines=1):

@@ -118,7 +118,7 @@ def test_fold_level_is_the_orbits_maximum_with_a_proved_slope_bound(intrinsic_cu
     corner = S.tangent_u(1.0, -1.0)
     balls += [(S.position(1.0, -1.0) + k * corner / np.linalg.norm(corner), 0.3) for k in (2.0, 5.0)]
     for center, radius in balls:
-        fold = _sweep(S, (center, radius)).level
+        fold = _sweep(S, [(center, radius)])[0].level
         value, slope = fold.jet(s, 0)
         sampled = _level(S, s[:, None], y[None, :], center, radius).max(axis=1)
         # the samples miss the maximum by at most (1 + 1/4) (y step / 2)^2
@@ -180,7 +180,7 @@ def test_a_miss_the_orbits_do_not_see_is_flagged():
     # result a fault, not a silent zero
     S, center, radius = vertical_halfplane(), np.array([0.0, 0.0, 1.5]), 0.2
     form = middle_differential(bump_form(center, radius))
-    sweep = _sweep(S, (center, radius))
+    sweep, = _sweep(S, [(center, radius)])
     f = lambda u, v: form(S.position(u, v), S.tangent_u(u, v), S.tangent_v(u, v))
     found = conforming_integrate_2d(per_node(f), sweep)
     assert found.stats["points"] > 0 and "faults" not in found.stats

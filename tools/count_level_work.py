@@ -12,7 +12,9 @@ For each scene it runs
 CALLS times in this process.  On the first run it counts the calls of
 the jet of every level that `heisgeo.integrate` builds (`Level` as that
 module sees it: one-line or multi-line, on surfaces, rims and truncation
-edges alike) and the points they evaluate, the root searches
+edges alike) and the points they evaluate, each evaluation once: a level
+whose jet calls another's (a per-form view of a batched level) is not
+counted again, the root searches
 (`support_roots` calls), and the calls and points at which a lift's height
 is evaluated (`PrefixIntegral.__call__`), and reads the integrand points of
 both sides from the report (`lhs_stats` and `rhs_stats`).  Around every
@@ -52,11 +54,19 @@ def main() -> int:
     counts = dict.fromkeys(("level_calls", "level_points", "searches", "height_calls", "height_points"), 0)
     level, search, height = integrate.Level, quadrature.support_roots, quadrature.PrefixIntegral.__call__
 
+    depth = [0]
+
     def counted(jet, *args):
         def counted_jet(x, *rest, **kw):
-            counts["level_calls"] += 1
-            counts["level_points"] += int(np.size(x))
-            return jet(x, *rest, **kw)
+            # only the outermost jet of a call chain evaluates anything
+            if not depth[0]:
+                counts["level_calls"] += 1
+                counts["level_points"] += int(np.size(x))
+            depth[0] += 1
+            try:
+                return jet(x, *rest, **kw)
+            finally:
+                depth[0] -= 1
 
         return level(counted_jet, *args)
 
