@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import os
 import sys
@@ -393,7 +394,10 @@ def cmd_selftest(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parsing does not change it, and no test, tool or tracer
+    replaces a `cli.cmd_*`, which it binds when built."""
     parser = _Parser(prog="heisgeo", description="Heisenberg geometry toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 

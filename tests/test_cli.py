@@ -344,6 +344,39 @@ def test_seed_precedence(tmp_path, monkeypatch):
     assert run("stokes", "--scene", "halfplane", "--forms", "0") == 1
 
 
+def test_the_parser_is_built_once_and_runs_leave_nothing_in_it(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path, "[run]\nsign = 1\nsamples = 64\n")
+    runs = [
+        ({}, ["lift", "--config", cfg]),
+        ({}, ["export-mesh", "--scene", "sigma-cylinder", "--grid", "8x3", "--samples", "16"]),
+        ({"HEIS_SEED": "0x9"}, ["stokes", "--scene", "halfplane", "--forms", "1"]),
+        ({}, ["foliate", "--n", "two"]),
+    ]
+
+    def play(out, fresh):
+        """Exit codes, stderr and output files of the runs in order, and the parser cache's (misses, hits)."""
+        heisgeo.cli._build_parser.cache_clear()
+        results = []
+        for index, (env, argv) in enumerate(runs):
+            monkeypatch.delenv("HEIS_SEED", raising=False)
+            for key, value in env.items():
+                monkeypatch.setenv(key, value)
+            if fresh:
+                heisgeo.cli._build_parser.cache_clear()
+            results.append((main(argv + ["-o", str(out / f"run{index}")]), capsys.readouterr().err))
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        info = heisgeo.cli._build_parser.cache_info()
+        return results, files, (info.misses, info.hits)
+
+    reused, fresh = play(tmp_path / "reused", False), play(tmp_path / "fresh", True)
+    assert reused[2] == (1, len(runs) - 1)
+    assert reused[:2] == fresh[:2]
+    assert [code for code, _ in reused[0]] == [0, 0, 0, 1]
+    assert json.loads(reused[1]["run2.json"])["seed"] == 9
+    assert sorted(reused[1]) == ["run0.csv", "run0.json", "run1.obj", "run1_boundary_minus.csv",
+                                 "run1_boundary_plus.csv", "run2.json"]
+
+
 def test_stokes_report_is_byte_deterministic(tmp_path, monkeypatch):
     monkeypatch.delenv("HEIS_SEED", raising=False)
     outs = [tmp_path / f"rep{i}.json" for i in (0, 1)]

@@ -3,17 +3,31 @@
 import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heisgeo import surface_mesh, torus_surface, write_csv, write_json, write_obj
-from heisgeo.export import FLOAT_FORMAT
+from heisgeo.export import BLOCK_ROWS, FLOAT_FORMAT
 from heisgeo.curves import lemniscate, lift_horizontal
 from heisgeo.surfaces import lift_cylinder, revolve_curve, torus_characteristic_loop, vertical_halfplane
 
 # doubles whose text is easy to get wrong: signed zero, the shortest decimal
-# that is not exact, huge and subnormal magnitudes, non-finite and integral values
-AWKWARD = np.array([[-0.0, 0.1, 1e300], [5e-324, np.inf, -np.inf], [np.nan, 3.0, -2.0], [0.0, 1e16, 7.0]])
+# that is not exact, huge and subnormal magnitudes, non-finite and integral
+# values, and the edges of fixed notation: the largest double below 1e-4
+# (exponent notation), 1e-4 itself, and the doubles on either side of 1e17
+AWKWARD = np.array([[-0.0, 0.1, 1e300], [5e-324, np.inf, -np.inf], [np.nan, 3.0, -2.0], [0.0, 1e16, 7.0],
+                    [9.9999999999999995e-05, 1e-4, -np.nextafter(1e-4, 1.0)],
+                    [99999999999999999.0, np.nextafter(1e17, 0.0), -np.nextafter(1e17, 0.0)]])
+# each power of ten from 1e-6 to 1e18 and its two neighbours, both signs
+DECADES = np.array([float(f"1e{k}") for k in range(-6, 19)])
+DECADES = np.concatenate([DECADES, np.nextafter(DECADES, 0.0), np.nextafter(DECADES, np.inf)])
+EDGES = np.concatenate([DECADES, -DECADES, [9.9999999999999995e-05, 99999999999999999.0, 0.0, -0.0,
+                                            np.nan, np.inf, -np.inf, 5e-324]])
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def test_format_float_roundtrips_doubles():
@@ -41,6 +55,46 @@ def test_writers_match_per_number_formatting(tmp_path):
     lines = ["v " + " ".join(FLOAT_FORMAT % x for x in row) for row in AWKWARD]
     lines += ["f " + " ".join(str(i + 1) for i in face) for face in faces]
     assert (tmp_path / "a.obj").read_text() == "\n".join(lines) + "\n"
+
+
+def _written(rows):
+    """The CSV and OBJ text the writers give `rows` (k = 3 columns), and what `%` gives each number."""
+    faces = np.array([[0, 1, 2]])
+    with tempfile.TemporaryDirectory() as tmp:
+        write_csv(Path(tmp) / "a.csv", ["x", "y", "t"], rows)
+        write_obj(Path(tmp) / "a.obj", rows, faces)
+        got = (Path(tmp) / "a.csv").read_text(), (Path(tmp) / "a.obj").read_text()
+    numbers = [[FLOAT_FORMAT % x for x in row] for row in rows.tolist()]
+    want = ("x,y,t\n" + "".join(",".join(row) + "\n" for row in numbers),
+            "".join("v " + " ".join(row) + "\n" for row in numbers) + "f 1 2 3\n")
+    return got, want
+
+
+# float64 bit patterns: any, or of a magnitude between 2^-17 and 2^57, where
+# `%.17g` writes fixed notation from 1e-4 on
+patterns = st.one_of(st.integers(0, 2 ** 64 - 1),
+                     st.tuples(st.booleans(), st.integers(0x3EE0000000000000, 0x4380000000000000)).map(
+                         lambda signed: signed[1] | signed[0] << 63))
+
+
+@PROPERTY
+@given(bits=st.lists(patterns, min_size=3, max_size=300))
+@example(bits=[0x8000000000000000, 0x7FF8000000000000, 0x0000000000000001])  # -0, NaN, 5e-324
+def test_writers_write_each_float_as_percent_does(bits):
+    bits = bits[: len(bits) // 3 * 3]
+    got, want = _written(np.array(bits, dtype=np.uint64).view(np.float64).reshape(-1, 3))
+    assert got == want
+
+
+def test_writers_write_the_edges_of_fixed_notation_as_percent_does():
+    rng = np.random.default_rng(31)
+    edges = np.resize(EDGES, 3 * ((len(EDGES) + 2) // 3)).reshape(-1, 3)
+    # several blocks, the edges scattered among random bit patterns
+    many = rng.integers(0, 2 ** 64, (BLOCK_ROWS + 500) * 3, dtype=np.uint64).view(np.float64)
+    many[rng.choice(len(many), len(EDGES), replace=False)] = EDGES
+    for rows in (edges, edges[:1], EDGES[:, None].repeat(3, axis=1), many.reshape(-1, 3)):
+        got, want = _written(rows)
+        assert got == want
 
 
 def _reference_faces(S, nu, nv):
