@@ -18,7 +18,7 @@ from heisgeo.surfaces import lift_cylinder, revolve_curve, torus_characteristic_
 # doubles whose text is easy to get wrong: signed zero, the shortest decimal
 # that is not exact, huge and subnormal magnitudes, non-finite and integral
 # values, and the edges of fixed notation: the largest double below 1e-4
-# (exponent notation), 1e-4 itself, and the doubles on either side of 1e17
+# (exponent notation), 1e-4 and the double above it, 1e17 and the double below it
 AWKWARD = np.array([[-0.0, 0.1, 1e300], [5e-324, np.inf, -np.inf], [np.nan, 3.0, -2.0], [0.0, 1e16, 7.0],
                     [9.9999999999999995e-05, 1e-4, -np.nextafter(1e-4, 1.0)],
                     [99999999999999999.0, np.nextafter(1e17, 0.0), -np.nextafter(1e17, 0.0)]])
