@@ -3,11 +3,13 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import heisgeo.cli
 from heisgeo.cli import BAND_ANGLE, DEFAULT_SEED, SIGMA_HEIGHT, _stokes_scene, main
@@ -391,6 +393,54 @@ def test_stokes_report_is_byte_deterministic(tmp_path, monkeypatch):
     for form in payload["forms"]:
         assert form["lhs_stats"]["rule"] == form["rhs_stats"]["rule"] == "conforming"
         assert form["lhs_stats"]["points"] > 0 and form["lhs_stats"]["pieces"] >= 1
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the allocator setting applies to glibc only")
+def test_repeated_stokes_runs_reuse_freed_memory(tmp_path, monkeypatch):
+    # at glibc's defaults each form's freed temporaries go back to the kernel
+    # and the next form faults them in again: about 3,270 faults a call
+    monkeypatch.delenv("HEIS_SEED", raising=False)
+    argv = ["stokes", "--scene", "halfplane", "--forms", "10", "-o", str(tmp_path / "rep")]
+    assert main(argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(argv) == 0
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 300
+
+
+@pytest.mark.parametrize("missing", ["confstr", "libc_version", "mallopt"])
+def test_allocator_setting_is_skipped_quietly_without_mallopt(tmp_path, monkeypatch, missing):
+    monkeypatch.delenv("HEIS_SEED", raising=False)
+    argv = ["stokes", "--scene", "halfplane", "--forms", "2", "-o"]
+    assert main(argv + [str(tmp_path / "with")]) == 0
+    loaded = []
+
+    class NoMallopt:
+        def __init__(self, name):
+            loaded.append(name)
+
+    def unrecognized(name):
+        raise ValueError("unrecognized configuration name")
+
+    if missing == "confstr":  # as on macOS
+        monkeypatch.setattr(os, "confstr", unrecognized)
+    else:  # None as on musl; glibc's answer, but a libc without mallopt
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36" if missing == "mallopt" else None)
+    monkeypatch.setattr(heisgeo.cli.ctypes, "CDLL", NoMallopt)
+    heisgeo.cli._keep_freed_memory.cache_clear()
+    try:
+        assert heisgeo.cli._keep_freed_memory() is None
+        assert main(argv + [str(tmp_path / "without")]) == 0
+    finally:
+        heisgeo.cli._keep_freed_memory.cache_clear()
+    assert loaded == ([None] if missing == "mallopt" else [])
+    assert (tmp_path / "with.json").read_bytes() == (tmp_path / "without.json").read_bytes()
 
 
 def test_export_mesh_sigma_cylinder(tmp_path):

@@ -35,8 +35,9 @@ unflagged cases with a nonzero residual, and the median and max of the
 surface side's integrand points.
 
 The one JSON line printed holds the deterministic fields first and the
-wall times last.  It uses only the package's public names and
-`cli._stokes_scene`.
+wall times last.  It uses only the package's public names,
+`cli._stokes_scene` and `cli._keep_freed_memory`, the allocator setting
+that `heisgeo` makes before its first run.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from heisgeo import HCurve, bump_form, stokes_residuals  # noqa: E402
-from heisgeo.cli import _stokes_scene  # noqa: E402
+from heisgeo.cli import _keep_freed_memory, _stokes_scene  # noqa: E402
 from heisgeo.integrate import STOKES_BUDGET  # noqa: E402
 from heisgeo.surfaces import LEFT_Y, swept  # noqa: E402
 
@@ -158,6 +159,7 @@ def half_patch() -> dict:
 
 
 def main() -> None:
+    _keep_freed_memory()  # as `heisgeo` runs: freed temporaries stay mapped for the next case
     start = time.perf_counter()
     swept = sweep()
     after_sweep = time.perf_counter()

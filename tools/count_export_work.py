@@ -19,17 +19,20 @@ each figure it reports, from the first run:
 * `bytes`: the size of the CSV and OBJ files they wrote.
 
 These are deterministic.  Apart from them, `write_s` holds per figure the
-median over the RUNS runs of the seconds spent inside the two writers.
-The last line of standard output is one JSON object,
-{"counts": {fig: {...}}, "write_s": {fig: seconds}}.  It reads only the
-writers' arguments and outputs, so it runs on any commit whose CLI calls
-`write_csv` and `write_obj` by those names.
+median over the RUNS runs of the seconds spent inside the two writers, and
+`minflt_per_call` the median over the runs after the first of the minor
+page faults of this process (`resource.getrusage`) around each run.
+The last line of standard output is one JSON object, {"counts": {fig:
+{...}}, "write_s": {fig: seconds}, "minflt_per_call": {fig: faults}}.  It
+reads only the writers' arguments and outputs, so it runs on any commit
+whose CLI calls `write_csv` and `write_obj` by those names.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import resource
 import statistics
 import sys
 import tempfile
@@ -57,7 +60,7 @@ def _outside(values: np.ndarray) -> int:
 
 
 def main() -> int:
-    counts, write_s = {}, {}
+    counts, write_s, minflt = {}, {}, {}
     writers = {"write_csv": cli.write_csv, "write_obj": cli.write_obj}
     calls = []
 
@@ -73,10 +76,12 @@ def main() -> int:
     try:
         with tempfile.TemporaryDirectory() as tmp:
             for fig, command in FIGURES:
-                seconds = []
+                seconds, faults = [], []
                 for run in range(RUNS):
                     calls.clear()
+                    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                     code = cli.main([command, "--config", f"configs/{fig}.ini", "--output", os.path.join(tmp, fig)])
+                    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
                     if code != 0:
                         return code
                     seconds.append(sum(call[1] for call in calls))
@@ -90,10 +95,11 @@ def main() -> int:
                             "bytes": sum(os.path.getsize(call[2]) for call in calls),
                         }
                 write_s[fig] = round(statistics.median(seconds), 6)
+                minflt[fig] = statistics.median(faults[1:])
     finally:
         for name, fn in writers.items():
             setattr(cli, name, fn)
-    print(json.dumps({"counts": counts, "write_s": write_s}))
+    print(json.dumps({"counts": counts, "write_s": write_s, "minflt_per_call": minflt}))
     return 0
 
 
