@@ -7,14 +7,14 @@ is swept: a curve moved by a one-parameter group of contact automorphisms,
 S(u, v) = M_v(curve(u)) (`swept`).  The half-plane and the cylinder move
 their curve along t (`VERTICAL`), the band and the torus turn it about the
 t-axis (`ROTATE_T`), and an intrinsic graph moves its curve by left
-translation along Y (`LEFT_Y`).  The torus maps take
-a single-point path on two floats that returns three Python floats (see
-`_on_angles`), and the torus position carries `frame`, which gives all
-three maps at one point from one cos and sin of each angle; the leaf solver
-reads the torus through it.  The theta pairings of the two tangents drive
-everything geometric here: a point is characteristic when both vanish, and
-the kernel direction of theta restricted to the tangent plane is the
-characteristic foliation (see `heisgeo.foliation`).
+translation along Y (`LEFT_Y`); the torus is its meridian circle
+turned about the t-axis.  A surface may also carry `frame`, its three maps
+at two floats as Python floats; the torus's frame takes one cos and sin of
+each angle, and the leaf solver reads the torus through it.  The theta
+pairings of the two tangents drive everything geometric here: a point is
+characteristic when both vanish, and the kernel direction of theta
+restricted to the tangent plane is the characteristic foliation (see
+`heisgeo.foliation`).
 """
 
 from __future__ import annotations
@@ -64,6 +64,9 @@ class ParamSurface:
     (see `swept`); the surface integrals read it, not the maps, and a curve
     that is only piecewise smooth is swept piece by piece.  `rim_edges`, set
     by the rims' constructor, names each rim's v-edge: 0, 1 (v = v_dom[i]) or None.
+    `frame`, where set, maps two floats (u, v) to the position, S_u and S_v
+    as three Python floats each, the bits of the maps' rows; the pairing
+    helper reads it in place of the maps.
     """
 
     u_dom: tuple[float, float]
@@ -76,6 +79,7 @@ class ParamSurface:
     truncation_edges: tuple[tuple[int, float], ...] = ()
     sweep: tuple | None = None
     rim_edges: tuple[int | None, ...] = ()
+    frame: Callable[[float, float], tuple] | None = None
 
     def __post_init__(self):
         if not (self.u_dom[1] > self.u_dom[0] and self.v_dom[1] > self.v_dom[0]):
@@ -238,61 +242,28 @@ def lift_cylinder(curve: HCurve, height: float) -> ParamSurface:
     return replace(S, boundary=((curve, +1), (S.edge(1, S.v_dom[1], curve.speed), -1)), rim_edges=(0, 1))
 
 
-def _on_angles(formula):
-    """Surface map (u, v) -> the three components formula(cos u, sin u, cos v, sin v).
-
-    Two floats (np.float64 is one), as the leaf solver passes to a map
-    without `frame`, take `math` trig and give three Python floats, bit for
-    bit the row that numpy gives on length-1 arrays; anything else
-    broadcasts with numpy.
-    """
-
-    def f(u, v):
-        if isinstance(u, float) and isinstance(v, float):
-            return formula(math.cos(u), math.sin(u), math.cos(v), math.sin(v))
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        out = np.empty(u.shape + (3,))
-        out[..., 0], out[..., 1], out[..., 2] = formula(np.cos(u), np.sin(u), np.cos(v), np.sin(v))
-        return out
-
-    return f
-
-
 def torus_surface(R: float, r: float) -> ParamSurface:
-    """Torus of revolution about the t-axis, tube radius r, center radius R."""
+    """Torus of revolution about the t-axis, tube radius r, center radius R:
+    the meridian (R + r cos u, 0, r sin u) turned about the t-axis."""
     R, r = float(R), float(r)
     if not R > r > 0:
         raise ValueError(f"need R > r > 0, got R={R}, r={r}")
 
-    def pos(cu, su, cv, sv):
-        w = R + r * cu
-        return w * cv, w * sv, r * su
+    def meridian(u):
+        return np.stack([R + r * np.cos(u), np.zeros(np.shape(u)), r * np.sin(u)], axis=-1)
 
-    def tan_u(cu, su, cv, sv):
-        return -r * su * cv, -r * su * sv, r * cu
-
-    def tan_v(cu, su, cv, sv):
-        w = R + r * cu
-        return -w * sv, w * cv, 0.0
+    def meridian_velocity(u):
+        return np.stack([-r * np.sin(u), np.zeros(np.shape(u)), r * np.cos(u)], axis=-1)
 
     def frame(u, v):
         """Position, S_u and S_v at two floats, three Python floats each."""
-        angles = math.cos(u), math.sin(u), math.cos(v), math.sin(v)
-        return pos(*angles), tan_u(*angles), tan_v(*angles)
+        cu, su, cv, sv = math.cos(u), math.sin(u), math.cos(v), math.sin(v)
+        w = R + r * cu
+        return (w * cv, w * sv, r * su), (-r * su * cv, -r * su * sv, r * cu), (-w * sv, w * cv, 0.0)
 
-    position = _on_angles(pos)
-    position.frame = frame
-    S = ParamSurface(
-        u_dom=(0.0, 2.0 * math.pi),
-        v_dom=(0.0, 2.0 * math.pi),
-        position=position,
-        tangent_u=_on_angles(tan_u),
-        tangent_v=_on_angles(tan_v),
-        boundary=(),
-        periodic=(True, True),
-    )
-    # the torus is its meridian v = 0 (|S_u| = r there) turned about the t-axis
-    return replace(S, sweep=(S.edge(1, 0.0, r), ROTATE_T))
+    turn = (0.0, 2.0 * math.pi)
+    return swept(HCurve(*turn, meridian, meridian_velocity, r), ROTATE_T, turn,
+                 periodic=(True, True), frame=frame)
 
 
 def revolve_curve(curve: HCurve, phi_max: float) -> ParamSurface:
@@ -371,21 +342,18 @@ def torus_characteristic_loop(R: float, r: float) -> HCurve:
 
 
 def _components(a):
-    """x, y, t components of a map's value: a single point's three floats
-    pass through, a (3,) array gives Python floats, a batch three arrays."""
-    if isinstance(a, tuple):
-        return a
+    """x, y, t components of a map's value: a (3,) array gives Python
+    floats, a batch three arrays."""
     return a.tolist() if a.ndim == 1 else (a[..., 0], a[..., 1], a[..., 2])
 
 
 def _pairings(S: ParamSurface, u, v):
     """Position and tangents as components, and their theta pairings (theta(S_u), theta(S_v)).
 
-    Two floats read all three from the position's `frame` where it has one.
+    Two floats read all three from the surface's `frame` where it has one.
     """
-    frame = getattr(S.position, "frame", None)
-    if frame is not None and isinstance(u, float) and isinstance(v, float):
-        p, su, sv = frame(u, v)
+    if S.frame is not None and isinstance(u, float) and isinstance(v, float):
+        p, su, sv = S.frame(u, v)
     else:
         p = _components(S.position(u, v))
         su = _components(S.tangent_u(u, v))

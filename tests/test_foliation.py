@@ -190,6 +190,33 @@ def test_guard_reuses_the_end_of_step_pairings(monkeypatch):
         assert len(calls) == count == stats["nfev"] + 1, (n, len(calls), stats)
 
 
+def test_a_rebuilt_torus_keeps_its_frame():
+    # a torus rebuilt with counted maps by `dataclasses.replace`, as a tracer
+    # rebuilds it, still steps its leaf through `frame`: the fig4 and fig6
+    # leaves are bit for bit the plain torus's, and only the polyline calls a map
+    maps = ("position", "tangent_u", "tangent_v")
+    for n in (2, 11):
+        torus = torus_for(n)
+        calls = dict.fromkeys(maps, 0)
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapper
+
+        rebuilt = dataclasses.replace(torus, **{name: counted(name, getattr(torus, name)) for name in maps})
+        plain, traced = (trace_foliation(S, (0.0, 0.0), auto_arclen(n)) for S in (torus, rebuilt))
+        assert calls == {"position": 1, "tangent_u": 0, "tangent_v": 0}, (n, calls)
+        assert plain.uv.tobytes() == traced.uv.tobytes(), n
+        assert plain.points.tobytes() == traced.points.tobytes(), n
+        assert plain.step_stats == traced.step_stats, n
+        assert plain.returns.keys() == traced.returns.keys(), n
+        for axis, (s, uv) in plain.returns.items():
+            assert s.tobytes() == traced.returns[axis][0].tobytes(), (n, axis)
+            assert uv.tobytes() == traced.returns[axis][1].tobytes(), (n, axis)
+
+
 def test_tableau_literals_are_scipys_dop853():
     # every nonzero entry of scipy's DOP853 rows at its position, and nothing else
     from scipy.integrate import DOP853

@@ -61,9 +61,10 @@ def test_torus_tangents_match_fd():
 
 
 def test_torus_single_point_path_matches_the_array_path():
-    # the leaf solver reads the torus on two floats, through the maps or the
-    # position's `frame`, which take math trig and give three Python floats
-    # per map; they must be the bits of the array path's row
+    # the leaf solver reads the torus on two floats through its `frame`,
+    # which takes math trig and gives three Python floats per map, and the
+    # maps on two floats give a (3,) array; both must be the bits of the
+    # array path's row
     rng = np.random.default_rng(43)
     for n in (2, 11):
         torus = torus_surface(np.sqrt(1.0 + n ** (2.0 / 3.0)), 1.0)
@@ -71,12 +72,14 @@ def test_torus_single_point_path_matches_the_array_path():
         maps = (torus.position, torus.tangent_u, torus.tangent_v)
         arrays = [np.array([f(u[None], v[None])[0] for u, v in uv]) for f in maps]
         for cast in (np.float64, float):
-            frames = [torus.position.frame(cast(u), cast(v)) for u, v in uv]
+            frames = [torus.frame(cast(u), cast(v)) for u, v in uv]
             for k, f in enumerate(maps):
+                values = [frame[k] for frame in frames]
+                assert {tuple(map(type, p)) for p in values} == {(float, float, float)}
+                assert np.array(values).tobytes() == arrays[k].tobytes(), (n, f, cast)
                 points = [f(cast(u), cast(v)) for u, v in uv]
-                for values in (points, [frame[k] for frame in frames]):
-                    assert {tuple(map(type, p)) for p in values} == {(float, float, float)}
-                    assert np.array(values).tobytes() == arrays[k].tobytes(), (n, f, cast)
+                assert {p.shape for p in points} == {(3,)}
+                assert np.array(points).tobytes() == arrays[k].tobytes(), (n, f, cast)
 
 
 def test_vertical_halfplane_structure():
