@@ -33,6 +33,7 @@ __all__ = [
     "rotate_t_axis",
     "frame_at",
     "contact",
+    "dot3",
     "theta_of",
     "frame_length",
 ]
@@ -93,6 +94,13 @@ def frame_at(p) -> list[TangentVector]:
         TangentVector(p, np.array([0.0, 1.0, 0.5 * p[0]])),
         TangentVector(p, np.array([0.0, 0.0, 1.0])),
     ]
+
+
+def dot3(a, b):
+    """Dot product over the trailing xyz axis with the bits of ``(a * b).sum(axis=-1)``:
+    ``0.0 + a_x b_x + a_y b_y + a_t b_t``, left to right onto +0.0 as numpy adds,
+    whose leading +0.0 makes a row of -0.0 products sum to +0.0."""
+    return 0.0 + a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
 def theta_of(x, y, vx, vy, vt):

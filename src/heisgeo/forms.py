@@ -211,32 +211,33 @@ def bump_field(center, radius: float) -> ScalarField:
 
     The fourth power keeps three continuous derivatives across the support
     sphere, enough for every operator in the complex to stay continuous.
-    The flat jet is closed form: one pass computes d = p - c and q once,
-    then the gradient and the six distinct Hessian entries, so frame
-    derivatives through second order are exact and cheap.
+    The flat jet is closed form on the components of d = p - c, |d|^2 summed
+    as numpy sums d * d: q once, then the gradient and the six distinct
+    Hessian entries, so frame derivatives through second order are exact and cheap.
     """
     c = np.asarray(center, dtype=float)
     if c.shape != (3,):
         raise ValueError("center must be a single point of shape (3,)")
+    cx, cy, ct = c.tolist()
     r2 = float(radius) ** 2
     if not r2 > 0:
         raise ValueError("radius must be positive")
     k1 = -8.0 / r2
     k2 = 48.0 / r2**2
 
-    def q(d):
-        return np.maximum(1.0 - (d * d).sum(axis=-1) / r2, 0.0)
+    def q(p):
+        dx, dy, dt = p[..., 0] - cx, p[..., 1] - cy, p[..., 2] - ct
+        # numpy's sum starts from +0.0, which no square (never -0.0) can change
+        return dx, dy, dt, np.maximum(1.0 - (dx * dx + dy * dy + dt * dt) / r2, 0.0)
 
     def value(p):
-        return q(p - c) ** 4
+        return q(p)[3] ** 4
 
     def jet(p):
         # grad = k1 q^3 d and hess = k1 q^3 I + k2 q^2 d d^T, each entry
         # rounded as the dense forms (k1 q^3) + ((k2 d_i) d_j) q^2 would be
-        d = p - c
-        qd = q(d)
+        dx, dy, dt, qd = q(p)
         q2, q3 = qd**2, qd**3
-        dx, dy, dt = d[..., 0], d[..., 1], d[..., 2]
         diag = k1 * q3
         kx, ky, kt = k2 * dx, k2 * dy, k2 * dt
         grad = (k1 * dx * q3, k1 * dy * q3, k1 * dt * q3)

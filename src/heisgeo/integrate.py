@@ -16,6 +16,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from .core import dot3
 from .curves import HCurve
 from .forms import (
     HorizontalForm,
@@ -77,7 +78,8 @@ def _ball_level(points, speeds, balls, per_ball=1):
     in turn.  Within h, |level'| <= 2 (|p - c| + speed h) speed; the ball is
     r / speed wide in parameters, and points rounded to eps (|c| + r) are
     seen at its scale r: noise = (|c| + r) / r.  It gives the level of all
-    lines, with the largest noise, and that of each ball's lines alone."""
+    lines, with the largest noise, and that of each ball's lines alone.  Its
+    sums over xyz are `dot3`'s, row by row: no bit depends on the batch."""
     center, radius = np.array([c for c, _ in balls], dtype=float), np.array([float(r) for _, r in balls])
     noise = [(np.linalg.norm(c) + r) / r for c, r in zip(center, radius)]
     center, radius = np.repeat(center, per_ball, axis=0), np.repeat(radius, per_ball)
@@ -86,8 +88,8 @@ def _ball_level(points, speeds, balls, per_ball=1):
 
     def jet(x, owner, axes=(0,)):
         p, w = points(x, owner, bool(axes))
-        d = p - center[owner]
-        return (r2[owner] - (d * d).sum(axis=-1), *(-2.0 * (d * w).sum(axis=-1) for _ in axes))
+        d = p - center.take(owner, axis=0)
+        return (r2[owner] - dot3(d, d), *(-2.0 * dot3(d, w) for _ in axes))
 
     def lip(level, h, owner):
         return 2.0 * (np.sqrt(np.maximum(r2[owner] - level, 0.0)) + speeds[owner] * h) * speeds[owner]
@@ -125,8 +127,8 @@ def _surface_integrand(form, S: ParamSurface):
     curve, motion = S.sweep
 
     def f(u, owner, v):
-        p = motion.move(curve.position(u)[owner], v)
-        return form(p, motion.push(curve.velocity(u)[owner], v), motion.field(p))
+        p = motion.move(curve.position(u).take(owner, axis=0), v)
+        return form(p, motion.push(curve.velocity(u).take(owner, axis=0), v), motion.field(p))
 
     return f
 
@@ -192,10 +194,11 @@ def _sweep(S: ParamSurface, balls) -> list:
     def points(u, owner, velocity):
         # lines share parameters, and the curve is read once at each
         x, at_x = np.unique(u, return_inverse=True)
-        p = curve.position(x)[at_x]
+        p = curve.position(x).take(at_x, axis=0)
         ball, line = np.divmod(owner, m)
-        v = np.where(line < folds, top(motion.orbit(p, center[ball], radius[ball])[0], at[line]), at[line])
-        return motion.move(p, v), motion.push(curve.velocity(x)[at_x], v) if velocity else None
+        mid = motion.orbit(p, center.take(ball, axis=0), radius[ball])[0]
+        v = np.where(line < folds, top(mid, at[line]), at[line])
+        return motion.move(p, v), motion.push(curve.velocity(x).take(at_x, axis=0), v) if velocity else None
 
     def inner(c, r, u):
         return _orbit_intervals(*motion.orbit(curve.position(u), c, r), S.v_dom, period, S.periodic[1])

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import rotate_t_axis, theta_of
+from .core import dot3, rotate_t_axis, theta_of
 from .curves import HCurve, horizontality_residual, self_intersection_gap
 
 __all__ = [
@@ -130,14 +130,15 @@ def _shifted(p, axis, v):
 
 def _line_orbit(field):
     """`orbit` of a translation M_v(p) = p + v e, e = field(p) constant on
-    the orbit and |e| >= 1: the level is r^2 - |p + mid e - c|^2 - |e|^2 (v - mid)^2."""
+    the orbit and |e| >= 1: the level is r^2 - |p + mid e - c|^2 - |e|^2
+    (v - mid)^2, each sum over xyz by `dot3`."""
 
     def orbit(p, c, r):
         e = field(p)
-        ee = (e * e).sum(axis=-1)
-        mid = -((p - c) * e).sum(axis=-1) / ee
+        ee = dot3(e, e)
+        mid = -dot3(p - c, e) / ee
         d = p + mid[..., None] * e - c
-        return mid, np.sqrt(np.maximum(r * r - (d * d).sum(axis=-1), 0.0) / ee)
+        return mid, np.sqrt(np.maximum(r * r - dot3(d, d), 0.0) / ee)
 
     return orbit
 
@@ -156,7 +157,9 @@ def _circle_orbit(p, c, r):
 
 
 def _t_field(q):
-    return _shifted(np.zeros(q.shape), 2, 1.0)
+    out = np.zeros(q.shape)
+    out[..., 2] = 1.0
+    return out
 
 
 def _y_field(q):

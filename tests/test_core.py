@@ -1,6 +1,9 @@
 """Group structure, frame, contact form, and metric primitives."""
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from heisgeo import (
     contact,
@@ -11,7 +14,7 @@ from heisgeo import (
     multiply,
     rotate_t_axis,
 )
-from heisgeo.core import frame_length
+from heisgeo.core import dot3, frame_length
 
 
 def random_points(rng, n, scale=2.0):
@@ -146,3 +149,32 @@ def test_single_point_calls_match_batched_rows():
         batched = fn(p, q)
         single = np.array([fn(p[i], q[i]) for i in range(len(p))])
         assert single.tobytes() == batched.tobytes(), fn.__name__
+
+
+# fixed examples keep tier-1 repeatable; no example database is written
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+# entries of every scale: ordinary ones, magnitudes 1e-300..1e300 of both
+# signs, subnormals, signed zeros, NaN and infinities
+_ENTRIES = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from((1.0, -1.0)), st.floats(-300.0, 300.0)),
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, np.nan, -np.nan, np.inf, -np.inf)),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+_PAIRS = st.sampled_from(((7, 3), (1, 3), (3, 4, 3), (2, 1, 3))).flatmap(
+    lambda shape: st.tuples(*(arrays(np.float64, shape, elements=_ENTRIES, fill=st.nothing()) for _ in "ab")))
+
+
+@PROPERTY
+@given(pair=_PAIRS)
+# a row of -0.0 products, which numpy sums to +0.0
+@example(pair=(np.array([[-0.0, 0.0, -1.0]]), np.array([[1.0, -2.0, 0.0]])))
+# the order of the sum: (1 + 1e16) - 1e16 is 0, while 1 + (1e16 - 1e16) is 1
+@example(pair=(np.array([[[1.0, 1e16, -1e16]]]), np.ones((1, 1, 3))))
+def test_dot3_has_the_bits_of_numpys_row_sum(pair):
+    a, b = pair
+    with np.errstate(all="ignore"):
+        got, want = dot3(a, b), (a * b).sum(axis=-1)
+    assert got.shape == want.shape == a.shape[:-1]
+    assert got.tobytes() == want.tobytes(), (a, b, got, want)

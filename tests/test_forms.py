@@ -311,6 +311,61 @@ def test_bump_jet_matches_dense_formulas():
     assert np.count_nonzero(q) > 500
 
 
+def _bump_on_d(center, radius):
+    """The bump's value and jet as once written on d = p - c, kept as the
+    reference the component formulas must reproduce bit for bit."""
+    c, r2 = np.asarray(center, dtype=float), float(radius) ** 2
+    k1, k2 = -8.0 / r2, 48.0 / r2**2
+
+    def q(d):
+        return np.maximum(1.0 - (d * d).sum(axis=-1) / r2, 0.0)
+
+    def value(p):
+        return q(p - c) ** 4
+
+    def jet(p):
+        d = p - c
+        qd = q(d)
+        q2, q3 = qd**2, qd**3
+        dx, dy, dt = d[..., 0], d[..., 1], d[..., 2]
+        diag = k1 * q3
+        kx, ky, kt = k2 * dx, k2 * dy, k2 * dt
+        grad = (k1 * dx * q3, k1 * dy * q3, k1 * dt * q3)
+        hess = (diag + kx * dx * q2, kx * dy * q2, kx * dt * q2,
+                diag + ky * dy * q2, ky * dt * q2, diag + kt * dt * q2)
+        return grad, hess
+
+    return value, jet
+
+
+def test_bump_on_components_has_the_bits_of_the_formulas_on_d():
+    rng = np.random.default_rng(36)
+    center, radius = np.array([0.5, -1.25, 2.0]), 1.25
+    # on the sphere exactly: d = (3/4, 1, 0) and (5/4, 0, 0) up to order and
+    # signs, with signed zeros
+    sphere = [np.array(d) for d in ((0.75, 1.0, 0.0), (-1.0, -0.0, 0.75), (0.0, -0.75, -1.0),
+                                    (1.25, 0.0, 0.0), (-0.0, -1.25, -0.0), (0.0, 0.0, 1.25))]
+    unit = rng.normal(size=(500, 3))
+    unit /= np.linalg.norm(unit, axis=-1, keepdims=True)
+    p = np.concatenate([
+        center + np.array(sphere),
+        center + radius * unit,  # on the sphere up to rounding
+        center + radius * rng.uniform(0.0, 1.0, (500, 1)) * unit,  # inside
+        center + radius * rng.uniform(1.0, 3.0, (500, 1)) * unit,  # outside
+        center[None, :],
+        [[np.nan, 0.0, 2.0], [0.5, np.nan, 2.0], [0.5, -1.25, -np.nan], [np.nan] * 3],
+    ])
+    chi = bump_field(center, radius)
+    value, jet = _bump_on_d(center, radius)
+    assert np.count_nonzero(value(p)) > 400 and np.count_nonzero(value(p) == 0.0) > 500
+    for pts in (p, p[len(p) % 7:].reshape(-1, 7, 3), p[3]):
+        assert chi(pts).tobytes() == value(pts).tobytes()
+        (grad, hess), (grad_d, hess_d) = chi.jet(pts), jet(pts)
+        for k, (got, want) in enumerate(zip(grad + hess, grad_d + hess_d)):
+            assert np.shape(got) == np.shape(want) == pts.shape[:-1], k
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), k
+
+
 def test_bump_form_metadata():
     center = np.array([0.1, 0.2, 0.3])
     w = bump_form(center, 0.25)
