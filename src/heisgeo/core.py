@@ -97,9 +97,9 @@ def frame_at(p) -> list[TangentVector]:
 
 
 def dot3(a, b):
-    """Dot product over the trailing xyz axis with the bits of ``(a * b).sum(axis=-1)``:
-    ``0.0 + a_x b_x + a_y b_y + a_t b_t``, left to right onto +0.0 as numpy adds,
-    whose leading +0.0 makes a row of -0.0 products sum to +0.0."""
+    """Dot product over the trailing xyz axis, ``0.0 + a_x b_x + a_y b_y + a_t b_t``
+    left to right as numpy sums ``a * b``, so with its bits, a NaN's sign aside; the
+    leading +0.0 makes a row of -0.0 products sum to +0.0, as numpy's sum does."""
     return 0.0 + a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
