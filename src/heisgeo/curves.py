@@ -1,14 +1,15 @@
 """Planar curves and their horizontal lifts.
 
 A planar curve gamma = (x, y) lifts to a curve in the group tangent to the
-horizontal distribution by integrating the signed-area form: the contact form
-annihilates the lift's velocity exactly when t' = (x y' - y x')/2.  The `sign`
-argument of lift_horizontal selects t' = sign*(x y' - y x')/2; sign=+1 is the
-horizontal lift for the contact form used throughout this package, sign=-1
-(the default) is the +1 lift with t negated, its image under
-(x, y, t) -> (x, y, -t), which is the convention some references print and
-is not horizontal here.  Closure of the lift over a closed planar loop is
-equivalent to the loop enclosing zero signed area.
+horizontal distribution: the contact form annihilates the lift's velocity
+exactly when t' = (x y' - y x')/2, so the lift's height is the signed area
+swept from the start, which each planar curve gives in closed form
+(`area`).  The `sign` argument of lift_horizontal selects t' = sign*(x y' -
+y x')/2; sign=+1 is the horizontal lift for the contact form used
+throughout this package, sign=-1 (the default) is the +1 lift with t
+negated, its image under (x, y, t) -> (x, y, -t), which is the convention
+some references print and is not horizontal here.  Closure of the lift over
+a closed planar loop is equivalent to the loop enclosing zero signed area.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .core import contact
-from .quadrature import PrefixIntegral, integrate_1d
+from .quadrature import integrate_1d
 
 __all__ = [
     "PlanarCurve",
@@ -57,8 +58,15 @@ class _Curve:
             raise ValueError("need b > a")
 
 
+@dataclass(frozen=True)
 class PlanarCurve(_Curve):
-    """Plane curve on [a, b]; position and velocity are (..., 2) valued."""
+    """Plane curve on [a, b]; position and velocity are (..., 2) valued.
+
+    `area(tau)` is the signed area swept from a, the integral of (x y' -
+    y x')/2, in closed form; None when the curve has none.
+    """
+
+    area: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 class HCurve(_Curve):
@@ -80,8 +88,13 @@ def lemniscate() -> PlanarCurve:
         tau = np.asarray(tau, dtype=float)
         return np.stack([-np.sin(tau), np.cos(2.0 * tau)], axis=-1)
 
+    def area(tau):
+        # (x y' - y x')/2 = cos^3(tau)/2, whose integral from 0 is (s - s^3/3)/2
+        s = np.sin(np.asarray(tau, dtype=float))
+        return 0.5 * s * (1.0 - s * s / 3.0)
+
     # |vel|^2 = sin^2 + cos^2(2 tau) <= 2
-    return PlanarCurve(0.0, 2.0 * np.pi, pos, vel, math.sqrt(2.0))
+    return PlanarCurve(0.0, 2.0 * np.pi, pos, vel, math.sqrt(2.0), area)
 
 
 def planar_radius(curve) -> float:
@@ -104,19 +117,20 @@ def _area_integrand(curve: PlanarCurve):
 def lift_horizontal(curve: PlanarCurve, sign: int = -1) -> HCurve:
     """Lift a planar curve to the group with t' = sign*(x y' - y x')/2.
 
-    The lift starts at (gamma(a), 0).  The t-component is read from a
-    `PrefixIntegral` of the area rate, the velocity uses the closed form,
-    so the two are consistent to quadrature accuracy.
+    The lift starts at (gamma(a), 0).  Its t-component is sign times the
+    curve's closed-form `area` and that of its velocity sign times the area
+    rate, each exact to rounding.  A curve with no `area` is refused.
     """
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    accum = PrefixIntegral(_area_integrand(curve), curve.a, curve.b)
+    if curve.area is None:
+        raise ValueError("curve has no closed-form area to lift by")
 
     def pos(tau):
         tau = np.asarray(tau, dtype=float)
         xy = curve.position(tau)
         # 0.0 + turns the -0.0 of sign = -1 at tau = a into 0.0
-        t = 0.0 + sign * accum(tau)
+        t = 0.0 + sign * curve.area(tau)
         return np.concatenate([xy, np.asarray(t)[..., None]], axis=-1)
 
     def vel(tau):

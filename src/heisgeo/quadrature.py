@@ -46,15 +46,12 @@ __all__ = [
     "conforming_integrate_1d",
     "conforming_integrate_2d",
     "support_roots",
-    "PrefixIntegral",
 ]
 
-# the uniform curve rule and PrefixIntegral take CURVE_PANELS equal panels
-# of NODES-point Gauss-Legendre
+# the uniform curve rule takes CURVE_PANELS equal panels of NODES-point
+# Gauss-Legendre
 CURVE_PANELS = 256
 NODES = 8
-# PrefixIntegral tabulates each panel at this many Chebyshev-Lobatto points
-CHEB_POINTS = 13
 
 # multiple of eps * sum |w f| below which a Richardson gap is rounding noise
 ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
@@ -293,62 +290,3 @@ def conforming_integrate_2d(f, sweep: Sweep) -> RuleResult:
         v, w = _gauss(n, va[mine], vb[mine])
         rules.append(((np.repeat(o_own[mine], n), v), w * np.repeat(wu[o[mine]], n)))
     return _pair(lambda i, v: f(u[own], i, v), *rules, faults, level.noise, rule="conforming", pieces=len(a))
-
-
-class PrefixIntegral:
-    """F(tau) = integral of f from a to tau, evaluable at arbitrary tau.
-
-    Built once: the panel prefix sums, and for each panel the Chebyshev
-    coefficients of G = F - prefix from its values at CHEB_POINTS
-    Chebyshev-Lobatto points (the partial-panel rule inside, 0 and the
-    panel's sum at the ends).  A tau in [a, b] is read by Clenshaw's
-    recurrence with no call to f, a panel edge (b too) exactly as its prefix
-    sum.  A tau outside [a, b], or NaN, takes the partial-panel rule from
-    the nearest panel, summed on its own so that no bit depends on the
-    batch: it extrapolates (f must be defined there), NaN stays.
-    """
-
-    def __init__(self, f, a: float, b: float):
-        if not b > a:
-            raise ValueError("need b > a")
-        self.f = f
-        self.a, self.b = float(a), float(b)
-        self.edges = np.linspace(a, b, CURVE_PANELS + 1)
-        pts, wts = _gauss(NODES, self.edges[:-1], self.edges[1:])
-        panel_vals = (wts * np.asarray(f(pts), dtype=float)).reshape(CURVE_PANELS, NODES).sum(axis=1)
-        self.prefix = np.concatenate([[0.0], np.cumsum(panel_vals)])
-        self.mid = 0.5 * (self.edges[1:] + self.edges[:-1])
-        self.half = 0.5 * (self.edges[1:] - self.edges[:-1])
-        # fitted where the rounded nodes and edges map back to, as a query maps
-        tau = self.mid[:, None] - self.half[:, None] * np.cos(np.linspace(0.0, np.pi, CHEB_POINTS))
-        tau[:, 0], tau[:, -1] = self.edges[:-1], self.edges[1:]
-        t = (tau - self.mid[:, None]) / self.half[:, None]
-        inner = self._partial(np.repeat(np.arange(CURVE_PANELS), CHEB_POINTS - 2), tau[:, 1:-1].ravel())
-        share = np.column_stack((np.zeros(CURVE_PANELS), inner.reshape(CURVE_PANELS, -1), panel_vals))
-        vander = np.polynomial.chebyshev.chebvander(t, CHEB_POINTS - 1)
-        self.coef = np.linalg.solve(vander, share[..., None])[..., 0].T
-
-    def _partial(self, idx, tau, alone=False):
-        """Integral of f from the edge `idx` to tau by NODES-point Gauss-Legendre, row by row if `alone`."""
-        (gx, gw), lo = _legendre(NODES), self.edges[idx]
-        mid, half = 0.5 * (lo + tau), 0.5 * (tau - lo)
-        vals = np.asarray(self.f((mid[:, None] + half[:, None] * gx).ravel()), dtype=float).reshape(-1, NODES)
-        return half * (np.concatenate([vals[k:k + 1] @ gw for k in range(len(tau))]) if alone else vals @ gw)
-
-    def __call__(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        flat = tau.ravel()
-        edge = np.searchsorted(self.edges, flat, side="right") - 1
-        out = np.empty_like(flat)
-        inside = (flat >= self.a) & (flat <= self.b)
-        e, x = edge[inside], flat[inside]
-        p = np.minimum(e, CURVE_PANELS - 1)
-        t = (x - self.mid[p]) / self.half[p]
-        t2, b1, b2 = 2.0 * t, 0.0, 0.0
-        for c in self.coef[:0:-1]:  # Clenshaw, from the highest coefficient down
-            b1, b2 = c[p] + t2 * b1 - b2, b1
-        out[inside] = np.where(x == self.edges[e], self.prefix[e], self.prefix[p] + (self.coef[0, p] + t * b1 - b2))
-        if not inside.all():
-            p = np.clip(edge[~inside], 0, CURVE_PANELS - 1)
-            out[~inside] = self.prefix[p] + self._partial(p, flat[~inside], alone=True)
-        return float(out[0]) if tau.ndim == 0 else out.reshape(tau.shape)

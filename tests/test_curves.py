@@ -47,6 +47,34 @@ def test_lift_matches_closed_form_both_signs():
         assert np.max(np.abs(t - lift_height_oracle(tau, sign))) <= 1e-8, sign
 
 
+def test_lift_heights_match_a_long_double_reference():
+    # the height is the closed-form area, so it is within rounding of
+    # +-(sin tau - sin^3 tau / 3) / 2, off [a, b] as well as on it
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("long double is not extended precision here")
+    gam = lemniscate()
+    tau = np.linspace(gam.a - 0.05, gam.b + 0.05, 20_001)
+    s = np.sin(tau.astype(np.longdouble))
+    for sign in (-1, 1):
+        t = lift_horizontal(gam, sign=sign).position(tau)[:, 2]
+        reference = sign * (s - s**3 / 3) / 2
+        assert np.max(np.abs(t.astype(np.longdouble) - reference)) <= 1.5e-16, sign
+
+
+def test_lift_positions_have_the_bits_of_each_tau_alone():
+    # a batched root search can step just off [a, b] at an end cluster, so an
+    # off-range position must not depend on what else shares its batch
+    gam = lemniscate()
+    rng = np.random.default_rng(30)
+    off = np.concatenate((gam.a - rng.uniform(0.0, 0.05, 40), gam.b + rng.uniform(0.0, 0.05, 40)))
+    mixed = np.concatenate((off, rng.uniform(gam.a, gam.b, 200)))
+    rng.shuffle(mixed)
+    for sign in (-1, 1):
+        lifted = lift_horizontal(gam, sign=sign)
+        for batch in (off, mixed):
+            assert lifted.position(batch).tobytes() == np.array([lifted.position(tau) for tau in batch]).tobytes()
+
+
 def test_lift_closure_and_defect():
     lifted = lift_horizontal(lemniscate())
     ends = lifted.position(np.array([lifted.a, lifted.b]))
@@ -60,6 +88,9 @@ def test_lift_closure_and_defect():
         lambda tau: np.stack([-np.sin(tau), np.cos(tau)], axis=-1),
     )
     assert abs(lift_closed_defect(circle) - np.pi) < 1e-10
+    # with no closed-form area it has no lift either
+    with pytest.raises(ValueError, match="no closed-form area"):
+        lift_horizontal(circle)
 
 
 def test_lift_sign_plus_is_theta_horizontal():

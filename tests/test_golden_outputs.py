@@ -27,13 +27,13 @@ RUNS = {
 SCENES = ("halfplane", "sigma-cylinder", "band")
 
 SHA256 = {
-    "fig1.csv": "69f02cdba67731df191b5d749efbd3c8bb070a217bfa90efc7d4fbce1236cc8d",
-    "fig1.json": "cf016c7fa73ffc4ae3a1e163ec8b6a3029f688eefe44c4d7329546a2384ff346",
-    "fig2.csv": "d3619c64fa3cd526c1a78997bcb075d7d069ffeba3b26feb44413855468afba9",
-    "fig2.json": "cf016c7fa73ffc4ae3a1e163ec8b6a3029f688eefe44c4d7329546a2384ff346",
-    "fig3.obj": "cfa040e7ca4f469441953215f7c112cde6c45d6dd33a5a042315a819d026b57e",
-    "fig3_boundary_minus.csv": "3f0edeaeb1831c823ecb95480ff762ebd92ddf0e7de304497b3fed37f5a8d300",
-    "fig3_boundary_plus.csv": "c4f79bdf279a9d3fadfef8d92498968bd04613f25a26b7cc3458fd09da5adfd6",
+    "fig1.csv": "ed5851ed968aff7542810ae3ffe5d0f4212ac6d2fc2bb47b868bbb8f27a84398",
+    "fig1.json": "64f876bb3f0ec31b573562a85f9166d4408e7c19e96eaf9b12ec5e5a83283126",
+    "fig2.csv": "c96d40ac34c09e1cb586d8ff543037d070a94e32e25e8b4ef2818516e7e2d319",
+    "fig2.json": "64f876bb3f0ec31b573562a85f9166d4408e7c19e96eaf9b12ec5e5a83283126",
+    "fig3.obj": "7bc77ba225a6ca1aa5b75ceabe52b51227ae0e865860517f66f31d9b036c0770",
+    "fig3_boundary_minus.csv": "826767c74694a445b72f2fc4fa3dc8efa891161775335d186d1cf51a1329873d",
+    "fig3_boundary_plus.csv": "031b39d64dbbbf142514053363261bc1920bd647ba0f5978cd5d27b80e5388f4",
     "fig4.csv": "9926f5c3e22e0c396c0b2fd33748678291fe721b9a3539c5487854906f448382",
     "fig4.json": "13cc914854c5238cd8acae7ea0af25ab04bfabec3b8cff2313b1a8c5d8792407",
     "fig4.obj": "2f932b2523e875b1c25e60dfae0036df9ceed49502404e9b63b41b5c0c8048a3",
@@ -45,7 +45,7 @@ SHA256 = {
     "fig6.obj": "bfbd646e4abdc6e0af6cf1d657919fd5770e084cab13a3950e3e2f5ac8bbadc3",
     "stokes_band.json": "2032e13f9c52e31d846c4f9e5fcaf43d0d224cbd3fdbe8c91232189aa9a6fa7c",
     "stokes_halfplane.json": "d72ac07170dc3406528f0d562ad836eba0731da763dfbbb21f18c811743bf30b",
-    "stokes_sigma-cylinder.json": "44899d1ea93a73a7e2d8ca03dde9026b40e65578de0d976ad67b343fae3dd457",
+    "stokes_sigma-cylinder.json": "4f11fb9fc6f5fd25438a52220db26ee5d745cc6a39ce1c19447f42d6c2092e3b",
 }
 
 

@@ -1,4 +1,4 @@
-"""Composite Gauss-Legendre rules, prefix integrals, conforming rules."""
+"""Composite Gauss-Legendre rules and conforming rules."""
 
 import math
 
@@ -6,15 +6,12 @@ import numpy as np
 import pytest
 from scipy import integrate as sci
 
-from heisgeo import HorizontalForm, curves, integrate_surface, middle_differential, quadrature, torus_surface
+from heisgeo import HorizontalForm, integrate_surface, middle_differential, quadrature, torus_surface
 from heisgeo.integrate import _surface_integrand
 from heisgeo.quadrature import (
-    CHEB_POINTS,
     CURVE_PANELS,
-    NODES,
     ROUNDING_FLOOR,
     Level,
-    PrefixIntegral,
     Sweep,
     _gauss,
     _panels,
@@ -67,92 +64,6 @@ def test_integrate_1d_value_and_estimate():
     assert abs(value - truth) <= err
     assert err > 1e-9
     assert res.stats == {"rule": "uniform", "points": 3 * CURVE_PANELS * 4, "panels": CURVE_PANELS}
-
-
-def test_prefix_integral_matches_quad():
-    F = PrefixIntegral(lambda x: np.exp(-x) * np.sin(3 * x), 0.0, 5.0)
-    for tau in (0.0, 0.3, 1.7, np.pi, 5.0):
-        truth = sci.quad(lambda x: np.exp(-x) * np.sin(3 * x), 0.0, tau)[0]
-        assert abs(F(tau) - truth) < 1e-12, tau
-    taus = np.linspace(0.0, 5.0, 29)
-    batch = F(taus)
-    assert batch.shape == taus.shape
-    assert abs(batch[0]) == 0.0
-
-
-def _partial_panel_rule(F, tau):
-    """F(tau) by the NODES-point rule over the partial panel below tau, as
-    PrefixIntegral answered every query before it had a table: the rule the
-    table is filled with, and the one a tau outside [a, b] still takes."""
-    x, w = np.polynomial.legendre.leggauss(NODES)
-    idx = np.clip(np.searchsorted(F.edges, tau, side="right") - 1, 0, CURVE_PANELS - 1)
-    lo = F.edges[idx]
-    mid, half = 0.5 * (lo + tau), 0.5 * (tau - lo)
-    vals = np.asarray(F.f((mid[..., None] + half[..., None] * x).ravel())).reshape(tau.shape + (NODES,))
-    return F.prefix[idx] + half * (vals @ w)
-
-
-PREFIX_INTEGRANDS = {
-    "lemniscate-area": (curves._area_integrand(curves.lemniscate()), 0.0, 2.0 * np.pi),
-    "exp-sin": (lambda x: np.exp(-x) * np.sin(3 * x), 0.0, 5.0),
-    # the leaf slope of the R = 3, r = 2 torus, the steepest tier-1 integrand
-    "leaf-slope": (lambda u: 4.0 * np.cos(u) / (3.0 + 2.0 * np.cos(u)) ** 2, 0.0, 2.0 * np.pi),
-}
-
-
-@pytest.mark.parametrize("name", sorted(PREFIX_INTEGRANDS))
-def test_prefix_table_matches_the_partial_panel_rule(name):
-    f, a, b = PREFIX_INTEGRANDS[name]
-    F = PrefixIntegral(f, a, b)
-    rng = np.random.default_rng(23)
-    for tau in np.split(rng.uniform(a, b, 200_000), 4):
-        ref = _partial_panel_rule(F, tau)
-        assert np.max(np.abs(F(tau) - ref) / (1.0 + np.abs(ref))) <= 1e-15, name
-    # the ends and every panel edge return the prefix sums exactly
-    assert F(a) == 0.0 and F(b) == F.prefix[-1]
-    assert F(F.edges).tobytes() == F.prefix.tobytes()
-    # outside [a, b] the partial-panel rule itself extrapolates, bit for bit
-    # as for each tau alone
-    out = np.array([a - 0.3, a - 1e-9, b + 1e-9, b + 0.7])
-    alone = np.concatenate([_partial_panel_rule(F, out[k:k + 1]) for k in range(len(out))])
-    assert F(out).tobytes() == alone.tobytes()
-    # NaN stays NaN, and a scalar tau gives a float of the same value
-    assert np.isnan(F(np.nan)) and np.isnan(F(np.array([0.5 * (a + b), np.nan]))[1])
-    mid = F(0.5 * (a + b))
-    assert type(mid) is float and mid == F(np.array([0.5 * (a + b)]))[0]
-
-
-def test_prefix_table_costs_no_integrand_call_in_range():
-    points = []
-
-    def f(x):
-        points.append(x.size)
-        return np.cos(x)
-
-    F = PrefixIntegral(f, 0.0, 2.0)
-    # one NODES-point rule per panel for the prefix sums, and one per inner
-    # Chebyshev-Lobatto point of each panel for the table
-    assert sum(points) == CURVE_PANELS * NODES * (1 + CHEB_POINTS - 2) == 24_576
-    points.clear()
-    F(np.random.default_rng(0).uniform(0.0, 2.0, (3, 500)))
-    F(0.0), F(2.0), F(F.edges)
-    assert points == []
-    F(np.array([-0.5, 1.0, 2.5]))
-    assert points == [2 * NODES]
-
-
-@pytest.mark.parametrize("name", sorted(PREFIX_INTEGRANDS))
-def test_off_range_heights_have_the_bits_of_each_tau_alone(name):
-    # a batched root search can step just off [a, b] at an end cluster, so an
-    # off-range height must not depend on what else shares its batch
-    f, a, b = PREFIX_INTEGRANDS[name]
-    F = PrefixIntegral(f, a, b)
-    rng = np.random.default_rng(30)
-    off = np.concatenate((a - rng.uniform(0.0, 0.05, 40), b + rng.uniform(0.0, 0.05, 40)))
-    mixed = np.concatenate((off, rng.uniform(a, b, 200)))
-    rng.shuffle(mixed)
-    for batch in (off, mixed):
-        assert F(batch).tobytes() == np.array([F(tau) for tau in batch]).tobytes()
 
 
 def _constant_level(value, scale, lines=1):

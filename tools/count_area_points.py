@@ -5,14 +5,16 @@ Run from the root of a checkout:
 
     python3 tools/count_area_points.py
 
-It counts the points at which the lift's signed-area integrand (the `f` that
+It counts the points at which the signed-area integrand (the `f` that
 `curves._area_integrand` returns) is evaluated during
 
     heisgeo stokes --scene sigma-cylinder --forms 1 --seed 0x5EED
 
 and prints one JSON line, {"sigma_area_points": n}.  The count is
-deterministic.  It reads the integrand through `curves._area_integrand`, so
-it runs on any commit that has that helper.
+deterministic.  Only `lift_closed_defect` evaluates that integrand: a lift
+reads its height from the curve's closed-form area.  It reads the
+integrand through `curves._area_integrand`, so it runs on any commit that
+has that helper.
 """
 
 from __future__ import annotations

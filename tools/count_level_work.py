@@ -15,23 +15,20 @@ the jet of every level that `heisgeo.integrate` builds (`Level` as that
 module sees it: one-line or multi-line, on surfaces, rims and truncation
 edges alike) and the points they evaluate, each evaluation once: a level
 whose jet calls another's (a per-form view of a batched level) is not
-counted again, the root searches
-(`support_roots` calls), and the calls and points at which a lift's height
-is evaluated (`PrefixIntegral.__call__`), and reads the integrand points of
-both sides from the report (`lhs_stats` and `rhs_stats`).  Around every
-run it reads the minor page faults of this process from
-`resource.getrusage`, and it times every call of the surface integrand
-(the callable that `integrate._surface_integrand` returns) in process CPU
-time, per point it evaluates.  It reports the median of each over the
-runs after the first, when the caches are warm.  It prints one JSON line,
-{scene: {"level_calls", "level_points", "searches", "height_calls",
-"height_points", "integrand_points", "minflt_per_call",
-"integrand_us_per_pt"}}.  The counts are deterministic; the page faults
-and the times are not.  It reads the levels through `integrate.Level`,
-the searches through `support_roots` in `quadrature` and, where it has
-one, `integrate`, the heights through `quadrature.PrefixIntegral`, the
-integrand through `integrate._surface_integrand` and the reports through
-the CLI, so it runs on any commit that has those.
+counted again.  It also counts the root searches (`support_roots` calls),
+and reads the integrand points of both sides from the report (`lhs_stats`
+and `rhs_stats`).  Around every run it reads the minor page faults of this
+process from `resource.getrusage`, and it times every call of the surface
+integrand (the callable that `integrate._surface_integrand` returns) in
+process CPU time, per point it evaluates.  It reports the median of each
+over the runs after the first, when the caches are warm.  It prints one
+JSON line, {scene: {"level_calls", "level_points", "searches",
+"integrand_points", "minflt_per_call", "integrand_us_per_pt"}}.  The
+counts are deterministic; the page faults and the times are not.  It reads
+the levels through `integrate.Level`, the searches through `support_roots`
+in `quadrature` and, where it has one, `integrate`, the integrand through
+`integrate._surface_integrand` and the reports through the CLI, so it runs
+on any commit that has those.
 """
 
 from __future__ import annotations
@@ -56,8 +53,8 @@ CALLS = 5
 
 
 def main() -> int:
-    counts = dict.fromkeys(("level_calls", "level_points", "searches", "height_calls", "height_points"), 0)
-    level, search, height = integrate.Level, quadrature.support_roots, quadrature.PrefixIntegral.__call__
+    counts = dict.fromkeys(("level_calls", "level_points", "searches"), 0)
+    level, search = integrate.Level, quadrature.support_roots
     integrand, spent = integrate._surface_integrand, {"s": 0.0, "points": 0}
 
     depth = [0]
@@ -80,11 +77,6 @@ def main() -> int:
         counts["searches"] += 1
         return search(*args)
 
-    def counted_height(self, tau):
-        counts["height_calls"] += 1
-        counts["height_points"] += int(np.size(tau))
-        return height(self, tau)
-
     def timed_integrand(form, S):
         f = integrand(form, S)
 
@@ -103,7 +95,6 @@ def main() -> int:
     quadrature.support_roots = counted_search
     if hasattr(integrate, "support_roots"):
         integrate.support_roots = counted_search
-    quadrature.PrefixIntegral.__call__ = counted_height
     result = {}
     with tempfile.TemporaryDirectory() as tmp:
         for scene in SCENES:
